@@ -15,9 +15,13 @@ import sys
 
 from .derivations import recipe_check
 from .fixtures import FixtureError, fixture_names, get_fixture
+from .groebner import GroebnerError
 from .io import InputError, InputSpec, spec_for_realization
-from .matroid import LoopError, MatroidError
+from .matroid import MatroidError
 from .primes import associated_primes, minimal_primes, slice_associated_primes
+from .resolution import ResolutionError
+from .ring import RingError
+from .scalars import FieldError
 from .workbench import VERIFY_TARGETS, Workbench, full_report
 
 
@@ -34,10 +38,22 @@ def _load_realization(source, args):
     return re, {}
 
 
+def _count_option(args, options, name, default):
+    """The CLI value, else the input file's option, else the default (>= 1)."""
+    value = getattr(args, name, None)
+    if value is None:
+        value = options.get(name)
+    if value is None:
+        return default
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise InputError(f"{name} must be an integer >= 1, got {value!r}")
+    return value
+
+
 def _bench(source, args):
     re, options = _load_realization(source, args)
-    window = getattr(args, "window", None) or options.get("window")
-    bound = getattr(args, "bound", None) or options.get("bound") or 4
+    window = _count_option(args, options, "window", None)
+    bound = _count_option(args, options, "bound", 4)
     drop = getattr(args, "drop_loops", False) or options.get("drop_loops", False)
     return Workbench(re, drop_loops=drop, window=window, bound=bound)
 
@@ -332,10 +348,15 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (InputError, FixtureError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (LoopError, MatroidError) as exc:
+    except (
+        InputError,
+        FixtureError,
+        MatroidError,
+        GroebnerError,
+        ResolutionError,
+        RingError,
+        FieldError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

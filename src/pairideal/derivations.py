@@ -13,9 +13,8 @@ from .graded import GradedEngine
 from .groebner import ModuleContext, module_syzygies
 from .matroid import LoopError, MatroidError, Realization
 from .pairs import PairsIdeal
-from .ring import Poly, RingError, x_ring, xa_ring
+from .ring import Poly, RingError, xa_ring
 from .resolution import minimal_generators, raw_grade, resolve_submodule
-from .spans import integerize
 
 
 class DerivationModule:
@@ -27,34 +26,15 @@ class DerivationModule:
 
     def __init__(self, pairs: PairsIdeal):
         self.pairs = pairs
-        self.ring = x_ring(pairs.field, pairs.r)
         self._build()
 
     def _build(self):
         pairs = self.pairs
-        R = self.ring
         F = pairs.field
-        r, n, s = pairs.r, pairs.n, pairs.s
-        # columns of the presentation: f_k times the y-coordinates of g_k
-        cols = []
-        scales = []
-        for k in range(n):
-            raw = {}
-            fk, gk = pairs.f[k], pairs.g[k]
-            for eg, cg in gk.terms.items():
-                u = next(i for i, v in enumerate(eg) if v) - r
-                for ef, cf in fk.terms.items():
-                    key = (u, ef[:r])
-                    acc = F.add(raw.get(key, F.zero), F.mul(cf, cg))
-                    raw[key] = acc
-            raw = {k2: v for k2, v in raw.items() if not F.is_zero(v)}
-            if F.char:
-                cols.append({k2: int(v) % F.char for k2, v in raw.items()})
-                scales.append(1)
-            else:
-                iv, lam = integerize(raw)
-                cols.append(iv)
-                scales.append(lam)
+        n, s = pairs.n, pairs.s
+        # the presentation: f_k times the y-coordinates of g_k
+        R, _, cols, scales = pairs.slice_columns("x")
+        self.ring = R
         ctx = ModuleContext(R, shifts={u: 0 for u in range(max(s, 1))})
         syz = module_syzygies(ctx, cols)
         fixed = []

@@ -78,20 +78,28 @@ def fixture_names():
     return sorted(_STATIC) + ["boolean:N", "u:R:N"]
 
 
+def _int_params(name: str, form: str):
+    """The integer parameters of a parameterized fixture name."""
+    parts = name.split(":")[1:]
+    if len(parts) != form.count(":"):
+        raise FixtureError(f"fixture {name!r} is not of the form {form}")
+    try:
+        return [int(p) for p in parts]
+    except ValueError:
+        raise FixtureError(f"fixture {name!r}: {form} takes integer parameters") from None
+
+
 def get_fixture(name: str, field=QQ) -> Realization:
     """Resolve a fixture name to a Realization (parameterized forms allowed)."""
     if name in _STATIC:
         return Realization(name, field, ExactMatrix(field, _STATIC[name]))
     if name.startswith("boolean:"):
-        n = int(name.split(":", 1)[1])
+        (n,) = _int_params(name, "boolean:N")
         if n < 1:
             raise FixtureError("boolean:N needs N >= 1")
         return Realization(name, field, ExactMatrix(field, boolean_matrix(n)))
     if name.startswith("u:"):
-        parts = name.split(":")
-        if len(parts) != 3:
-            raise FixtureError("uniform fixtures are named u:R:N")
-        r, n = int(parts[1]), int(parts[2])
+        r, n = _int_params(name, "u:R:N")
         if not 0 < r <= n:
             raise FixtureError("u:R:N needs 0 < R <= N")
         return Realization(name, field, ExactMatrix(field, vandermonde_matrix(r, n)))

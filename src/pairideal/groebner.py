@@ -9,10 +9,15 @@ generating set of the syzygy module of the inputs (the coprime-lead pair
 skip is disabled there, and chain-skipped pairs are covered by retained
 ones).
 
-Derived operations: reduced bases, normal forms, membership, colon by an
-element or ideal, saturation, intersection and radical membership via one
-auxiliary variable, Krull dimension from the initial ideal, and the exact
-associated-prime test for linear primes.
+Every colon is one primitive, `colon_module`: a tracked run with the
+Groebner basis of the submodule N entering as inert blocks, restricted to
+the tracked elements.  On it rest the ideal colons and the exact
+associated-prime test for linear primes (`linear_prime_is_associated`),
+which serves both S/I (rank one) and the slice modules E/N.
+
+Other derived operations: reduced bases, normal forms, membership,
+saturation, intersection and radical membership via one auxiliary
+variable, and Krull dimension from the initial ideal.
 """
 
 from __future__ import annotations
@@ -63,33 +68,23 @@ def raw_to_poly(ring: PolyRing, raw, pos=0):
     return ring.from_terms(terms)
 
 
-def _strip(raw):
+def _strip(raw, *others):
+    """Divide raw and the dicts in `others` (None skipped) by the gcd of all
+    their values, in place; returns raw."""
+    parts = (raw,) + others
     g = 0
-    for v in raw.values():
-        g = gcd(g, v)
-        if g == 1:
-            return raw
+    for d in parts:
+        if d is not None:
+            for v in d.values():
+                g = gcd(g, v)
+                if g == 1:
+                    return raw
     if g > 1:
-        for k in raw:
-            raw[k] //= g
+        for d in parts:
+            if d is not None:
+                for k in d:
+                    d[k] //= g
     return raw
-
-
-def _strip_pair(raw, track):
-    g = 0
-    for v in raw.values():
-        g = gcd(g, v)
-        if g == 1:
-            return
-    for v in track.values():
-        g = gcd(g, v)
-        if g == 1:
-            return
-    if g > 1:
-        for k in raw:
-            raw[k] //= g
-        for k in track:
-            track[k] //= g
 
 
 def _divides(e1, e2):
@@ -219,36 +214,8 @@ def _reduce(ctx, raw, track, basis, full=True):
                         track.pop(key, None)
             # joint content strip keeps the integers small and the
             # combination bookkeeping consistent
-            if track is not None:
-                _strip_joint3(raw, out, track)
-            else:
-                _strip_joint3(raw, out, None)
+            _strip(raw, out, track)
     return out, track
-
-
-def _strip_joint3(a, b, c):
-    g = 0
-    for v in a.values():
-        g = gcd(g, v)
-        if g == 1:
-            return
-    for v in b.values():
-        g = gcd(g, v)
-        if g == 1:
-            return
-    if c is not None:
-        for v in c.values():
-            g = gcd(g, v)
-            if g == 1:
-                return
-    if g > 1:
-        for k in a:
-            a[k] //= g
-        for k in b:
-            b[k] //= g
-        if c is not None:
-            for k in c:
-                c[k] //= g
 
 
 def _scaled_combination(ctx, gi, gj):
@@ -284,10 +251,7 @@ def buchberger(ctx: ModuleContext, inputs, track=False, inert_groups=None):
     pairs = set()
 
     def add_element(raw, t, sugar=None, inert=None):
-        if track:
-            _strip_pair(raw, t)
-        else:
-            _strip(raw)
+        _strip(raw, t)
         basis.append(GBElement(ctx, raw, t, sugar, inert))
         new = len(basis) - 1
         gnew = basis[new]
@@ -402,6 +366,17 @@ def buchberger(ctx: ModuleContext, inputs, track=False, inert_groups=None):
     return basis, syzygies
 
 
+def _normal_form(ctx, raw, basis):
+    """Canonical normal form: fully reduced, primitive, positive lead over QQ."""
+    raw, _ = _reduce(ctx, dict(raw), None, basis, full=True)
+    raw = _strip(raw)
+    if raw and ctx.char == 0:
+        lt = ctx.lead(raw)
+        if raw[lt] < 0:
+            raw = {k: -v for k, v in raw.items()}
+    return raw
+
+
 def interreduce(ctx: ModuleContext, basis):
     """Reduced basis: minimal leads, tails fully reduced, canonical scaling."""
     keep = []
@@ -418,21 +393,77 @@ def interreduce(ctx: ModuleContext, basis):
             keep.append(g)
     out = []
     for g in keep:
-        others = [h for h in keep if h is not g]
-        raw, _ = _reduce(ctx, dict(g.raw), None, others, full=True)
+        raw = _normal_form(ctx, g.raw, [h for h in keep if h is not g])
         if not raw:
             continue
-        raw = _strip(raw)
-        lt = max(raw, key=ctx.term_key)
         if ctx.char:
-            inv = pow(raw[lt], ctx.char - 2, ctx.char)
+            inv = pow(raw[ctx.lead(raw)], ctx.char - 2, ctx.char)
             if inv != 1:
                 raw = {k: (v * inv) % ctx.char for k, v in raw.items()}
-        elif raw[lt] < 0:
-            raw = {k: -v for k, v in raw.items()}
         out.append(GBElement(ctx, raw))
     out.sort(key=lambda g: ctx.term_key(g.lead))
     return out
+
+
+def colon_module(ctx: ModuleContext, basis, rank, elems, copies=1):
+    """Generators of {c : sum_b c_b elems[b] in N^copies} by one tracked run.
+
+    `basis` is a Groebner basis (GBElements) of a submodule N of a free
+    module of rank `rank`; it enters once per copy, in positions
+    t*rank .. t*rank + rank - 1, each copy one inert block.  Syzygies inside
+    a block have no coefficient on `elems`, so the recorded combinations,
+    restricted to `elems`, generate the colon.  Returns the distinct nonzero
+    restrictions as raw vectors {(b, exp): coeff} over the indices b of
+    `elems`.
+    """
+    inputs = []
+    groups = []
+    for t in range(copies):
+        for g in basis:
+            inputs.append({(t * rank + pos, e): v for (pos, e), v in g.raw.items()})
+            groups.append(t)
+    first = len(inputs)
+    inputs += elems
+    groups += [None] * len(elems)
+    _, syz = buchberger(ctx, inputs, track=True, inert_groups=groups)
+    out = []
+    seen = set()
+    for s in syz:
+        w = {(i - first, e): v for (i, e), v in s.items() if i >= first}
+        key = frozenset(w.items())
+        if w and key not in seen:
+            seen.add(key)
+            out.append(w)
+    return out
+
+
+def linear_prime_is_associated(ctx: ModuleContext, basis, rank, forms, prime):
+    """Whether the linear prime P = (forms) is associated to E/N.
+
+    E is free of rank `rank` over ctx.ring, `basis` a reduced Groebner basis
+    of N (S/I is the rank-one case), `prime` the Ideal of P.  Exact
+    criterion: P is associated iff the annihilator of some generator w of
+    (N : P) modulo N lies in P.  (N : P) is the colon of the vectors
+    (l_1 e_b, ..., l_c e_b) by c copies of N; its generators are taken
+    modulo N, smallest first, and each annihilator is tested generator by
+    generator.  Returns (verdict, w) with the successful w as a raw vector.
+    """
+    forms_raw = [poly_to_raw(f) for f in forms]
+    elems = [
+        {(t * rank + b, e): v for t, f in enumerate(forms_raw) for (_z, e), v in f.items()}
+        for b in range(rank)
+    ]
+    cands = {}
+    for w in colon_module(ctx, basis, rank, elems, copies=len(forms)):
+        w = _normal_form(ctx, w, basis)
+        if w:
+            cands.setdefault(frozenset(w.items()), w)
+    ring = ctx.ring
+    for w in sorted(cands.values(), key=lambda w: (max(sum(e) for _, e in w), len(w))):
+        ann = colon_module(ctx, basis, rank, [w])
+        if all(prime.member(raw_to_poly(ring, a)) for a in ann):
+            return True, w
+    return False, None
 
 
 def module_syzygies(ctx: ModuleContext, inputs):
@@ -482,13 +513,7 @@ class Ideal:
     def normal_form(self, p: Poly) -> Poly:
         """Canonical normal form (primitive, positive lead over QQ)."""
         ctx, basis = self._gb_elements()
-        raw, _ = _reduce(ctx, dict(poly_to_raw(p)), None, basis, full=True)
-        raw = _strip(raw)
-        if raw and ctx.char == 0:
-            lt = max(raw, key=ctx.term_key)
-            if raw[lt] < 0:
-                raw = {k: -v for k, v in raw.items()}
-        return raw_to_poly(self.ring, raw)
+        return raw_to_poly(self.ring, _normal_form(ctx, poly_to_raw(p), basis))
 
     def member(self, p: Poly) -> bool:
         return self.normal_form(p).is_zero()
@@ -506,69 +531,14 @@ class Ideal:
 
     # -- colon / saturation / intersection ------------------------------------
     def colon_element(self, h: Poly) -> "Ideal":
-        """(I : h) via tracked syzygies of [gens, h].
-
-        The cached Groebner basis enters as an inert block: its internal
-        syzygies have no h-coefficient, so the recorded combinations still
-        generate the colon.
-        """
+        """(I : h) by colon_module on the cached Groebner basis."""
         if h.is_zero():
             return Ideal(self.ring, [self.ring.one()], self.order)
         ctx, gb = self._gb_elements()
         if not gb:
             return Ideal(self.ring, [self.ring.zero()], self.order)
-        inputs = [g.raw for g in gb] + [poly_to_raw(h)]
-        groups = [0] * len(gb) + [None]
-        _, syz = buchberger(ctx, inputs, track=True, inert_groups=groups)
-        hidx = len(gb)
-        out = []
-        seen = set()
-        for s in syz:
-            q = _track_component(self.ring, s, hidx)
-            if not q.is_zero():
-                key = str(q)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(q)
+        out = [raw_to_poly(self.ring, w) for w in colon_module(ctx, gb, 1, [poly_to_raw(h)])]
         return Ideal(self.ring, out or [self.ring.zero()], self.order)
-
-    def colon_linear_ideal_gens(self, forms):
-        """A generating set of (I : (forms)) via one tracked module run.
-
-        Correct for any ideal generated by `forms`; kept separate from the
-        elimination-based colon_ideal as the fast path for the
-        associated-prime tests.
-        """
-        forms = [f for f in forms if not f.is_zero()]
-        if not forms:
-            return [self.ring.one()]
-        ctx0, gb = self._gb_elements()
-        c = len(forms)
-        ctx = ModuleContext(self.ring, order=self.order)
-        inputs = []
-        groups = []
-        for t in range(c):
-            for g in gb:
-                inputs.append({(t, e): v for ((_z, e), v) in g.raw.items()})
-                groups.append(t)
-        v0 = {}
-        for t, f in enumerate(forms):
-            for (_z, e), v in poly_to_raw(f).items():
-                v0[(t, e)] = v
-        inputs.append(v0)
-        groups.append(None)
-        _, syz = buchberger(ctx, inputs, track=True, inert_groups=groups)
-        vidx = len(inputs) - 1
-        out = []
-        seen = set()
-        for s in syz:
-            q = _track_component(self.ring, s, vidx)
-            if not q.is_zero():
-                key = str(q)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(q)
-        return out or [self.ring.zero()]
 
     def colon_ideal(self, other: "Ideal") -> "Ideal":
         """(I : J) as the intersection of the single-element colons."""
@@ -645,12 +615,6 @@ class Ideal:
         return 0
 
 
-def _track_component(ring, syz, index):
-    F = ring.field
-    terms = [(e, F.of(c)) for (i, e), c in syz.items() if i == index]
-    return ring.from_terms(terms)
-
-
 def _extend_ring(ring: PolyRing):
     """Ring with one fresh elimination variable t0 in front; lift/drop maps."""
     names = ("t0",) + ring.names
@@ -676,9 +640,9 @@ def _extend_ring(ring: PolyRing):
 def is_associated(I: Ideal, prime_gens):
     """Whether the prime generated by the linear forms is associated to ring/I.
 
-    Exact criterion: p is associated iff (I : (I : p)) <= p; by primeness
-    this holds iff (I : h) <= p for some generator h of (I : p).  Returns
-    (verdict, witness) with the successful h when associated.
+    The rank-one case of linear_prime_is_associated on the cached Groebner
+    basis of I.  Returns (verdict, witness) with the successful generator
+    h of (I : p), in normal form, when associated.
     """
     ring = I.ring
     forms = [f for f in prime_gens if not f.is_zero()]
@@ -689,19 +653,6 @@ def is_associated(I: Ideal, prime_gens):
     for g in I.gens:
         if not g.is_zero() and not prime.member(g):
             raise GroebnerError("candidate prime does not contain the ideal")
-    colon_gens = I.colon_linear_ideal_gens(forms)
-    cands = []
-    seen = set()
-    for h in colon_gens:
-        h = I.normal_form(h)
-        if not h.is_zero() and str(h) not in seen:
-            seen.add(str(h))
-            cands.append(h)
-    if not cands:
-        return (False, None)
-    cands.sort(key=lambda h: (sum(h.leading_exp()), len(h.terms)))
-    for h in cands:
-        back = I.colon_element(h)
-        if all(prime.member(g) for g in back.groebner()):
-            return (True, h)
-    return (False, None)
+    ctx, gb = I._gb_elements()
+    verdict, w = linear_prime_is_associated(ctx, gb, 1, forms, prime)
+    return (verdict, raw_to_poly(ring, w) if verdict else None)

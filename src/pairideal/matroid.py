@@ -191,6 +191,11 @@ class Matroid:
         cyc = [F for F in self.cyclic_flats() if F]
         return [F for F in cyc if not any(G < F for G in cyc if G)]
 
+    def maximal_proper_cyclic_flats(self):
+        full = frozenset(range(self.n))
+        cyc = [F for F in self.cyclic_flats() if F != full]
+        return [F for F in cyc if not any(F < G for G in cyc)]
+
     # -- duality ----------------------------------------------------------------
     def dual(self) -> "DualMatroid":
         if not hasattr(self, "_dual"):

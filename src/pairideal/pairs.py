@@ -11,9 +11,9 @@ permutation is recorded and inverted in reports.
 from __future__ import annotations
 
 from .linalg import ExactMatrix, rref
-from .matroid import ColoopError, LoopError, Realization, labels
-from .ring import pair_ring
-from .spans import Echelon
+from .matroid import ColoopError, LoopError, MatroidError, Realization, labels
+from .ring import pair_ring, x_ring, y_ring
+from .spans import Echelon, integerize
 
 
 class PairsIdeal:
@@ -54,7 +54,8 @@ class PairsIdeal:
         self.perm = basis_cols + nonbasis  # internal position -> base column
         permuted_matrix = base.basis_matrix.submatrix_columns(self.perm)
         normal, pivots, rk = rref(permuted_matrix)
-        assert pivots == list(range(r)), "pinned basis normalization failed"
+        if pivots != list(range(r)):
+            raise MatroidError("pinned basis normalization failed")
         self.realization = Realization(realization.name, field, normal)
         self.matroid = self.realization.matroid()
 
@@ -91,7 +92,8 @@ class PairsIdeal:
         self.generators = [self.f[i] * self.g[i] for i in range(n)]
         self.zero_generator_indices = [i for i, p in enumerate(self.generators) if p.is_zero()]
         self.coloops = sorted(self.matroid.coloops)
-        assert self.zero_generator_indices == self.coloops
+        if self.zero_generator_indices != self.coloops:
+            raise MatroidError("zero generators do not sit at the coloops")
 
         self.components = self.matroid.components()
         self.kappa = len(self.components)
@@ -147,6 +149,45 @@ class PairsIdeal:
 
     def nonzero_generators(self):
         return [(i, self.generators[i]) for i in range(self.n) if self.generators[i]]
+
+    def slice_columns(self, side):
+        """The degree-one slice as a submodule N of a free module E.
+
+        side "x": the y-degree-one slice over the x-ring, E of rank n - r,
+        column k is f_k times the y-coordinates of g_k; side "y": roles
+        exchanged.  Returns (ring, rank of E, columns, scales): the columns
+        are raw {(position, exponent): coeff} with integer coefficients
+        (residues over GF(p)), column k being scales[k] times the slice of
+        f_k g_k.
+        """
+        F = self.field
+        r = self.r
+        # first[k] gives the ring part, second[k] the position (variable
+        # index minus offset); part cuts the ring's exponents out of S's
+        if side == "x":
+            ring, rank, first, second = x_ring(F, r), self.s, self.f, self.g
+            offset, part = r, slice(0, r)
+        else:
+            ring, rank, first, second = y_ring(F, self.s), r, self.g, self.f
+            offset, part = 0, slice(r, None)
+        cols = []
+        scales = []
+        for k in range(self.n):
+            raw = {}
+            for e2, c2 in second[k].terms.items():
+                u = next(i for i, v in enumerate(e2) if v) - offset
+                for e1, c1 in first[k].terms.items():
+                    key = (u, e1[part])
+                    raw[key] = F.add(raw.get(key, F.zero), F.mul(c1, c2))
+            raw = {key: v for key, v in raw.items() if not F.is_zero(v)}
+            if F.char:
+                cols.append({key: int(v) % F.char for key, v in raw.items()})
+                scales.append(1)
+            else:
+                col, lam = integerize(raw)
+                cols.append(col)
+                scales.append(lam)
+        return ring, rank, cols, scales
 
     # -- duality ----------------------------------------------------------------------
     def require_no_coloops(self, context: str):

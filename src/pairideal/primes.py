@@ -2,8 +2,12 @@
 certified associated primes over biflat candidates, slice associated primes,
 and the uniform-matroid membership checks.
 
-Absence of an embedded prime is only ever asserted through the exact
-colon-based test; degreewise scans may only report presence.
+Every candidate is a linear prime and is decided by one exact test,
+`groebner.linear_prime_is_associated`, on top of the one tracked-colon
+primitive `groebner.colon_module`: for S/I as its rank-one case
+(`is_associated`), for the degree-one slices E/N as its rank-m case
+(`module_prime_is_associated`).  Absence of an embedded prime is only ever
+asserted through that test; degreewise scans may only report presence.
 """
 
 from __future__ import annotations
@@ -11,11 +15,17 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 
 from .graded import GradedEngine
-from .groebner import Ideal, is_associated
-from .matroid import biflats
+from .groebner import (
+    Ideal,
+    ModuleContext,
+    buchberger,
+    interreduce,
+    is_associated,
+    linear_prime_is_associated,
+)
+from .matroid import MatroidError, biflats
 from .pairs import PairsIdeal
-from .ring import x_ring, y_ring
-from .spans import Echelon, integerize
+from .spans import Echelon
 
 
 class LinearPrime:
@@ -33,25 +43,13 @@ class LinearPrime:
         self.tag = tag
         M = pairs.matroid
         self.codim = M.rank_of(self.I) + M.dual().rank_of(self.J)
-        self.forms = [pairs.f[i] for i in sorted(self.I)] + [
-            pairs.g[j] for j in sorted(self.J)
-        ]
-        self.forms = [f for f in self.forms if not f.is_zero()]
-        if linear_span_rank(pairs.ring, self.forms) != self.codim:
+        # an independent generating set (echelon rows) of the prime
+        self.forms = echelon_forms(
+            pairs.ring,
+            [pairs.f[i] for i in sorted(self.I)] + [pairs.g[j] for j in sorted(self.J)],
+        )
+        if len(self.forms) != self.codim:
             raise ValueError("codimension mismatch against exact linear algebra")
-
-    def reduced_forms(self):
-        """An independent generating set of forms (echelon rows)."""
-        ring = self.pairs.ring
-        ech = Echelon(ring.field)
-        nvars = ring.nvars
-        unit = [tuple(1 if t == i else 0 for t in range(nvars)) for i in range(nvars)]
-        for f in self.forms:
-            ech.insert({e.index(1): c for e, c in f.terms.items()})
-        out = []
-        for piv, row in sorted(ech.rows.items()):
-            out.append(ring.from_terms((unit[i], c) for i, c in row.items()))
-        return out
 
     def key(self):
         return (self.codim, tuple(sorted(self.I)), tuple(sorted(self.J)))
@@ -87,11 +85,17 @@ class LinearPrime:
         return hash((self.I, self.J))
 
 
-def linear_span_rank(ring, forms):
+def echelon_forms(ring, forms):
+    """An echelon basis (rows sorted by pivot) of the span of linear forms."""
     ech = Echelon(ring.field)
     for f in forms:
         ech.insert({e.index(1): c for e, c in f.terms.items()})
-    return ech.dim
+    nvars = ring.nvars
+    unit = [tuple(1 if t == i else 0 for t in range(nvars)) for i in range(nvars)]
+    return [
+        ring.from_terms((unit[i], c) for i, c in row.items())
+        for _piv, row in sorted(ech.rows.items())
+    ]
 
 
 def pairs_ideal_object(pairs: PairsIdeal) -> Ideal:
@@ -130,7 +134,7 @@ def verify_min_primes(pairs: PairsIdeal):
         for i, gen in pairs.nonzero_generators():
             side = "F" if i in p.I else "complement"
             if i not in p.I and i not in p.J:
-                raise AssertionError("biflat does not cover the ground set")
+                raise MatroidError("biflat does not cover the ground set")
             containment.append(
                 {"prime": p.labels(), "generator": pairs.to_original(i), "side": side}
             )
@@ -161,8 +165,7 @@ def verify_min_primes(pairs: PairsIdeal):
 
 def _prime_ideal(p: LinearPrime) -> Ideal:
     ring = p.pairs.ring
-    forms = p.reduced_forms()
-    return Ideal(ring, forms or [ring.zero()])
+    return Ideal(ring, p.forms or [ring.zero()])
 
 
 def _intersect_all(ideals, ring):
@@ -215,7 +218,7 @@ def associated_primes(pairs: PairsIdeal, progress=None):
     out = []
     for F, G in biflats(M):
         cand = LinearPrime(pairs, F, G)
-        verdict, witness = is_associated(ideal, cand.reduced_forms())
+        verdict, witness = is_associated(ideal, cand.forms)
         if progress is not None:
             progress(cand, verdict)
         if verdict:
@@ -228,41 +231,6 @@ def associated_primes(pairs: PairsIdeal, progress=None):
 
 # ---------------------------------------------------------------------------
 # slice associated primes
-
-
-def _slice_presentation(pairs: PairsIdeal, side):
-    """(ring, ambient rank, columns) for the degree-one slice as a module.
-
-    side "x": the y-degree-one slice over the x-ring (ambient rank n-r,
-    columns f_k * g_k-coordinates); side "y": roles exchanged.
-    """
-    if side == "x":
-        ring = x_ring(pairs.field, pairs.r)
-        m = pairs.s
-        first, second, offset, width = pairs.f, pairs.g, pairs.r, pairs.r
-    else:
-        ring = y_ring(pairs.field, pairs.s)
-        m = pairs.r
-        first, second, offset, width = pairs.g, pairs.f, 0, pairs.s
-    cols = []
-    F = pairs.field
-    for k in range(pairs.n):
-        raw = {}
-        for e2, c2 in second[k].terms.items():
-            u = next(i for i, v in enumerate(e2) if v)
-            u = u - pairs.r if side == "x" else u
-            for e1, c1 in first[k].terms.items():
-                exp = e1[pairs.r :] if side == "y" else e1[: pairs.r]
-                key = (u, exp)
-                raw[key] = F.add(raw.get(key, F.zero), F.mul(c1, c2))
-        raw = {kk: v for kk, v in raw.items() if not F.is_zero(v)}
-        # generator scaling leaves the submodule unchanged
-        if F.char:
-            raw = {kk: int(v) % F.char for kk, v in raw.items()}
-        else:
-            raw, _ = integerize(raw)
-        cols.append(raw)
-    return ring, m, cols
 
 
 def _linear_forms_in_slice_ring(pairs: PairsIdeal, ring, side, index_set):
@@ -288,13 +256,16 @@ def slice_associated_primes(pairs: PairsIdeal, side="x", progress=None):
     with dual flats.  Requires no loops or coloops.
     """
     pairs.require_no_coloops("slice associated primes")
-    ring, m, cols = _slice_presentation(pairs, side)
+    ring, m, cols, _ = pairs.slice_columns(side)
+    ctx = ModuleContext(ring)
+    # reduced Groebner basis of N, shared by every candidate
+    basis = interreduce(ctx, buchberger(ctx, cols, track=False)[0])
     M = pairs.matroid
     flats = M.flats() if side == "x" else M.dual().flats()
     minimal_cyc = (
         M.minimal_nonempty_cyclic_flats()
         if side == "x"
-        else [frozenset(range(pairs.n)) - F for F in _maximal_proper_cyclic(M)]
+        else [frozenset(range(pairs.n)) - F for F in M.maximal_proper_cyclic_flats()]
     )
     out = []
     for F in flats:
@@ -302,9 +273,8 @@ def slice_associated_primes(pairs: PairsIdeal, side="x", progress=None):
             continue
         if not any(C <= F for C in minimal_cyc):
             continue  # associated primes contain a minimal prime
-        forms = _linear_forms_in_slice_ring(pairs, ring, side, F)
-        forms = _reduce_linear(ring, forms)
-        verdict = module_prime_is_associated(ring, m, cols, forms)
+        forms = echelon_forms(ring, _linear_forms_in_slice_ring(pairs, ring, side, F))
+        verdict = module_prime_is_associated(ctx, basis, m, forms)
         if progress is not None:
             progress(F, verdict)
         if verdict:
@@ -314,117 +284,23 @@ def slice_associated_primes(pairs: PairsIdeal, side="x", progress=None):
                     "flat": pairs.original_labels(F),
                     "rank": M.rank_of(F) if side == "x" else M.dual().rank_of(F),
                     "tag": tag,
-                    "is_maximal_ideal": len(_reduce_linear(ring, forms)) == ring.nvars,
+                    "is_maximal_ideal": len(forms) == ring.nvars,
                 }
             )
     out.sort(key=lambda d: (len(d["flat"]), d["flat"]))
     return out
 
 
-def _maximal_proper_cyclic(M):
-    cyc = [F for F in M.cyclic_flats() if F != frozenset(range(M.n))]
-    return [F for F in cyc if not any(F < G for G in cyc)]
+def module_prime_is_associated(ctx, basis, rank, prime_forms) -> bool:
+    """Exact associatedness of a linear prime for the module E/N over ctx.ring.
 
-
-def _reduce_linear(ring, forms):
-    ech = Echelon(ring.field)
-    for f in forms:
-        if not f.is_zero():
-            ech.insert({e.index(1): c for e, c in f.terms.items()})
-    nvars = ring.nvars
-    unit = [tuple(1 if t == i else 0 for t in range(nvars)) for i in range(nvars)]
-    out = []
-    for piv, row in sorted(ech.rows.items()):
-        out.append(ring.from_terms((unit[i], c) for i, c in row.items()))
-    return out
-
-
-def module_prime_is_associated(ring, ambient_rank, columns, prime_forms) -> bool:
-    """Exact associatedness of a linear prime for the module E/N over `ring`.
-
-    E is free of rank ambient_rank, N is generated by `columns` (raw dicts
-    over (position, exponent)).  Criterion: P is associated iff the
-    annihilator of some generator of (N : P) modulo N is contained in P,
-    via tracked syzygy colons.
+    E is free of rank `rank`, `basis` a reduced Groebner basis of N: the
+    rank-`rank` case of linear_prime_is_associated.
     """
-    from .groebner import ModuleContext, _reduce, buchberger, interreduce, poly_to_raw
-
     if not prime_forms:
         return False
-    c = len(prime_forms)
-    m = max(ambient_rank, 1)
-    ctx = ModuleContext(ring)
-    # reduced GB of N: membership filter, and inert blocks below
-    basisN, _ = buchberger(ctx, columns, track=False)
-    basisN = interreduce(ctx, basisN)
-
-    def in_N(raw):
-        res, _ = _reduce(ctx, dict(raw), None, basisN, full=True)
-        return not res
-
-    # big module in E^c: w_b = (l_1 e_b, ..., l_c e_b) tracked, N in each slot
-    big_ctx = ModuleContext(ring)
-    inputs = []
-    groups = []
-    for t in range(c):
-        for g in basisN:
-            inputs.append({(t * m + pos, e): v for (pos, e), v in g.raw.items()})
-            groups.append(t)
-    forms_raw = [poly_to_raw(f) for f in prime_forms]
-    first_tracked = len(inputs)
-    for b in range(m):
-        w = {}
-        for t in range(c):
-            for (_pos0, e), v in forms_raw[t].items():
-                w[(t * m + b, e)] = v
-        inputs.append(w)
-        groups.append(None)
-    _, syz = buchberger(big_ctx, inputs, track=True, inert_groups=groups)
-    colon_elements = []
-    seen = set()
-    for s in syz:
-        w = {}
-        for (idx, e), v in s.items():
-            if idx >= first_tracked:
-                key = (idx - first_tracked, e)
-                w[key] = w.get(key, 0) + v
-        w = {k: v for k, v in w.items() if v}
-        if w and not in_N(w):
-            norm = tuple(sorted(w.items()))
-            if norm not in seen:
-                seen.add(norm)
-                colon_elements.append(w)
-    if not colon_elements:
-        return False
-    prime = Ideal(ring, prime_forms)
-    colon_elements.sort(key=lambda w: (max(sum(e) for (_, e) in w), len(w)))
-    for w in colon_elements:
-        ann = _module_annihilator(ring, ctx, w, basisN)
-        if all(prime.member(a) for a in ann):
-            return True
-    return False
-
-
-def _module_annihilator(ring, ctx, w, basisN):
-    """Generators of {a in ring : a*w in N} via tracked syzygies.
-
-    basisN must be a Groebner basis of N (entered as one inert block)."""
-    from .groebner import buchberger
-
-    inputs = [g.raw for g in basisN] + [dict(w)]
-    groups = [0] * len(basisN) + [None]
-    _, syz = buchberger(ctx, inputs, track=True, inert_groups=groups)
-    widx = len(basisN)
-    out = []
-    seen = set()
-    for s in syz:
-        terms = [(e, c) for (idx, e), c in s.items() if idx == widx]
-        if terms:
-            p = ring.from_terms(terms)
-            if not p.is_zero() and str(p) not in seen:
-                seen.add(str(p))
-                out.append(p)
-    return out
+    prime = Ideal(ctx.ring, prime_forms)
+    return linear_prime_is_associated(ctx, basis, rank, prime_forms, prime)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -148,7 +148,11 @@ def field_from_descriptor(desc):
     if desc == "rational":
         return QQ
     if isinstance(desc, dict) and set(desc) == {"prime"}:
-        return PrimeField(int(desc["prime"]))
+        try:
+            p = int(desc["prime"])
+        except (TypeError, ValueError):
+            raise FieldError(f"prime must be an integer, got {desc['prime']!r}") from None
+        return PrimeField(p)
     raise FieldError(f"unknown field descriptor {desc!r}")
 
 

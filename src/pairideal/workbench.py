@@ -338,7 +338,7 @@ class Workbench:
             )
         dual_min = [
             sorted(pairs.to_original(i) for i in frozenset(range(pairs.n)) - F)
-            for F in _maximal_proper_cyclic_flats(M)
+            for F in M.maximal_proper_cyclic_flats()
         ]
         got_y = slice_associated_primes(pairs, "y")
         got_y_min = sorted(d["flat"] for d in got_y if d["tag"] == "minimal")
@@ -456,12 +456,6 @@ def _kernel_module_dims(dm: DerivationModule, window: int):
                     total += sign * comb(k + r - 1, r - 1)
         out[d] = total
     return out
-
-
-def _maximal_proper_cyclic_flats(M):
-    full = frozenset(range(M.n))
-    cyc = [F for F in M.cyclic_flats() if F != full]
-    return [F for F in cyc if not any(F < G for G in cyc)]
 
 
 def full_report(bench: Workbench, include_primes=True, include_betti=True):

@@ -1,0 +1,30 @@
+"""Byte-for-byte gate on recorded `primes --json` reports.
+
+The golden files hold the colon witnesses, which depend on the exact
+Groebner runs behind the associated-prime tests; any change to those runs
+that alters a witness or a verdict shows here.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from pairideal.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = [
+    (["primes", "a3", "--slices", "--json"], "primes_a3_slices.json"),
+    (["primes", "u:2:4", "--slices", "--json"], "primes_u_2_4_slices.json"),
+    (["primes", "fail_A", "--json"], "primes_fail_A.json"),
+    (
+        ["primes", str(GOLDEN / "a3_gf32003.json"), "--slices", "--json"],
+        "primes_a3_gf32003_slices.json",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,name", CASES, ids=[name for _, name in CASES])
+def test_primes_report_matches_golden(argv, name, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()

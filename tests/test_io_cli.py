@@ -4,8 +4,13 @@ import sys
 
 import pytest
 
+from pairideal import cli
 from pairideal.fixtures import get_fixture
+from pairideal.groebner import GroebnerError
 from pairideal.io import InputError, InputSpec, spec_for_realization
+from pairideal.resolution import ResolutionError
+from pairideal.ring import RingError
+from pairideal.scalars import FieldError
 
 
 def run_cli(*args):
@@ -43,6 +48,7 @@ def test_fractions_in_matrix(tmp_path):
         {"name": "x", "field": "rational", "matrix": [["1/0"]]},
         {"name": "x", "field": "real", "matrix": [[1]]},
         {"name": "x", "field": "rational", "matrix": [[1]], "options": {"beans": 1}},
+        {"name": "x", "field": {"prime": "abc"}, "matrix": [[1]]},
     ],
 )
 def test_schema_violations(bad):
@@ -132,3 +138,71 @@ def test_cli_betti_json():
     data = json.loads(out.stdout)
     assert data["methods_agree"]
     assert data["koszul"]["entries"] == [{"p": 0, "i": 1, "j": 1, "dim": 1}]
+
+
+def _spec(options):
+    return {"name": "x", "field": "rational", "matrix": [[1, 0, 1], [0, 1, 1]], "options": options}
+
+
+def _one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "a3", "--theorem", "linear-type", "--bound", "0"],
+        ["verify", "a3", "--theorem", "linear-type", "--bound", "-2"],
+        ["betti", "a3", "--window", "0"],
+        ["betti", "a3", "--window", "-1"],
+    ],
+)
+def test_cli_rejects_counts_below_one(argv, capsys):
+    assert cli.main(argv) == 1
+    _one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "argv,options",
+    [
+        (["verify", "{path}", "--theorem", "linear-type"], {"bound": 0}),
+        (["betti", "{path}"], {"window": 0}),
+        (["betti", "{path}"], {"window": -3}),
+        (["betti", "{path}"], {"window": "4"}),
+    ],
+)
+def test_cli_rejects_bad_file_options(tmp_path, argv, options, capsys):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(_spec(options)))
+    assert cli.main([a.format(path=path) for a in argv]) == 1
+    _one_error_line(capsys)
+
+
+def test_cli_file_option_is_used_when_flag_absent(tmp_path, capsys):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(_spec({"window": 2, "bound": 1})))
+    argv = ["analyze", str(path), "--no-primes", "--no-betti", "--json"]
+    assert cli.main(argv) == 0
+    echoed = json.loads(capsys.readouterr().out)["realization"]
+    assert (echoed["window"], echoed["bound"]) == (2, 1)
+    assert cli.main(argv + ["--window", "3", "--bound", "2"]) == 0
+    echoed = json.loads(capsys.readouterr().out)["realization"]
+    assert (echoed["window"], echoed["bound"]) == (3, 2)
+
+
+@pytest.mark.parametrize("name", ["boolean:x", "u:a:b", "u:2", "boolean:3:4"])
+def test_cli_bad_fixture_parameters(name, capsys):
+    assert cli.main(["flats", name]) == 1
+    assert "Traceback" not in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("exc", [GroebnerError, ResolutionError, RingError, FieldError])
+def test_cli_maps_engine_errors(exc, monkeypatch, capsys):
+    def fail(source, args):
+        raise exc("engine refused")
+
+    monkeypatch.setattr(cli, "_bench", fail)
+    assert cli.main(["flats", "a3"]) == 1
+    assert _one_error_line(capsys) == "error: engine refused\n"

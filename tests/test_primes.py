@@ -145,4 +145,4 @@ def test_linear_prime_codim_cross_check(a3):
     full = frozenset(range(6))
     p = LinearPrime(pairs, frozenset({0, 1, 3}), full - frozenset({0, 1, 3}))
     assert p.codim == 4
-    assert len(p.reduced_forms()) == 4
+    assert len(p.forms) == 4
