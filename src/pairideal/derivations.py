@@ -9,7 +9,7 @@ generator is re-verified against the defining identity theta(f_j) in (f_j).
 
 from __future__ import annotations
 
-from .graded import GradedEngine
+from .graded import GradedEngine, _dx, _unit
 from .groebner import ModuleContext, module_syzygies
 from .matroid import LoopError, MatroidError, Realization
 from .pairs import PairsIdeal
@@ -30,20 +30,15 @@ class DerivationModule:
 
     def _build(self):
         pairs = self.pairs
-        F = pairs.field
         n, s = pairs.n, pairs.s
         # the presentation: f_k times the y-coordinates of g_k
         R, _, cols, scales = pairs.slice_columns("x")
         self.ring = R
         ctx = ModuleContext(R, shifts={u: 0 for u in range(max(s, 1))})
-        syz = module_syzygies(ctx, cols)
-        fixed = []
-        for sz in syz:
-            f2 = {}
-            for (k, e), v in sz.items():
-                f2[(k, e)] = v * scales[k] if not F.char else (v * scales[k]) % F.char
-            fixed.append(f2)
-        syz = fixed
+        syz = [
+            {(k, e): v * scales[k] for (k, e), v in sz.items()}
+            for sz in module_syzygies(ctx, cols)
+        ]
         shifts = [(1,)] * n  # a c-vector of x-degree d-1 sits in degree d
         self.kernel_generators = minimal_generators(R, syz, shifts)
         self.kernel_generators.sort(
@@ -247,26 +242,10 @@ def ilog_generators(pairs: PairsIdeal, dermod: DerivationModule):
                 applied = applied + theta[i] * _dx(fk, i)
             quot = _exact_div(applied, fk)
             for e, c in quot.terms.items():
-                exp = e[: pairs.r] + _unit_exp(pairs.n, k)
+                exp = e[: pairs.r] + _unit(pairs.n, k)
                 terms.append((exp, c))
         out.append(RA.from_terms(terms))
     return out
-
-
-def _unit_exp(n, k):
-    return tuple(1 if i == k else 0 for i in range(n))
-
-
-def _dx(p: Poly, i: int) -> Poly:
-    ring = p.ring
-    F = ring.field
-    terms = []
-    for e, c in p.terms.items():
-        if e[i]:
-            e2 = list(e)
-            e2[i] -= 1
-            terms.append((tuple(e2), F.mul(c, F.of(e[i]))))
-    return ring.from_terms(terms)
 
 
 def _exact_div(p: Poly, q: Poly) -> Poly:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .io import MAX_GROUND_SET
 from .linalg import ExactMatrix
 from .matroid import Realization
 from .scalars import QQ
@@ -70,7 +71,7 @@ _STATIC = {
 }
 
 
-class FixtureError(KeyError):
+class FixtureError(ValueError):
     pass
 
 
@@ -79,14 +80,18 @@ def fixture_names():
 
 
 def _int_params(name: str, form: str):
-    """The integer parameters of a parameterized fixture name."""
+    """The integer parameters of a parameterized fixture name; the last one
+    is the ground-set size, at most io.MAX_GROUND_SET."""
     parts = name.split(":")[1:]
     if len(parts) != form.count(":"):
         raise FixtureError(f"fixture {name!r} is not of the form {form}")
     try:
-        return [int(p) for p in parts]
+        params = [int(p) for p in parts]
     except ValueError:
         raise FixtureError(f"fixture {name!r}: {form} takes integer parameters") from None
+    if params[-1] > MAX_GROUND_SET:
+        raise FixtureError(f"fixture {name!r}: N is larger than the max {MAX_GROUND_SET}")
+    return params
 
 
 def get_fixture(name: str, field=QQ) -> Realization:

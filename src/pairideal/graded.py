@@ -10,11 +10,11 @@ routines double as an independent oracle for the Groebner route.
 
 from __future__ import annotations
 
-from itertools import combinations
-from math import comb
+from itertools import combinations, combinations_with_replacement
+from math import comb, lcm
 
 from .pairs import PairsIdeal
-from .ring import Poly, RingError, xa_ring
+from .ring import Poly, RingError, _compositions, xa_ring
 from .spans import Echelon, kernel_of_stacked_vectors
 
 
@@ -354,9 +354,7 @@ class GradedEngine:
                 if not pieces:
                     cols.append({})
                     continue
-                L = 1
-                for _, _, _, lam in pieces:
-                    L = L * lam // _gcd(L, lam)
+                L = lcm(*(lam for _, _, _, lam in pieces))
                 vec = {}
                 for sign, toff, w, lam in pieces:
                     scale = sign * (L // lam)
@@ -512,9 +510,6 @@ class GradedEngine:
             self._ix_ring = xa_ring(self.field, self.pairs.r, self.pairs.n)
         return self._ix_ring
 
-    def _a_monomials(self, j):
-        return _compositions_cached(self.pairs.n, j)
-
     def _pair_product(self, gamma):
         """Product of (f_k g_k)^gamma_k in S, cached."""
         if not hasattr(self, "_pp_cache"):
@@ -543,7 +538,7 @@ class GradedEngine:
             self._ix_cache[key] = []
             return []
         xmons = self.ring.monomial_basis((i, 0))
-        amons = self._a_monomials(j)
+        amons = _compositions(j, self.pairs.n)
         target = (i + j, j)
         idx = self.ideal.index(target)
         vectors, tags = [], []
@@ -592,8 +587,9 @@ class GradedEngine:
             d = _ix_xdeg(g)
             if d > i or j < 1:
                 continue
+            gammas = _compositions(j - 1, self.pairs.n)
             for m in self.ring.monomial_basis((i - d, 0)):
-                for gamma in self._a_monomials(j - 1):
+                for gamma in gammas:
                     vec = {}
                     for (e, ga), v in g.items():
                         e2 = tuple(a + b for a, b in zip(e, m))
@@ -626,7 +622,7 @@ class GradedEngine:
             gens = []
             seen = set()
             nz = [g for g in self.pairs.generators if g]
-            for combo in _multisets(len(nz), q):
+            for combo in combinations_with_replacement(range(len(nz)), q):
                 prod = self.ring.one()
                 for k in combo:
                     prod = prod * nz[k]
@@ -729,12 +725,6 @@ class GradedEngine:
 # -- helpers --------------------------------------------------------------------
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
 def _dx(p: Poly, i: int) -> Poly:
     ring = p.ring
     F = ring.field
@@ -802,36 +792,3 @@ def _lt_shift_a(row, k, n):
         a2[k] += 1
         out[(e, tuple(a2))] = v
     return out
-
-
-_comp_cache = {}
-
-
-def _compositions_cached(k, total):
-    key = (k, total)
-    got = _comp_cache.get(key)
-    if got is None:
-        got = list(_gen_compositions(k, total))
-        _comp_cache[key] = got
-    return got
-
-
-def _gen_compositions(k, total):
-    if k == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _gen_compositions(k - 1, total - first):
-            yield (first,) + rest
-
-
-def _multisets(k, q):
-    """Multisets of size q from k items, as sorted index tuples."""
-    def rec(start, remaining):
-        if remaining == 0:
-            yield ()
-            return
-        for i in range(start, k):
-            for rest in rec(i, remaining - 1):
-                yield (i,) + rest
-    return rec(0, q)

@@ -3,6 +3,17 @@
 Internals run on raw sparse data: a module term is (position, exponent
 tuple) and an element is a dict of such terms with integer coefficients
 (primitive over QQ, residues over GF(p)).  Ideals are rank-one modules.
+
+Coefficients come from the kernel in `spans`: `to_ints` turns a Poly into
+raw integers, `cancel` gives the multipliers of each reduction step (the
+gcd-reduced cross multipliers over QQ, a * b^-1 over GF(p)), and `strip`
+divides by the joint content.  The per-field arithmetic is fixed, because
+GF(p) colon witnesses depend on scale: over QQ `_reduce` strips after every
+step, S-pairs cross-multiply the gcd-reduced leading coefficients, and
+syzygies are made primitive; over GF(p) S-pairs cross-multiply the leading
+residues, and only new basis elements and normal forms are stripped (by the
+integer gcd of their residues).
+
 The engine optionally tracks each basis element as a combination of the
 input generators; in tracked runs the zero-reduction combinations form a
 generating set of the syzygy module of the inputs (the coprime-lead pair
@@ -22,11 +33,11 @@ variable, and Krull dimension from the initial ideal.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
 from .ring import MonomialOrder, Poly, PolyRing
+from .spans import axpy, cancel, strip, to_ints
 
 
 class GroebnerError(ValueError):
@@ -42,24 +53,11 @@ TRACE_EVERY = 1000
 
 
 def poly_to_raw(p: Poly, pos=0):
-    """Poly -> {(pos, exp): int coeff}, denominators cleared, content stripped."""
-    if p.ring.field.char == 0:
-        den = 1
-        for c in p.terms.values():
-            f = Fraction(c)
-            den = den * f.denominator // gcd(den, f.denominator)
-        out = {}
-        g = 0
-        for e, c in p.terms.items():
-            v = int(Fraction(c) * den)
-            out[(pos, e)] = v
-            g = gcd(g, v)
-        if g > 1:
-            for k in out:
-                out[k] //= g
-        return out
-    p_ = p.ring.field.p
-    return {(pos, e): int(c) % p_ for e, c in p.terms.items() if int(c) % p_}
+    """Poly -> {(pos, exp): int coeff} through `to_ints`; primitive over QQ."""
+    char = p.ring.field.char
+    ints, _ = to_ints(p.terms, char)
+    raw = {(pos, e): v for e, v in ints.items()}
+    return raw if char else strip(raw)
 
 
 def raw_to_poly(ring: PolyRing, raw, pos=0):
@@ -68,23 +66,9 @@ def raw_to_poly(ring: PolyRing, raw, pos=0):
     return ring.from_terms(terms)
 
 
-def _strip(raw, *others):
-    """Divide raw and the dicts in `others` (None skipped) by the gcd of all
-    their values, in place; returns raw."""
-    parts = (raw,) + others
-    g = 0
-    for d in parts:
-        if d is not None:
-            for v in d.values():
-                g = gcd(g, v)
-                if g == 1:
-                    return raw
-    if g > 1:
-        for d in parts:
-            if d is not None:
-                for k in d:
-                    d[k] //= g
-    return raw
+def _shifted(raw, m):
+    """The (term, coeff) pairs of the monomial multiple m * raw."""
+    return [((q, _addexp(e, m)), v) for (q, e), v in raw.items()]
 
 
 def _divides(e1, e2):
@@ -126,14 +110,13 @@ class ModuleContext:
 
 
 class GBElement:
-    __slots__ = ("raw", "lead", "lc", "track", "sugar", "inert", "solo")
+    __slots__ = ("raw", "lead", "lc", "track", "inert", "solo")
 
-    def __init__(self, ctx, raw, track=None, sugar=None, inert=None):
+    def __init__(self, ctx, raw, track=None, inert=None):
         self.raw = raw
         self.lead = ctx.lead(raw)
         self.lc = raw[self.lead]
         self.track = track
-        self.sugar = sugar if sugar is not None else sum(self.lead[1])
         self.inert = inert
         # single-component elements behave like ring elements: only for
         # these is the coprime-lead pair criterion valid
@@ -144,8 +127,10 @@ class GBElement:
 def _reduce(ctx, raw, track, basis, full=True):
     """Normal form of raw against basis (list of GBElement), destructive.
 
-    Over QQ the result equals a positive multiple of the input modulo the
-    span; exact for membership, span and syzygy purposes.
+    Each step cancels the lead against a reducer through `cancel`.  Over QQ
+    the result equals a positive multiple of the input modulo the span
+    (exact for membership, span and syzygy purposes), and the joint content
+    of raw, the result so far and track is stripped after every step.
     """
     p = ctx.char
     out = {}
@@ -160,74 +145,31 @@ def _reduce(ctx, raw, track, basis, full=True):
                 break
         if red is None:
             if not full:
-                out.update(raw)
-                return out, track
+                return raw, track
             out[lt] = raw.pop(lt)
             continue
         m = _sub(exp, red.lead[1])
-        a = raw[lt]
-        b = red.lc
-        if p:
-            factor = (a * pow(b, p - 2, p)) % p
-            for (q, e), v in red.raw.items():
-                key = (q, _addexp(e, m))
-                acc = (raw.get(key, 0) - factor * v) % p
-                if acc:
-                    raw[key] = acc
-                else:
-                    raw.pop(key, None)
-            if track is not None and red.track is not None:
-                for k, v in red.track.items():
-                    key = (k[0], _addexp(k[1], m))
-                    acc = (track.get(key, 0) - factor * v) % p
-                    if acc:
-                        track[key] = acc
-                    else:
-                        track.pop(key, None)
-        else:
-            g = gcd(a, b)
-            alpha, beta = b // g, a // g
-            if alpha < 0:
-                alpha, beta = -alpha, -beta
-            if alpha != 1:
-                for k in raw:
-                    raw[k] *= alpha
-                for k in out:
-                    out[k] *= alpha
-                if track is not None:
-                    for k in track:
-                        track[k] *= alpha
-            for (q, e), v in red.raw.items():
-                key = (q, _addexp(e, m))
-                acc = raw.get(key, 0) - beta * v
-                if acc:
-                    raw[key] = acc
-                else:
-                    raw.pop(key, None)
-            if track is not None and red.track is not None:
-                for k, v in red.track.items():
-                    key = (k[0], _addexp(k[1], m))
-                    acc = track.get(key, 0) - beta * v
-                    if acc:
-                        track[key] = acc
-                    else:
-                        track.pop(key, None)
-            # joint content strip keeps the integers small and the
-            # combination bookkeeping consistent
-            _strip(raw, out, track)
+        alpha, beta = cancel(raw[lt], red.lc, p)
+        if alpha != 1:
+            for d in (raw, out, track or {}):
+                for k in d:
+                    d[k] *= alpha
+        axpy(raw, _shifted(red.raw, m), beta, p)
+        if track is not None and red.track is not None:
+            axpy(track, _shifted(red.track, m), beta, p)
+        if not p:
+            strip(raw, out, track)
     return out, track
 
 
 def _scaled_combination(ctx, gi, gj):
-    """S-pair combination data for two elements with equal lead position."""
+    """S-pair data for two elements with equal lead position: the S-pair is
+    ci * mi * gi - cj * mj * gj, whose multipliers cross the leading
+    coefficients, gcd-reduced over QQ."""
     lcm = tuple(max(a, b) for a, b in zip(gi.lead[1], gj.lead[1]))
     mi, mj = _sub(lcm, gi.lead[1]), _sub(lcm, gj.lead[1])
-    if ctx.char:
-        ci, cj = gj.lc, gi.lc
-    else:
-        l = gi.lc * gj.lc // gcd(gi.lc, gj.lc)
-        ci, cj = l // gi.lc, l // gj.lc
-    return lcm, mi, mj, ci, cj
+    g = 1 if ctx.char else gcd(gi.lc, gj.lc)
+    return lcm, mi, mj, gj.lc // g, gi.lc // g
 
 
 def buchberger(ctx: ModuleContext, inputs, track=False, inert_groups=None):
@@ -250,9 +192,9 @@ def buchberger(ctx: ModuleContext, inputs, track=False, inert_groups=None):
     syzygies = []
     pairs = set()
 
-    def add_element(raw, t, sugar=None, inert=None):
-        _strip(raw, t)
-        basis.append(GBElement(ctx, raw, t, sugar, inert))
+    def add_element(raw, t, inert=None):
+        strip(raw, t)
+        basis.append(GBElement(ctx, raw, t, inert))
         new = len(basis) - 1
         gnew = basis[new]
         for i in range(new):
@@ -287,6 +229,13 @@ def buchberger(ctx: ModuleContext, inputs, track=False, inert_groups=None):
                 drop.add((a, b))
         pairs.difference_update(drop)
 
+    def reduce_and_add(raw, t):
+        res, t = _reduce(ctx, raw, t, basis, full=False)
+        if res:
+            add_element(res, t)
+        elif track and t:
+            syzygies.append(t if p else strip(t))
+
     for i, raw in enumerate(inputs):
         raw = dict(raw)
         t = {(i, ctx.zero_exp()): 1} if track else None
@@ -294,17 +243,11 @@ def buchberger(ctx: ModuleContext, inputs, track=False, inert_groups=None):
         if not raw:
             if track:
                 syzygies.append(t)
-            continue
-        if group is not None:
+        elif group is not None:
             # trusted Groebner elements enter unreduced to stay inert
             add_element(raw, t, inert=group)
-            continue
-        res, t = _reduce(ctx, raw, t, basis, full=False)
-        if not res:
-            if track and t:
-                syzygies.append(_strip(t) if not p else t)
-            continue
-        add_element(res, t)
+        else:
+            reduce_and_add(raw, t)
 
     def pair_key(ij):
         i, j = ij
@@ -324,52 +267,24 @@ def buchberger(ctx: ModuleContext, inputs, track=False, inert_groups=None):
         processed += 1
         if TRACE is not None and processed % TRACE_EVERY == 0:
             TRACE(processed, len(pairs), basis)
-        i, j = best
-        gi, gj = basis[i], basis[j]
-        lcm, mi, mj, ci, cj = _scaled_combination(ctx, gi, gj)
+        gi, gj = basis[best[0]], basis[best[1]]
+        _, mi, mj, ci, cj = _scaled_combination(ctx, gi, gj)
         raw = {}
-        for (q, e), v in gi.raw.items():
-            raw[(q, _addexp(e, mi))] = (ci * v) % p if p else ci * v
-        for (q, e), v in gj.raw.items():
-            key = (q, _addexp(e, mj))
-            acc = raw.get(key, 0) - cj * v
-            if p:
-                acc %= p
-            if acc:
-                raw[key] = acc
-            else:
-                raw.pop(key, None)
+        axpy(raw, _shifted(gi.raw, mi), -ci, p)
+        axpy(raw, _shifted(gj.raw, mj), cj, p)
         t = None
         if track:
             t = {}
-            for k, v in (gi.track or {}).items():
-                val = (ci * v) % p if p else ci * v
-                t[(k[0], _addexp(k[1], mi))] = val
-            for k, v in (gj.track or {}).items():
-                key = (k[0], _addexp(k[1], mj))
-                acc = t.get(key, 0) - cj * v
-                if p:
-                    acc %= p
-                if acc:
-                    t[key] = acc
-                else:
-                    t.pop(key, None)
-        sugar = sum(lcm) + max(
-            gi.sugar - sum(gi.lead[1]), gj.sugar - sum(gj.lead[1])
-        )
-        res, t = _reduce(ctx, raw, t, basis, full=False)
-        if not res:
-            if track and t:
-                syzygies.append(_strip(t) if not p else t)
-            continue
-        add_element(res, t, sugar)
+            axpy(t, _shifted(gi.track or {}, mi), -ci, p)
+            axpy(t, _shifted(gj.track or {}, mj), cj, p)
+        reduce_and_add(raw, t)
     return basis, syzygies
 
 
 def _normal_form(ctx, raw, basis):
     """Canonical normal form: fully reduced, primitive, positive lead over QQ."""
     raw, _ = _reduce(ctx, dict(raw), None, basis, full=True)
-    raw = _strip(raw)
+    raw = strip(raw)
     if raw and ctx.char == 0:
         lt = ctx.lead(raw)
         if raw[lt] < 0:

@@ -273,28 +273,9 @@ class DualMatroid:
         full = frozenset(range(self.n))
         return len(s) + self.primal.rank_of(full - s) - self.primal.rank
 
-    def closure(self, subset) -> frozenset:
-        s = frozenset(subset)
-        r = self.rank_of(s)
-        return frozenset(e for e in range(self.n) if self.rank_of(s | {e}) == r)
-
-    def flats(self):
-        if not hasattr(self, "_flats"):
-            bottom = self.closure(())
-            levels = [{bottom}]
-            seen = {bottom}
-            while levels[-1]:
-                nxt = set()
-                for F in levels[-1]:
-                    for e in range(self.n):
-                        if e not in F:
-                            G = self.closure(F | {e})
-                            if G not in seen:
-                                seen.add(G)
-                                nxt.add(G)
-                levels.append(nxt)
-            self._flats = sorted(seen, key=lambda f: (len(f), sorted(f)))
-        return self._flats
+    # the closure and the flat enumeration only use rank_of and n
+    closure = Matroid.closure
+    flats = Matroid.flats
 
 
 def biflats(matroid: Matroid):

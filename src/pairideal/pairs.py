@@ -13,7 +13,7 @@ from __future__ import annotations
 from .linalg import ExactMatrix, rref
 from .matroid import ColoopError, LoopError, MatroidError, Realization, labels
 from .ring import pair_ring, x_ring, y_ring
-from .spans import Echelon, integerize
+from .spans import Echelon, to_ints
 
 
 class PairsIdeal:
@@ -179,14 +179,9 @@ class PairsIdeal:
                 for e1, c1 in first[k].terms.items():
                     key = (u, e1[part])
                     raw[key] = F.add(raw.get(key, F.zero), F.mul(c1, c2))
-            raw = {key: v for key, v in raw.items() if not F.is_zero(v)}
-            if F.char:
-                cols.append({key: int(v) % F.char for key, v in raw.items()})
-                scales.append(1)
-            else:
-                col, lam = integerize(raw)
-                cols.append(col)
-                scales.append(lam)
+            col, lam = to_ints(raw, F.char)
+            cols.append(col)
+            scales.append(lam)
         return ring, rank, cols, scales
 
     # -- duality ----------------------------------------------------------------------

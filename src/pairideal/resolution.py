@@ -329,7 +329,7 @@ def schreyer_resolution(ring: PolyRing, inputs, shifts, order=None) -> SchreyerR
     cur_shift_grades = list(shifts)
     while cur_elements:
         grades = [
-            _grade_of(ring, raw, cur_shift_grades if not levels else level_grades[-1])
+            raw_grade(ring, raw, cur_shift_grades if not levels else level_grades[-1])
             for raw in cur_elements
         ]
         levels.append(cur_elements)
@@ -369,19 +369,6 @@ def schreyer_resolution(ring: PolyRing, inputs, shifts, order=None) -> SchreyerR
         cur_elements = kept
         cur_key = next_key
     return SchreyerResolution(ring, list(shifts), levels, level_grades)
-
-
-def _grade_of(ring, raw, shifts):
-    grade = None
-    for (pos, exp), _c in raw.items():
-        g = ring.exp_grade(exp)
-        s = shifts[pos]
-        tot = tuple(a + b for a, b in zip(g, s))
-        if grade is None:
-            grade = tot
-        elif grade != tot:
-            raise ResolutionError("inhomogeneous element in resolution")
-    return grade
 
 
 def schreyer_quotient_betti(ring: PolyRing, ideal_gens, order=None):

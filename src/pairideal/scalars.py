@@ -77,11 +77,43 @@ class Rationals:
         return str(a)
 
 
+# Miller-Rabin with the first twelve primes as bases is exact below
+# PRIME_LIMIT (Sorenson and Webster, Math. Comp. 2017); larger moduli are
+# refused rather than tested probabilistically.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+PRIME_LIMIT = 318665857834031151167461
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test for n < PRIME_LIMIT."""
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
     """The field with p elements; residues stored as ints in [0, p)."""
 
     def __init__(self, p: int):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+        if p >= PRIME_LIMIT:
+            raise FieldError(f"prime {p} is beyond the exact primality bound {PRIME_LIMIT}")
+        if not _is_prime(p):
             raise FieldError(f"{p} is not prime")
         self.p = p
         self.name = f"GF({p})"

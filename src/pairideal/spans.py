@@ -1,69 +1,99 @@
-"""Incremental echelon spans: the workhorse for all degreewise computations.
+"""Incremental echelon spans, and the coefficient kernel shared with groebner.
 
 Vectors are sparse dicts {column index: coefficient}.  Over QQ the rows are
-kept as primitive integer vectors (fraction-free eliminations, exact); over
-GF(p) as residues with pivot 1.  The pivot of a row is its smallest column
-index, so callers index columns so that "leading" means "smallest index".
+kept as primitive integer vectors (fraction-free eliminations in the sense
+of Bareiss, exact); over GF(p) as residues with pivot 1.  The pivot of a row
+is its smallest column index, so callers index columns so that "leading"
+means "smallest index".
 
 Supports plain rank/span growth, canonical reduction against the span (for
 quotient bases), and tracked insertion (kernel extraction: when an inserted
 vector is dependent, the exact combination over previously inserted vectors
 is returned).
+
+The coefficient kernel is three primitives, used here and by `groebner`:
+
+- `to_ints(vec, p)`: the only way field scalars become raw integer
+  coefficients.  Over QQ it clears denominators; over GF(p) it returns
+  residues.
+- `strip(vec, *others)`: divide by the joint integer content.
+- `cancel(a, b, p)`: the multipliers that cancel a lead coefficient a
+  against a pivot b.  Over QQ they are the gcd-reduced cross multipliers;
+  over GF(p) the pivot is scaled by a * b^-1.
+
+The per-field arithmetic is fixed: over QQ a forward elimination strips the
+content after every step and a full reduction strips once, jointly with its
+scale; over GF(p) eliminations never strip, and stored rows are scaled to
+pivot 1.  `axpy(dst, items, beta, p)` applies one step's update; it tests
+the field once per call, not once per entry.
 """
 
 from __future__ import annotations
 
-import heapq
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
-def _to_int_vec(vec):
-    """Clear denominators of a Fraction/int dict into a primitive int dict."""
-    den = 1
-    for v in vec.values():
-        if isinstance(v, Fraction):
-            den = den * v.denominator // gcd(den, v.denominator)
-    out = {}
-    g = 0
-    for k, v in vec.items():
-        i = int(v * den) if isinstance(v, Fraction) else v * den
-        if i:
-            out[k] = i
-            g = gcd(g, i)
-    if g > 1:
-        for k in out:
-            out[k] //= g
-    return out
+def to_ints(vec, p):
+    """(ints, lam): raw integer coefficients with ints == lam * vec, zeros
+    dropped.  Over QQ (p == 0) lam clears the denominators; over GF(p) the
+    entries are residues and lam == 1."""
+    if p:
+        return {k: r for k, v in vec.items() if (r := v % p)}, 1
+    den = lcm(*[v.denominator for v in vec.values()])
+    if den == 1:
+        return {k: v.numerator for k, v in vec.items() if v}, 1
+    return {k: v.numerator * (den // v.denominator) for k, v in vec.items() if v}, den
 
 
-def _strip_content(vec):
+def strip(vec, *others):
+    """Divide vec and the dicts in `others` (None skipped) by the gcd of all
+    their values, in place; returns vec."""
     g = 0
     for v in vec.values():
         g = gcd(g, v)
         if g == 1:
             return vec
+    for d in others:
+        for v in (d or {}).values():
+            g = gcd(g, v)
+            if g == 1:
+                return vec
     if g > 1:
-        for k in vec:
-            vec[k] //= g
+        for d in (vec, *others):
+            for k in d or ():
+                d[k] //= g
     return vec
 
 
-def _strip_joint(vec, tag):
-    g = 0
-    for v in vec.values():
-        g = gcd(g, v)
-        if g == 1:
-            return
-    for v in tag.values():
-        g = gcd(g, v)
-        if g == 1:
-            return
-    if g > 1:
-        for k in vec:
-            vec[k] //= g
-        for k in tag:
-            tag[k] //= g
+def cancel(a, b, p):
+    """(alpha, beta) with alpha * a == beta * b, so that alpha * x - beta * y
+    clears the entry a of x against the entry b of y.  Over QQ the
+    gcd-reduced cross multipliers with alpha > 0; over GF(p) alpha == 1."""
+    if b == 1:
+        return 1, a
+    if p:
+        return 1, a * pow(b, p - 2, p) % p
+    g = gcd(a, b)
+    return (b // g, a // g) if b > 0 else (-b // g, -a // g)
+
+
+def axpy(dst, items, beta, p):
+    """dst -= beta * y for the (key, y) pairs in items, in place, with
+    residues mod p over GF(p); entries that vanish are dropped."""
+    if p:
+        for k, y in items:
+            v = (dst.get(k, 0) - beta * y) % p
+            if v:
+                dst[k] = v
+            else:
+                dst.pop(k, None)
+    else:
+        for k, y in items:
+            v = dst.get(k, 0) - beta * y
+            if v:
+                dst[k] = v
+            else:
+                dst.pop(k, None)
 
 
 class Echelon:
@@ -85,39 +115,30 @@ class Echelon:
     def pivot_columns(self):
         return set(self.rows)
 
-    def _normalize_in(self, vec):
-        if self.p:
-            p = self.p
-            return {k: v % p for k, v in vec.items() if v % p}
-        if any(isinstance(v, Fraction) for v in vec.values()):
-            return _to_int_vec(vec)
-        return {k: v for k, v in vec.items() if v}
-
     def insert(self, vec) -> bool:
         """Add vec to the span; True if the dimension grew."""
-        res, _ = self._forward(self._normalize_in(vec), None)
+        res, _ = self._eliminate(to_ints(vec, self.p)[0], None, False)
         if not res:
             return False
-        self._store(_strip_content(res), None)
+        self._store(strip(res), None)
         return True
 
     def insert_tracked(self, vec, tag):
         """Insert with tag bookkeeping.
 
         Maintains vec == sum(tag[k] * original_k), so callers must pass
-        integer vectors (use `integerize` and compensate the kernel).
+        integer vectors (use `to_ints` and compensate the kernel).
         Returns None if the vector was independent (it is stored);
         otherwise returns the combination dict proving dependence, the new
         vector's tag included.
         """
-        if not self.p and any(isinstance(v, Fraction) for v in vec.values()):
+        vec, den = to_ints(vec, self.p)
+        if den != 1:
             raise ValueError("tracked insertion requires integer coordinates")
-        vec = self._normalize_in(vec)
-        res, t = self._forward(vec, dict(tag))
+        t = dict(tag)
+        res, _ = self._eliminate(vec, t, False)
         if not res:
-            if not self.p:
-                _strip_content(t)
-            return t
+            return t if self.p else strip(t)
         self._store(res, t)
         return None
 
@@ -129,11 +150,9 @@ class Echelon:
         pivot columns.  Scale-free uses (membership, quotient dimensions)
         may ignore lam.
         """
-        vec = self._normalize_in(vec)
-        if self.p:
-            res, _ = self._forward_modp(vec, None, full=True)
-            return res, 1
-        return self._full_qq(vec)
+        ints, den = to_ints(vec, self.p)
+        res, lam = self._eliminate(ints, None, True)
+        return res, lam * den
 
     def contains(self, vec) -> bool:
         res, _ = self.reduce(vec)
@@ -156,144 +175,44 @@ class Echelon:
         if self.tracked:
             self.tags[piv] = tag if tag is not None else {}
 
-    def _forward(self, vec, tag):
-        """Eliminate pivoted columns until the lead is free (or vec is 0)."""
-        if self.p:
-            return self._forward_modp(vec, tag, full=False)
-        rows = self.rows
-        tags = self.tags
+    def _eliminate(self, vec, tag, full):
+        """Clear the pivoted columns of vec, smallest first; vec and tag are
+        updated in place.
+
+        Not full: stop at the first free column and return (vec, 1).  Full:
+        move free columns aside and return (residual, lam) with residual ==
+        lam * vec modulo the span.
+        """
+        p, rows = self.p, self.rows
+        out = {}
+        lam = 1
         while vec:
             c = min(vec)
             row = rows.get(c)
             if row is None:
-                return vec, tag
-            a, b = vec[c], row[c]
-            g = gcd(a, b)
-            alpha, beta = b // g, a // g
-            if alpha != 1:
-                for k in vec:
-                    vec[k] *= alpha
-                if tag is not None:
-                    for k in tag:
-                        tag[k] *= alpha
-            for k, x in row.items():
-                y = vec.get(k, 0) - beta * x
-                if y:
-                    vec[k] = y
-                else:
-                    vec.pop(k, None)
-            if tag is not None:
-                rt = tags.get(c)
-                if rt:
-                    for k, x in rt.items():
-                        y = tag.get(k, 0) - beta * x
-                        if y:
-                            tag[k] = y
-                        else:
-                            tag.pop(k, None)
-                _strip_joint(vec, tag)
-            else:
-                _strip_content(vec)
-        return vec, tag
-
-    def _forward_modp(self, vec, tag, full):
-        p = self.p
-        rows = self.rows
-        tags = self.tags
-        out = {}
-        heap = list(vec)
-        heapq.heapify(heap)
-        while heap:
-            c = heapq.heappop(heap)
-            v = vec.get(c)
-            if not v:
-                continue
-            row = rows.get(c)
-            if row is None:
                 if not full:
-                    return vec, tag
+                    return vec, lam
                 out[c] = vec.pop(c)
                 continue
-            for k, x in row.items():
-                y = (vec.get(k, 0) - v * x) % p
-                if y:
-                    if k not in vec and k > c:
-                        heapq.heappush(heap, k)
-                    vec[k] = y
-                else:
-                    vec.pop(k, None)
-            if tag is not None:
-                rt = tags.get(c)
-                if rt:
-                    for k, x in rt.items():
-                        y = (tag.get(k, 0) - v * x) % p
-                        if y:
-                            tag[k] = y
-                        else:
-                            tag.pop(k, None)
-        if full:
-            return out, tag
-        return vec, tag
-
-    def _full_qq(self, vec):
-        lam = 1
-        rows = self.rows
-        out = {}
-        heap = list(vec)
-        heapq.heapify(heap)
-        while heap:
-            c = heapq.heappop(heap)
-            a = vec.get(c)
-            if not a:
-                continue
-            row = rows.get(c)
-            if row is None:
-                out[c] = vec.pop(c)
-                continue
-            b = row[c]
-            g = gcd(a, b)
-            alpha, beta = b // g, a // g
-            if alpha < 0:
-                alpha, beta = -alpha, -beta
+            a, b = vec[c], row[c]
+            # a pivot of 1 (every GF(p) pivot) needs no call to cancel
+            alpha, beta = (1, a) if b == 1 else cancel(a, b, p)
             if alpha != 1:
                 lam *= alpha
-                for k in vec:
-                    vec[k] *= alpha
-                for k in out:
-                    out[k] *= alpha
-            for k, x in row.items():
-                y = vec.get(k, 0) - beta * x
-                if y:
-                    if k not in vec and k > c:
-                        heapq.heappush(heap, k)
-                    vec[k] = y
-                else:
-                    vec.pop(k, None)
-        # strip a common content shared with lam to keep numbers small
-        g = lam
-        for v in out.values():
-            g = gcd(g, v)
-            if g == 1:
-                break
+                for d in (vec, out, tag or {}):
+                    for k in d:
+                        d[k] *= alpha
+            axpy(vec, row.items(), beta, p)
+            if tag is not None:
+                axpy(tag, self.tags[c].items(), beta, p)
+            if not (p or full):
+                strip(vec, tag)
+        g = gcd(lam, *out.values())
         if g > 1:
             lam //= g
             for k in out:
                 out[k] //= g
         return out, lam
-
-
-def integerize(vec):
-    """(integer vector, positive scale lam) with result == lam * vec."""
-    den = 1
-    for v in vec.values():
-        if isinstance(v, Fraction):
-            den = den * v.denominator // gcd(den, v.denominator)
-    out = {}
-    for k, v in vec.items():
-        i = int(v * den) if isinstance(v, Fraction) else v * den
-        if i:
-            out[k] = i
-    return out, den
 
 
 def kernel_of_stacked_vectors(field, vectors, tags=None):
@@ -308,21 +227,11 @@ def kernel_of_stacked_vectors(field, vectors, tags=None):
     ech = Echelon(field, tracked=True)
     kernel = []
     scales = {}
-    modp = getattr(field, "char", 0)
     for i, v in enumerate(vectors):
         tag = {i: 1} if tags is None else tags[i]
-        key = next(iter(tag))
-        if modp:
-            iv, lam = {k: int(x) % modp for k, x in v.items()}, 1
-        else:
-            iv, lam = integerize(v)
-        scales[key] = lam
+        iv, scales[next(iter(tag))] = to_ints(v, ech.p)
         dep = ech.insert_tracked(iv, tag)
         if dep is not None:
             fixed = {k: c * scales[k] for k, c in dep.items()}
-            if modp:
-                fixed = {k: c % modp for k, c in fixed.items() if c % modp}
-            else:
-                _strip_content(fixed)
-            kernel.append(fixed)
+            kernel.append(fixed if ech.p else strip(fixed))
     return ech, kernel

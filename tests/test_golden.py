@@ -1,8 +1,10 @@
-"""Byte-for-byte gate on recorded `primes --json` reports.
+"""Byte-for-byte gate on recorded `primes`, `analyze` and `betti` reports.
 
-The golden files hold the colon witnesses, which depend on the exact
+The `primes` files hold the colon witnesses, which depend on the exact
 Groebner runs behind the associated-prime tests; any change to those runs
-that alters a witness or a verdict shows here.
+that alters a witness or a verdict shows here.  The `analyze` and `betti`
+files gate the Betti tables, derivation data and reports over QQ and
+GF(32003).
 """
 
 from pathlib import Path
@@ -20,6 +22,19 @@ CASES = [
     (
         ["primes", str(GOLDEN / "a3_gf32003.json"), "--slices", "--json"],
         "primes_a3_gf32003_slices.json",
+    ),
+    (["analyze", "a3", "--json"], "analyze_a3.json"),
+    (["analyze", "u:2:4", "--json"], "analyze_u_2_4.json"),
+    (["analyze", "fail_A", "--json"], "analyze_fail_A.json"),
+    (["analyze", "boolean:3", "--json"], "analyze_boolean_3.json"),
+    (["analyze", str(GOLDEN / "a3_gf32003.json"), "--json"], "analyze_a3_gf32003.json"),
+    (
+        ["betti", "bracelet9", "--method", "resolution", "--json"],
+        "betti_bracelet9_resolution.json",
+    ),
+    (
+        ["betti", str(GOLDEN / "bracelet9_gf32003.json"), "--method", "resolution", "--json"],
+        "betti_bracelet9_gf32003_resolution.json",
     ),
 ]
 

@@ -192,10 +192,13 @@ def test_cli_file_option_is_used_when_flag_absent(tmp_path, capsys):
     assert (echoed["window"], echoed["bound"]) == (3, 2)
 
 
-@pytest.mark.parametrize("name", ["boolean:x", "u:a:b", "u:2", "boolean:3:4"])
+@pytest.mark.parametrize(
+    "name", ["boolean:x", "u:a:b", "u:2", "boolean:3:4", "boolean:13", "u:2:13"]
+)
 def test_cli_bad_fixture_parameters(name, capsys):
     assert cli.main(["flats", name]) == 1
-    assert "Traceback" not in _one_error_line(capsys)
+    err = _one_error_line(capsys)
+    assert "Traceback" not in err and not err.startswith('error: "')
 
 
 @pytest.mark.parametrize("exc", [GroebnerError, ResolutionError, RingError, FieldError])

@@ -109,3 +109,13 @@ def test_echelon_fraction_inputs():
     assert ech.insert({0: Fraction(1, 2), 1: Fraction(1, 3)})
     assert not ech.insert({0: 3, 1: 2})
     assert ech.contains({0: Fraction(-3, 2), 1: -1})
+
+
+def test_echelon_reduce_scale_covers_denominators():
+    # residual == lam * vec modulo the span, also for rational input
+    ech = Echelon(QQ)
+    ech.insert({0: 2, 1: 1})
+    vec = {0: Fraction(1, 3), 2: Fraction(1, 2)}
+    res, lam = ech.reduce(vec)
+    assert 0 not in res
+    assert not ech.insert({k: lam * vec.get(k, 0) - res.get(k, 0) for k in range(3)})

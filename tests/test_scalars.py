@@ -39,6 +39,17 @@ def test_prime_field_rejects_composite():
         PrimeField(91)
 
 
+@pytest.mark.parametrize("p", [561, 2**61 + 1, 10**24 + 7])
+def test_prime_field_rejects_composite_or_unproven(p):
+    with pytest.raises(FieldError):
+        PrimeField(p)
+
+
+@pytest.mark.parametrize("p", [2, 32003, 2**61 - 1])
+def test_prime_field_accepts_primes(p):
+    assert PrimeField(p).p == p
+
+
 def test_prime_field_parsing():
     F = PrimeField(7)
     assert F.of("3/5") == F.div(3, 5)
