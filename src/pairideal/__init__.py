@@ -3,7 +3,7 @@ realization: cyclic flats, bigraded Betti tables, logarithmic derivations,
 and associated-prime structure, all in exact arithmetic."""
 
 from .scalars import QQ, PrimeField, Rationals
-from .linalg import ExactMatrix, kernel_basis, rank, rref, solve, column_space_membership
+from .linalg import ExactMatrix, kernel_basis, rank, rref
 from .matroid import Matroid, Realization, biflats
 from .ring import MonomialOrder, Poly, PolyRing, pair_ring, x_ring, xa_ring
 from .pairs import PairsIdeal
@@ -41,8 +41,6 @@ __all__ = [
     "rref",
     "rank",
     "kernel_basis",
-    "solve",
-    "column_space_membership",
     "Matroid",
     "Realization",
     "biflats",

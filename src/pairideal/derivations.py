@@ -9,7 +9,7 @@ generator is re-verified against the defining identity theta(f_j) in (f_j).
 
 from __future__ import annotations
 
-from .graded import GradedEngine, _dx, _unit
+from .graded import GradedEngine, _dx, _unit, theta_from_syzygy
 from .groebner import ModuleContext, module_syzygies
 from .matroid import LoopError, MatroidError, Realization
 from .pairs import PairsIdeal
@@ -51,7 +51,6 @@ class DerivationModule:
         self.pdim = self.resolution.length - 1
         self.free = self.pdim == 0
         self.exponents = self.generator_degrees if self.free else None
-        engine = GradedEngine(pairs)
         self.thetas = []
         self.c_vectors = []
         for rawv in self.resolution.steps[0]["matrix"]:
@@ -59,7 +58,7 @@ class DerivationModule:
             for (k, e), v in rawv.items():
                 cvec[(k, e + (0,) * s)] = v
             self.c_vectors.append(cvec)
-            self.thetas.append(engine.theta_from_syzygy(cvec))
+            self.thetas.append(theta_from_syzygy(pairs, cvec))
         if self.free:
             self._saito_check()
 

@@ -2,10 +2,17 @@
 
 Everything here is Groebner-free by design: bidegree pieces of the ideal of
 pairs (and its powers), bigraded Hilbert functions, Koszul-complex Betti
-tables, syzygy slices in y-degree one (the derivation slices), the slices
-of the critical-set ideal and of its logarithmic subideal, and the bounded
-linear-type comparison.  Each piece is a finite exact computation, so these
-routines double as an independent oracle for the Groebner route.
+tables, syzygy slices, the slices of the critical-set ideal and of its
+logarithmic subideal, and the bounded linear-type comparison.  Each piece
+is a finite exact computation, so these routines double as an independent
+oracle for the Groebner route.
+
+Every kernel slice is built by one product kernel,
+`GradedEngine._product_kernel`: the kernel of the tagged vectors m * prod
+in one bidegree of S.  The syzygy slice in bidegree (c,d) takes the pair
+generators f_k g_k as products; the derivation slice in degree d is the
+(d,1) syzygy slice; the critical-set slice takes the products
+prod_k (f_k g_k)^gamma_k.
 """
 
 from __future__ import annotations
@@ -14,25 +21,8 @@ from itertools import combinations, combinations_with_replacement
 from math import comb, lcm
 
 from .pairs import PairsIdeal
-from .ring import Poly, RingError, _compositions, xa_ring
-from .spans import Echelon, kernel_of_stacked_vectors
-
-
-class GradedPiece:
-    """A subspace of one bidegree piece of the ambient ring, as an echelon."""
-
-    def __init__(self, bidegree, ambient_monomials, echelon):
-        self.bidegree = bidegree
-        self.ambient_monomials = ambient_monomials
-        self.echelon = echelon
-
-    @property
-    def dim(self):
-        return self.echelon.dim
-
-    @property
-    def ambient_dim(self):
-        return len(self.ambient_monomials)
+from .ring import Poly, RingError, _compositions
+from .spans import Echelon, _bump, kernel_of_stacked_vectors
 
 
 class IdealPieces:
@@ -222,17 +212,11 @@ class GradedEngine:
         self._powers = {1: self.ideal}
         self._quotient_cache = {}
         self._mult_cache = {}
-        self._ksl_cache = {}
         self._K_cache = {}
         self._L_cache = {}
         self._ix_cache = {}
 
     # -- Hilbert data -----------------------------------------------------------
-    def ideal_piece(self, bideg) -> GradedPiece:
-        """The bidegree piece of the pairs ideal as a spanned subspace."""
-        bideg = tuple(bideg)
-        return GradedPiece(bideg, self.ideal.monomials(bideg), self.ideal.piece(bideg))
-
     def ideal_dim(self, bideg) -> int:
         i, j = bideg
         if i < 1 or j < 1:
@@ -435,6 +419,25 @@ class GradedEngine:
             return table.ideal_view()
         return table
 
+    # -- kernels of tagged products ----------------------------------------------
+    def _product_kernel(self, products, bideg, target):
+        """Kernel of the vectors m * prod in the ideal's index of `target`,
+        for (tag, prod) in products and m over the monomials of `bideg`.
+
+        The one degreewise kernel slice: vectors are stacked tag by tag and
+        monomial by monomial, and kernel vectors are dicts {(tag, m): int}.
+        """
+        idx = self.ideal.index(target)
+        mons = self.ring.monomial_basis(bideg)
+        vectors, tags = [], []
+        for tag, prod in products:
+            for m in mons:
+                vectors.append(
+                    {idx[e]: c for e, c in prod.mul_monomial(m).terms.items()} if prod else {}
+                )
+                tags.append({(tag, m): 1})
+        return kernel_of_stacked_vectors(self.field, vectors, tags)[1]
+
     # -- syzygy slices in y-degree one (derivations) ---------------------------------
     def derivation_slice(self, d: int):
         """Basis of {(c_1..c_n): c_k in R_{d-1}, sum c_k f_k g_k = 0}.
@@ -442,27 +445,7 @@ class GradedEngine:
         Vectors are dicts {(k, x-exponent tuple): int}; the slice is the
         degree-(d,1) part of the syzygy module of the generators.
         """
-        got = self._ksl_cache.get(d)
-        if got is not None:
-            return got
-        pairs = self.pairs
-        xmons = self.ring.monomial_basis((d - 1, 0))
-        target = (d, 1)
-        idx = self.ideal.index(target)
-        vectors = []
-        tags = []
-        for k in range(pairs.n):
-            gen = pairs.generators[k]
-            for m in xmons:
-                vec = {}
-                if gen:
-                    prod = gen.mul_monomial(m)
-                    vec = {idx[e]: c for e, c in prod.terms.items()}
-                vectors.append(vec)
-                tags.append({(k, m): 1})
-        _, kernel = kernel_of_stacked_vectors(self.field, vectors, tags)
-        self._ksl_cache[d] = kernel
-        return kernel
+        return self.syzygy_slice(d, 1)
 
     def derivation_slice_dim(self, d: int) -> int:
         return len(self.derivation_slice(d))
@@ -476,40 +459,11 @@ class GradedEngine:
         ech = Echelon(self.field)
         for c in self.derivation_slice(d - 1):
             for t in range(self.pairs.r):
-                ech.insert(_shift_slice_vector(c, t))
+                ech.insert(_bump(c, 1, t))
         total = self.derivation_slice_dim(d)
         return total - ech.dim
 
-    def theta_from_syzygy(self, cvec):
-        """Derivation theta with theta(f_j) = c_j f_j from a syzygy c-vector.
-
-        cvec maps (k, x-exponent) -> coefficient.  Returns the tuple of
-        polynomials (theta applied to x_1..x_r), i.e. (c_i * x_i) for i < r.
-        Raises RingError if the defining identity fails.
-        """
-        S = self.ring
-        r = self.pairs.r
-        cpolys = []
-        for k in range(self.pairs.n):
-            terms = [(e, v) for (kk, e), v in cvec.items() if kk == k]
-            cpolys.append(S.from_terms(terms))
-        theta = [cpolys[i] * S.var(i) for i in range(r)]
-        for j in range(self.pairs.n):
-            fj = self.pairs.f[j]
-            applied = S.zero()
-            for i in range(r):
-                applied = applied + theta[i] * _dx(fj, i)
-            if applied - cpolys[j] * fj:
-                raise RingError("syzygy does not define a logarithmic derivation")
-        return theta
-
     # -- critical-set ideal slices ----------------------------------------------------
-    def ix_ring(self):
-        """The parameter ring whose kernel slices ix_slice computes."""
-        if not hasattr(self, "_ix_ring"):
-            self._ix_ring = xa_ring(self.field, self.pairs.r, self.pairs.n)
-        return self._ix_ring
-
     def _pair_product(self, gamma):
         """Product of (f_k g_k)^gamma_k in S, cached."""
         if not hasattr(self, "_pp_cache"):
@@ -537,21 +491,12 @@ class GradedEngine:
         if j == 0 or i < 0:
             self._ix_cache[key] = []
             return []
-        xmons = self.ring.monomial_basis((i, 0))
-        amons = _compositions(j, self.pairs.n)
-        target = (i + j, j)
-        idx = self.ideal.index(target)
-        vectors, tags = [], []
-        for gamma in amons:
-            prod = self._pair_product(gamma)
-            for m in xmons:
-                vec = {}
-                if prod:
-                    full = prod.mul_monomial(m)
-                    vec = {idx[e]: c for e, c in full.terms.items()}
-                vectors.append(vec)
-                tags.append({(m, gamma): 1})
-        _, kernel = kernel_of_stacked_vectors(self.field, vectors, tags)
+        products = [(gamma, self._pair_product(gamma)) for gamma in _compositions(j, self.pairs.n)]
+        kernel = self._product_kernel(products, (i, 0), (i + j, j))
+        # keys (gamma, m) become (m, gamma), one tuple per key shared by all
+        # kernel vectors, as the echelon's tag keys are
+        flip = {}
+        kernel = [{flip.setdefault(k, (k[1], k[0])): v for k, v in vec.items()} for vec in kernel]
         self._ix_cache[key] = kernel
         return kernel
 
@@ -563,10 +508,10 @@ class GradedEngine:
         ech = Echelon(self.field)
         for v in self.ix_slice(i - 1, j):
             for t in range(self.pairs.r):
-                ech.insert(_ix_shift(v, ("x", t)))
+                ech.insert(_bump(v, 0, t))
         for v in self.ix_slice(i, j - 1):
             for k in range(self.pairs.n):
-                ech.insert(_ix_shift(v, ("a", k)))
+                ech.insert(_bump(v, 1, k))
         return self.ix_dim(i, j) - ech.dim
 
     def ilog_slice(self, der_generators, i: int, j: int):
@@ -649,19 +594,7 @@ class GradedEngine:
         if c < 1 or d < 1:
             self._K_cache[key] = []
             return []
-        smons = self.ring.monomial_basis((c - 1, d - 1))
-        idx = self.ideal.index((c, d))
-        vectors, tags = [], []
-        for k in range(self.pairs.n):
-            gen = self.pairs.generators[k]
-            for m in smons:
-                vec = {}
-                if gen:
-                    prod = gen.mul_monomial(m)
-                    vec = {idx[e]: cc for e, cc in prod.terms.items()}
-                vectors.append(vec)
-                tags.append({(k, m): 1})
-        _, kernel = kernel_of_stacked_vectors(self.field, vectors, tags)
+        kernel = self._product_kernel(enumerate(self.pairs.generators), (c - 1, d - 1), (c, d))
         self._K_cache[key] = kernel
         return kernel
 
@@ -689,11 +622,11 @@ class GradedEngine:
                     gt = self.ring.grades[t]
                     sub = self._sym_piece(c - gt[0], d - gt[1], q)
                     for row in sub.rows.values():
-                        ech.insert(_lt_shift_var(row, t, self.ring.nvars))
+                        ech.insert(_bump(row, 0, t))
                 sub = self._sym_piece(c, d, q - 1)
                 for row in sub.rows.values():
                     for k in range(self.pairs.n):
-                        ech.insert(_lt_shift_a(row, k, self.pairs.n))
+                        ech.insert(_bump(row, 1, k))
         self._L_cache[key] = ech
         return ech
 
@@ -722,6 +655,30 @@ class GradedEngine:
         return all_equal, records
 
 
+def theta_from_syzygy(pairs: PairsIdeal, cvec):
+    """Derivation theta with theta(f_j) = c_j f_j from a syzygy c-vector.
+
+    cvec maps (k, x-exponent) -> coefficient.  Returns the tuple of
+    polynomials (theta applied to x_1..x_r), i.e. (c_i * x_i) for i < r.
+    Raises RingError if the defining identity fails.
+    """
+    S = pairs.ring
+    r = pairs.r
+    cpolys = []
+    for k in range(pairs.n):
+        terms = [(e, v) for (kk, e), v in cvec.items() if kk == k]
+        cpolys.append(S.from_terms(terms))
+    theta = [cpolys[i] * S.var(i) for i in range(r)]
+    for j in range(pairs.n):
+        fj = pairs.f[j]
+        applied = S.zero()
+        for i in range(r):
+            applied = applied + theta[i] * _dx(fj, i)
+        if applied - cpolys[j] * fj:
+            raise RingError("syzygy does not define a logarithmic derivation")
+    return theta
+
+
 # -- helpers --------------------------------------------------------------------
 
 
@@ -737,15 +694,6 @@ def _dx(p: Poly, i: int) -> Poly:
     return ring.from_terms(terms)
 
 
-def _shift_slice_vector(cvec, t):
-    out = {}
-    for (k, e), v in cvec.items():
-        e2 = list(e)
-        e2[t] += 1
-        out[(k, tuple(e2))] = v
-    return out
-
-
 def _unit(n, k):
     return tuple(1 if i == k else 0 for i in range(n))
 
@@ -756,39 +704,6 @@ def _ix_xdeg(gvec):
     return 0
 
 
-def _ix_shift(vec, move):
-    kind, idx = move
-    out = {}
-    for (e, ga), v in vec.items():
-        if kind == "x":
-            e2 = list(e)
-            e2[idx] += 1
-            out[(tuple(e2), ga)] = v
-        else:
-            g2 = list(ga)
-            g2[idx] += 1
-            out[(e, tuple(g2))] = v
-    return out
-
-
 def _lt_vector(n, kvec):
     """Rewrite a syzygy {(k, s-exponent): v} into (s-exponent, a-exponent) keys."""
     return {(e, _unit(n, k)): v for (k, e), v in kvec.items()}
-
-
-def _lt_shift_var(row, t, nvars):
-    out = {}
-    for (e, a), v in row.items():
-        e2 = list(e)
-        e2[t] += 1
-        out[(tuple(e2), a)] = v
-    return out
-
-
-def _lt_shift_a(row, k, n):
-    out = {}
-    for (e, a), v in row.items():
-        a2 = list(a)
-        a2[k] += 1
-        out[(e, tuple(a2))] = v
-    return out

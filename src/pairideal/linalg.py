@@ -1,8 +1,7 @@
 """Dense exact linear algebra over QQ or GF(p).
 
 ExactMatrix is the user-facing type: immutable, field-tagged, with the
-standard exact operations (rref, rank, kernel, solve, column-span
-membership).  Sizes here are matroid-scale (n <= ~12), so a plain
+standard exact operations (rref, rank, kernel).  Sizes here are matroid-scale (n <= ~12), so a plain
 field-generic Gaussian elimination is all that is needed; the heavy
 degreewise computations use pairideal.spans instead.
 """
@@ -71,11 +70,6 @@ class ExactMatrix:
     def submatrix_columns(self, cols):
         return ExactMatrix(self.field, [[r[j] for j in cols] for r in self.entries])
 
-    def stack(self, other):
-        if other.field != self.field or other.ncols != self.ncols:
-            raise DimensionError("stack shape/field mismatch")
-        return ExactMatrix(self.field, list(self.entries) + list(other.entries))
-
     def matmul(self, other):
         if other.field != self.field:
             raise FieldError("mixed fields")
@@ -92,11 +86,6 @@ class ExactMatrix:
                 row.append(acc)
             out.append(row)
         return ExactMatrix(F, out)
-
-    def scale(self, c):
-        F = self.field
-        c = F.of(c)
-        return ExactMatrix(F, [[F.mul(c, e) for e in row] for row in self.entries])
 
     def is_zero(self):
         F = self.field
@@ -152,30 +141,3 @@ def kernel_basis(m: ExactMatrix) -> ExactMatrix:
             v[pc] = F.neg(red[r, fc])
         rows.append(v)
     return ExactMatrix(F, rows, ncols=m.ncols)
-
-
-def solve(m: ExactMatrix, rhs) -> list | None:
-    """One exact solution x of m x = rhs, or None if inconsistent."""
-    F = m.field
-    rhs = [F.of(e) for e in rhs]
-    if len(rhs) != m.nrows:
-        raise DimensionError("rhs length mismatch")
-    aug = ExactMatrix(F, [list(m.row(i)) + [rhs[i]] for i in range(m.nrows)])
-    red, pivots, rk = rref(aug)
-    if m.ncols in pivots:
-        return None
-    x = [F.zero] * m.ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r, m.ncols]
-    return x
-
-
-def column_space_membership(m: ExactMatrix, vec) -> bool:
-    """Whether vec lies in the span of the columns of m."""
-    F = m.field
-    vec = [F.of(e) for e in vec]
-    if len(vec) != m.nrows:
-        raise DimensionError("vector length mismatch")
-    base = rank(m)
-    aug = ExactMatrix(F, [list(m.row(i)) + [vec[i]] for i in range(m.nrows)])
-    return rank(aug) == base

@@ -98,10 +98,6 @@ class Matroid:
         self._rank_cache[key] = r
         return r
 
-    def is_independent(self, subset) -> bool:
-        s = frozenset(subset)
-        return self.rank_of(s) == len(s)
-
     def is_basis(self, subset) -> bool:
         s = frozenset(subset)
         return len(s) == self.rank and self.rank_of(s) == self.rank

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .groebner import ModuleContext, module_syzygies
 from .ring import PolyRing
-from .spans import Echelon
+from .spans import Echelon, _bump
 
 
 class ResolutionError(ValueError):
@@ -63,14 +63,8 @@ class ModulePieces:
             prev = tuple(a - b for a, b in zip(grade, gt))
             if any(x < 0 for x in prev):
                 continue
-            sub = self.piece(prev)
-            for row in sub.rows.values():
-                vec = {}
-                for (pos, e), v in row.items():
-                    e2 = list(e)
-                    e2[t] += 1
-                    vec[(pos, tuple(e2))] = v
-                ech.insert(vec)
+            for row in self.piece(prev).rows.values():
+                ech.insert(_bump(row, 1, t))
         return ech
 
     def piece(self, grade) -> Echelon:

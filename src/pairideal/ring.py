@@ -124,13 +124,6 @@ class PolyRing:
                 d[exp] = acc
         return Poly(self, d)
 
-    def linear_form(self, coeffs):
-        """sum coeffs[i] * var_i from a length-nvars coefficient vector."""
-        return self.from_terms(
-            (tuple(1 if j == i else 0 for j in range(self.nvars)), c)
-            for i, c in enumerate(coeffs)
-        )
-
     # -- grading ---------------------------------------------------------------
     def exp_grade(self, exp):
         g = [0] * self.ngrades
@@ -329,12 +322,6 @@ class Poly:
                 raise RingError("inhomogeneous polynomial")
         return g
 
-    def is_homogeneous(self):
-        if not self.terms:
-            return True
-        grades = {self.ring.exp_grade(e) for e in self.terms}
-        return len(grades) == 1
-
     def homogeneous_components(self):
         """Dict multigrade -> homogeneous Poly."""
         ring = self.ring
@@ -431,15 +418,4 @@ def xa_ring(field, r, n):
     """R[a] = k[x1..xr, a1..an], bigraded with the a-degree written last."""
     names = [f"x{i+1}" for i in range(r)] + [f"a{k+1}" for k in range(n)]
     grades = [(1, 0)] * r + [(0, 1)] * n
-    return PolyRing(field, names, grades)
-
-
-def sa_ring(field, r, s, n):
-    """S[a] with grades (x, y; a), the a-degree written last."""
-    names = (
-        [f"x{i+1}" for i in range(r)]
-        + [f"y{j+1}" for j in range(s)]
-        + [f"a{k+1}" for k in range(n)]
-    )
-    grades = [(1, 0, 0)] * r + [(0, 1, 0)] * s + [(0, 0, 1)] * n
     return PolyRing(field, names, grades)

@@ -96,6 +96,24 @@ def axpy(dst, items, beta, p):
                 dst.pop(k, None)
 
 
+def _bump(vec, slot, i):
+    """vec with exponent i of key slot `slot` raised by one, for sparse
+    vectors keyed by pairs whose slot 0 or 1 is an exponent tuple (the
+    variable multiple of a row); key order is kept."""
+    out = {}
+    if slot:
+        for (a, e), v in vec.items():
+            e = list(e)
+            e[i] += 1
+            out[(a, tuple(e))] = v
+    else:
+        for (e, b), v in vec.items():
+            e = list(e)
+            e[i] += 1
+            out[(tuple(e), b)] = v
+    return out
+
+
 class Echelon:
     """A growing row space in echelon form over QQ (int rows) or GF(p)."""
 

@@ -1,10 +1,12 @@
-"""Byte-for-byte gate on recorded `primes`, `analyze` and `betti` reports.
+"""Byte-for-byte gate on recorded `primes`, `analyze`, `betti` and `verify`
+reports.
 
 The `primes` files hold the colon witnesses, which depend on the exact
 Groebner runs behind the associated-prime tests; any change to those runs
 that alters a witness or a verdict shows here.  The `analyze` and `betti`
 files gate the Betti tables, derivation data and reports over QQ and
-GF(32003).
+GF(32003).  The `verify` files gate all eight verification targets on a3
+over QQ and GF(32003), and the two slice targets on seven.
 """
 
 from pathlib import Path
@@ -35,6 +37,19 @@ CASES = [
     (
         ["betti", str(GOLDEN / "bracelet9_gf32003.json"), "--method", "resolution", "--json"],
         "betti_bracelet9_gf32003_resolution.json",
+    ),
+    (["verify", "a3", "--bound", "3", "--json"], "verify_a3_bound3.json"),
+    (
+        ["verify", str(GOLDEN / "a3_gf32003.json"), "--bound", "3", "--json"],
+        "verify_a3_gf32003_bound3.json",
+    ),
+    (
+        ["verify", "seven", "--theorem", "derivation-param", "--json"],
+        "verify_seven_derivation_param.json",
+    ),
+    (
+        ["verify", "seven", "--theorem", "syzygy-slices", "--json"],
+        "verify_seven_syzygy_slices.json",
     ),
 ]
 

@@ -1,10 +1,17 @@
 """Degreewise engine: pieces, Hilbert data, Koszul homology, slices."""
 
-from math import comb
+from math import comb, prod
+from pathlib import Path
 
 import pytest
+from conftest import bench_for
 
+from pairideal.graded import theta_from_syzygy
+from pairideal.io import InputSpec
 from pairideal.ring import RingError
+from pairideal.workbench import Workbench
+
+A3_GF32003 = Path(__file__).parent / "golden" / "a3_gf32003.json"
 
 
 # the worked braid-arrangement table, pinned by three independent methods
@@ -116,16 +123,59 @@ def test_derivation_new_generators(a3, bracelet):
 def test_theta_from_syzygy(a3, u12):
     eng = a3.engine
     euler = {(k, (0,) * 6): 1 for k in range(6)}
-    theta = eng.theta_from_syzygy(euler)
+    theta = theta_from_syzygy(a3.pairs, euler)
     assert [str(t) for t in theta] == ["x1", "x2", "x3"]
     # degree-2 slice elements define derivations with exact divisibility
     for c in eng.derivation_slice(2):
-        eng.theta_from_syzygy(c)  # raises on failure
+        theta_from_syzygy(a3.pairs, c)  # raises on failure
     bad = {(0, (0,) * 6): 1}
     with pytest.raises(RingError):
-        eng.theta_from_syzygy(bad)
-    tu = u12.engine.theta_from_syzygy({(0, (0, 0)): 1, (1, (0, 0)): 1})
+        theta_from_syzygy(a3.pairs, bad)
+    tu = theta_from_syzygy(u12.pairs, {(0, (0, 0)): 1, (1, (0, 0)): 1})
     assert str(tu[0]) == "x1"
+
+
+@pytest.mark.parametrize("name", ["a3", "seven", "u:2:4", "a3_gf32003"])
+def test_slice_vectors_expand_to_zero(name):
+    # each kernel vector is expanded in S with Poly arithmetic alone, so the
+    # check is independent of the echelon code that produced it
+    if name == "a3_gf32003":
+        bench = Workbench(InputSpec.from_file(A3_GF32003).realization())
+    else:
+        bench = bench_for(name)
+    eng, pairs = bench.engine, bench.pairs
+    S = pairs.ring
+    fg = [pairs.f[k] * pairs.g[k] for k in range(pairs.n)]
+
+    def expand(vec, term):
+        total = S.zero()
+        for key, v in vec.items():
+            m, p = term(key)
+            total = total + p.mul_monomial(m, v)
+        return total
+
+    def syzygy_term(key):
+        k, m = key
+        return m, fg[k]
+
+    def ix_term(key):
+        m, gamma = key
+        return m, prod((fg[k] ** e for k, e in enumerate(gamma)), start=S.one())
+
+    for d in range(1, 5):
+        assert eng.derivation_slice(d) == eng.syzygy_slice(d, 1)
+    seen = 0
+    for c in range(1, 4):
+        for d in range(1, 5 - c):
+            for vec in eng.syzygy_slice(c, d):
+                assert vec and expand(vec, syzygy_term).is_zero()
+                seen += 1
+    for i in range(3):
+        for j in range(1, 3):
+            for vec in eng.ix_slice(i, j):
+                assert vec and expand(vec, ix_term).is_zero()
+                seen += 1
+    assert seen
 
 
 def test_ix_slices(a3, bracelet):

@@ -3,14 +3,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from pairideal.fixtures import BRACELET9_MATRIX
-from pairideal.linalg import (
-    ExactMatrix,
-    column_space_membership,
-    kernel_basis,
-    rank,
-    rref,
-    solve,
-)
+from pairideal.linalg import ExactMatrix, kernel_basis, rank, rref
 from pairideal.scalars import QQ
 from pairideal.spans import Echelon, kernel_of_stacked_vectors
 
@@ -52,20 +45,6 @@ def test_kernel_bracelet_annihilates():
     assert k.nrows == 9 - 4
     prod = m.matmul(k.transpose())
     assert prod.is_zero()
-
-
-def test_membership_triangle():
-    # fifth column of a rank-2 configuration lies in the span of a basis pair
-    m = ExactMatrix(QQ, [[1, 0, 1], [0, 1, 1]])
-    assert column_space_membership(m, [2, 3])
-    assert column_space_membership(ExactMatrix.identity(QQ, 2), [5, -7])
-    assert not column_space_membership(ExactMatrix(QQ, [[0], [1]]), [1, 0])
-
-
-def test_solve():
-    m = ExactMatrix(QQ, [[2, 0], [0, 4]])
-    assert solve(m, [1, 1]) == [Fraction(1, 2), Fraction(1, 4)]
-    assert solve(ExactMatrix(QQ, [[1, 1], [1, 1]]), [0, 1]) is None
 
 
 small_matrices = st.lists(
