@@ -18,7 +18,7 @@ from .resolution import (
     schreyer_quotient_betti,
     schreyer_resolution,
 )
-from .derivations import DerivationModule, der_module, ilog_generators, pdim_bounds, recipe_check
+from .derivations import DerivationModule, ilog_generators, pdim_bounds, recipe_check
 from .primes import (
     LinearPrime,
     associated_primes,
@@ -63,7 +63,6 @@ __all__ = [
     "schreyer_quotient_betti",
     "schreyer_resolution",
     "DerivationModule",
-    "der_module",
     "ilog_generators",
     "pdim_bounds",
     "recipe_check",

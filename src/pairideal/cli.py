@@ -170,8 +170,8 @@ def cmd_primes(args):
     data["associated_primes"] = [p.labels() for p in ass]
     data["embedded_primes"] = [p.labels() for p in ass if p.tag == "embedded"]
     if args.slices:
-        data["slice_x"] = slice_associated_primes(pairs, "x")
-        data["slice_y"] = slice_associated_primes(pairs, "y")
+        data["slice_x"] = slice_associated_primes(pairs)
+        data["slice_y"] = slice_associated_primes(pairs.swap_roles())
 
     def render(d):
         for key in ("minimal_primes", "associated_primes", "embedded_primes"):
@@ -245,7 +245,8 @@ def cmd_compare(args):
                 slices[label] = "skipped (coloops)"
                 continue
             slices[label] = {
-                side: slice_associated_primes(pairs, side) for side in ("x", "y")
+                "x": slice_associated_primes(pairs),
+                "y": slice_associated_primes(pairs.swap_roles()),
             }
         data["slice_evidence"] = slices
         if isinstance(slices.get("a"), dict) and isinstance(slices.get("b"), dict):

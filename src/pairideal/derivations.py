@@ -9,11 +9,11 @@ generator is re-verified against the defining identity theta(f_j) in (f_j).
 
 from __future__ import annotations
 
-from .graded import GradedEngine, _dx, _unit, theta_from_syzygy
+from .graded import _dx, theta_from_syzygy
 from .groebner import ModuleContext, module_syzygies
 from .matroid import LoopError, MatroidError, Realization
 from .pairs import PairsIdeal
-from .ring import Poly, RingError, xa_ring
+from .ring import Poly, RingError, _unit, xa_ring
 from .resolution import minimal_generators, raw_grade, resolve_submodule
 
 
@@ -32,7 +32,7 @@ class DerivationModule:
         pairs = self.pairs
         n, s = pairs.n, pairs.s
         # the presentation: f_k times the y-coordinates of g_k
-        R, _, cols, scales = pairs.slice_columns("x")
+        R, _, cols, scales = pairs.slice_columns()
         self.ring = R
         ctx = ModuleContext(R, shifts={u: 0 for u in range(max(s, 1))})
         syz = [
@@ -85,21 +85,6 @@ class DerivationModule:
             raise RingError("coefficient determinant is not the reduced form product")
         self.saito_verified = True
 
-    def hilbert_consistent(self, engine: GradedEngine, window: int) -> bool:
-        """If free: dim of the degree-d syzygy slice matches the free model."""
-        if not self.free:
-            return True
-        from math import comb
-
-        r = self.pairs.r
-        for d in range(1, window + 1):
-            expected = sum(
-                comb(d - 1 - e + r - 1, r - 1) for e in self.exponents if d - 1 - e >= 0
-            )
-            if engine.derivation_slice_dim(d) != expected:
-                return False
-        return True
-
     def tor_dims(self):
         """(p, degree) -> dim Tor_p over the x-ring, derivation grading."""
         out = {}
@@ -114,10 +99,6 @@ class DerivationModule:
         for d in self.generator_degrees:
             out[d] = out.get(d, 0) + 1
         return out
-
-
-def der_module(pairs: PairsIdeal) -> DerivationModule:
-    return DerivationModule(pairs)
 
 
 def _poly_det(m):

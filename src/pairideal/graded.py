@@ -21,7 +21,7 @@ from itertools import combinations, combinations_with_replacement
 from math import comb, lcm
 
 from .pairs import PairsIdeal
-from .ring import Poly, RingError, _compositions
+from .ring import Poly, RingError, _compositions, _unit
 from .spans import Echelon, _bump, kernel_of_stacked_vectors
 
 
@@ -692,10 +692,6 @@ def _dx(p: Poly, i: int) -> Poly:
             e2[i] -= 1
             terms.append((tuple(e2), F.mul(c, F.of(e[i]))))
     return ring.from_terms(terms)
-
-
-def _unit(n, k):
-    return tuple(1 if i == k else 0 for i in range(n))
 
 
 def _ix_xdeg(gvec):

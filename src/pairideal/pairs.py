@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .linalg import ExactMatrix, rref
 from .matroid import ColoopError, LoopError, MatroidError, Realization, labels
-from .ring import pair_ring, x_ring, y_ring
+from .ring import _unit, pair_ring, x_ring
 from .spans import Echelon, to_ints
 
 
@@ -20,7 +20,7 @@ class PairsIdeal:
     """The ideal (f_1 g_1, ..., f_n g_n) in S = R (x) R_perp, with context.
 
     Attributes use the *permuted* ground-set order (basis columns first);
-    `to_original` maps internal indices back to the input labels.
+    `labels[i]` is the input label of internal position i.
     """
 
     def __init__(self, realization: Realization, drop_loops=False):
@@ -52,6 +52,8 @@ class PairsIdeal:
                 basis_cols.append(e)
         nonbasis = [e for e in range(n) if e not in set(basis_cols)]
         self.perm = basis_cols + nonbasis  # internal position -> base column
+        kept = [j for j in range(realization.n) if j not in dropped]
+        self.labels = [kept[c] + 1 for c in self.perm]
         permuted_matrix = base.basis_matrix.submatrix_columns(self.perm)
         normal, pivots, rk = rref(permuted_matrix)
         if pivots != list(range(r)):
@@ -79,12 +81,12 @@ class PairsIdeal:
             if i < r:
                 fi = S.var(i)
                 gi = S.from_terms(
-                    (self._y_exp(u), field.neg(self.mprime[i][u])) for u in range(self.s)
+                    (_unit(S.nvars, r + u), field.neg(self.mprime[i][u])) for u in range(self.s)
                 )
             else:
                 u = i - r
                 fi = S.from_terms(
-                    (self._x_exp(t), self.mprime[t][u]) for t in range(r)
+                    (_unit(S.nvars, t), self.mprime[t][u]) for t in range(r)
                 )
                 gi = S.var(r + u)
             self.f.append(fi)
@@ -101,16 +103,6 @@ class PairsIdeal:
 
         self._swap = None
 
-    def _x_exp(self, t):
-        exp = [0] * self.ring.nvars
-        exp[t] = 1
-        return tuple(exp)
-
-    def _y_exp(self, u):
-        exp = [0] * self.ring.nvars
-        exp[self.r + u] = 1
-        return tuple(exp)
-
     def __repr__(self):
         return (
             f"PairsIdeal({self.input_realization.name!r}, n={self.n}, r={self.r}, "
@@ -120,11 +112,7 @@ class PairsIdeal:
     # -- label bookkeeping ----------------------------------------------------
     def to_original(self, internal_index: int) -> int:
         """Map an internal position to the 1-based label of the input matrix."""
-        base_col = self.perm[internal_index]
-        if self.dropped_loops:
-            kept = [j for j in range(self.input_realization.n) if j not in self.dropped_loops]
-            base_col = kept[base_col]
-        return base_col + 1
+        return self.labels[internal_index]
 
     def original_labels(self, subset) -> list:
         return sorted(self.to_original(i) for i in subset)
@@ -150,39 +138,31 @@ class PairsIdeal:
     def nonzero_generators(self):
         return [(i, self.generators[i]) for i in range(self.n) if self.generators[i]]
 
-    def slice_columns(self, side):
-        """The degree-one slice as a submodule N of a free module E.
+    def slice_columns(self):
+        """The y-degree-one slice as a submodule N of a free module E.
 
-        side "x": the y-degree-one slice over the x-ring, E of rank n - r,
-        column k is f_k times the y-coordinates of g_k; side "y": roles
-        exchanged.  Returns (ring, rank of E, columns, scales): the columns
-        are raw {(position, exponent): coeff} with integer coefficients
-        (residues over GF(p)), column k being scales[k] times the slice of
-        f_k g_k.
+        N lives over the x-ring, E has rank n - r, and column k is f_k
+        times the y-coordinates of g_k.  The (1,.) slice is this one on
+        `swap_roles()`.  Returns (ring, rank of E, columns, scales): the
+        columns are raw {(position, exponent): coeff} with integer
+        coefficients (residues over GF(p)), column k being scales[k] times
+        the slice of f_k g_k.
         """
         F = self.field
         r = self.r
-        # first[k] gives the ring part, second[k] the position (variable
-        # index minus offset); part cuts the ring's exponents out of S's
-        if side == "x":
-            ring, rank, first, second = x_ring(F, r), self.s, self.f, self.g
-            offset, part = r, slice(0, r)
-        else:
-            ring, rank, first, second = y_ring(F, self.s), r, self.g, self.f
-            offset, part = 0, slice(r, None)
         cols = []
         scales = []
         for k in range(self.n):
             raw = {}
-            for e2, c2 in second[k].terms.items():
-                u = next(i for i, v in enumerate(e2) if v) - offset
-                for e1, c1 in first[k].terms.items():
-                    key = (u, e1[part])
+            for e2, c2 in self.g[k].terms.items():
+                u = e2.index(1) - r
+                for e1, c1 in self.f[k].terms.items():
+                    key = (u, e1[:r])
                     raw[key] = F.add(raw.get(key, F.zero), F.mul(c1, c2))
             col, lam = to_ints(raw, F.char)
             cols.append(col)
             scales.append(lam)
-        return ring, rank, cols, scales
+        return x_ring(F, r), self.s, cols, scales
 
     # -- duality ----------------------------------------------------------------------
     def require_no_coloops(self, context: str):
@@ -193,10 +173,11 @@ class PairsIdeal:
             )
 
     def swap_roles(self) -> "PairsIdeal":
-        """The pairs ideal of the dual realization (grading transposed)."""
+        """The pairs ideal of the dual realization (grading transposed, labels kept)."""
         if self._swap is None:
             dual = Realization(
                 self.input_realization.name + "^perp", self.field, self.dual_normal
             )
             self._swap = PairsIdeal(dual)
+            self._swap.labels = [self.labels[c] for c in self._swap.perm]
         return self._swap

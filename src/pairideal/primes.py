@@ -25,6 +25,7 @@ from .groebner import (
 )
 from .matroid import MatroidError, biflats
 from .pairs import PairsIdeal
+from .ring import _unit
 from .spans import Echelon
 
 
@@ -90,10 +91,8 @@ def echelon_forms(ring, forms):
     ech = Echelon(ring.field)
     for f in forms:
         ech.insert({e.index(1): c for e, c in f.terms.items()})
-    nvars = ring.nvars
-    unit = [tuple(1 if t == i else 0 for t in range(nvars)) for i in range(nvars)]
     return [
-        ring.from_terms((unit[i], c) for i, c in row.items())
+        ring.from_terms((_unit(ring.nvars, i), c) for i, c in row.items())
         for _piv, row in sorted(ech.rows.items())
     ]
 
@@ -233,57 +232,35 @@ def associated_primes(pairs: PairsIdeal, progress=None):
 # slice associated primes
 
 
-def _linear_forms_in_slice_ring(pairs: PairsIdeal, ring, side, index_set):
-    forms = []
-    source = pairs.f if side == "x" else pairs.g
-    for i in sorted(index_set):
-        p = source[i]
-        if p.is_zero():
-            continue
-        terms = []
-        for e, c in p.terms.items():
-            exp = e[: pairs.r] if side == "x" else e[pairs.r :]
-            terms.append((exp, c))
-        forms.append(ring.from_terms(terms))
-    return forms
+def slice_associated_primes(pairs: PairsIdeal, progress=None):
+    """Associated primes of the y-degree-one slice of the quotient.
 
-
-def slice_associated_primes(pairs: PairsIdeal, side="x", progress=None):
-    """Associated primes of the degree-one slice of the quotient.
-
-    side "x" is the (., 1) slice (a module over the x-ring, candidates
-    P_F over nonempty flats); side "y" is the (1, .) slice over the y-ring
-    with dual flats.  Requires no loops or coloops.
+    The (.,1) slice is a module over the x-ring with candidates P_F over
+    nonempty flats F; the (1,.) slice is this scan on `pairs.swap_roles()`,
+    whose flats are the dual flats.  Requires no loops or coloops.
     """
     pairs.require_no_coloops("slice associated primes")
-    ring, m, cols, _ = pairs.slice_columns(side)
+    ring, m, cols, _ = pairs.slice_columns()
     ctx = ModuleContext(ring)
     # reduced Groebner basis of N, shared by every candidate
     basis = interreduce(ctx, buchberger(ctx, cols, track=False)[0])
     M = pairs.matroid
-    flats = M.flats() if side == "x" else M.dual().flats()
-    minimal_cyc = (
-        M.minimal_nonempty_cyclic_flats()
-        if side == "x"
-        else [frozenset(range(pairs.n)) - F for F in M.maximal_proper_cyclic_flats()]
-    )
+    minimal_cyc = M.minimal_nonempty_cyclic_flats()
     out = []
-    for F in flats:
-        if not F:
-            continue
+    for F in M.flats():
         if not any(C <= F for C in minimal_cyc):
-            continue  # associated primes contain a minimal prime
-        forms = echelon_forms(ring, _linear_forms_in_slice_ring(pairs, ring, side, F))
+            continue  # associated primes contain a minimal prime (so F is nonempty)
+        # f_i has x-ring variable indices already: they come first in S
+        forms = echelon_forms(ring, [pairs.f[i] for i in sorted(F)])
         verdict = module_prime_is_associated(ctx, basis, m, forms)
         if progress is not None:
             progress(F, verdict)
         if verdict:
-            tag = "minimal" if frozenset(F) in {frozenset(c) for c in minimal_cyc} else "embedded"
             out.append(
                 {
                     "flat": pairs.original_labels(F),
-                    "rank": M.rank_of(F) if side == "x" else M.dual().rank_of(F),
-                    "tag": tag,
+                    "rank": M.rank_of(F),
+                    "tag": "minimal" if F in minimal_cyc else "embedded",
                     "is_maximal_ideal": len(forms) == ring.nvars,
                 }
             )

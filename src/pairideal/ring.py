@@ -101,9 +101,7 @@ class PolyRing:
         return Poly(self, {} if self.field.is_zero(c) else {self.zero_exp: c})
 
     def var(self, i):
-        exp = [0] * self.nvars
-        exp[i] = 1
-        return Poly(self, {tuple(exp): self.field.one})
+        return Poly(self, {_unit(self.nvars, i): self.field.one})
 
     def monomial(self, exp, coeff=1):
         coeff = self.field.of(coeff)
@@ -187,6 +185,11 @@ class PolyRing:
             elif e > 1:
                 parts.append(f"{name}^{e}")
         return "*".join(parts) if parts else "1"
+
+
+def _unit(n, k):
+    """The exponent tuple of length n with a single 1 at position k."""
+    return tuple(1 if i == k else 0 for i in range(n))
 
 
 def _compositions(total, k):
@@ -408,10 +411,6 @@ def pair_ring(field, r, s, order=None):
 def x_ring(field, r):
     """R = k[x1..xr], standard grading."""
     return PolyRing(field, [f"x{i+1}" for i in range(r)], [(1,)] * r)
-
-
-def y_ring(field, s):
-    return PolyRing(field, [f"y{j+1}" for j in range(s)], [(1,)] * s)
 
 
 def xa_ring(field, r, n):

@@ -13,9 +13,10 @@ first violated assertion when failing):
                          of the zero set, plus the localization proxy on
                          small ground sets
   tor-of-der             syzygy Betti columns in y-degree one against the
-                         derivation-module resolution (both sides)
-  slice-min-primes       minimal primes of the degree-one slices against the
-                         minimal nonempty cyclic flats
+                         derivation-module resolution; the (1,i) column is
+                         the same check on pairs.swap_roles()
+  slice-min-primes       minimal primes of the (.,1) slice, and of that slice
+                         of pairs.swap_roles(), against the cyclic flats of M
   uniform-products       products of dual forms times a form lie in the ideal
   parameterization-points  exact points of the parameterized critical set
                          annihilate the computed relation slices
@@ -271,53 +272,42 @@ class Workbench:
 
     def _verify_tor_of_der(self):
         # the identities only involve the (i,1) and (1,i) columns, so the
-        # Koszul homology is computed at exactly those bidegrees
+        # Koszul homology is computed at exactly those bidegrees; the (1,i)
+        # column is checked against the derivation module of the swap
         eng = self.engine
-        dm = self.derivations
-        tor_der = dm.tor_dims()  # (p, der-degree) -> dim
-        gen_hist = dm.minimal_generator_histogram()
-        kappa = self.pairs.kappa
-        imax = self.window
 
-        def ideal_tor(p, bideg):
-            return eng.koszul_homology_dim(p + 1, bideg)  # quotient shift
+        def sides():
+            yield self.pairs, self.derivations
+            if not self.pairs.coloops and not self.pairs.matroid.loops:
+                swap = self.pairs.swap_roles()
+                yield swap, DerivationModule(swap)
 
-        for i in range(1, imax + 1):
-            expected1 = gen_hist.get(i - 1, 0) - (kappa if i == 1 else 0)
-            got1 = ideal_tor(1, (i, 1))
-            if got1 != expected1:
-                return self._fail(
-                    f"first syzygies at ({i},1): table {got1}, derivation "
-                    f"generators give {expected1}"
-                )
-            for p in range(1, self.pairs.r + 2):
-                want = tor_der.get((p, i - 1), 0)
-                got = ideal_tor(p + 1, (i, 1))
-                if got != want:
-                    return self._fail(
-                        f"Tor_{p+1} at ({i},1): table {got}, derivation resolution {want}"
-                    )
-        out = {"passed": True, "column_checked_up_to": imax}
-        if not self.pairs.coloops and not self.pairs.matroid.loops:
-            dm_dual = DerivationModule(self.pairs.swap_roles())
-            tor_dual = dm_dual.tor_dims()
-            hist_dual = dm_dual.minimal_generator_histogram()
-            for i in range(1, imax + 1):
-                expected1 = hist_dual.get(i - 1, 0) - (kappa if i == 1 else 0)
-                got1 = ideal_tor(1, (1, i))
+        out = {"passed": True, "column_checked_up_to": self.window}
+        for pairs, dm in sides():
+            dual = pairs is not self.pairs
+            name = "dual derivation" if dual else "derivation"
+            tor_der = dm.tor_dims()  # (p, der-degree) -> dim
+            gen_hist = dm.minimal_generator_histogram()
+            for i in range(1, self.window + 1):
+                bideg = (1, i) if dual else (i, 1)
+                at = "({},{})".format(*bideg)
+                expected1 = gen_hist.get(i - 1, 0) - (self.pairs.kappa if i == 1 else 0)
+                # Tor_p of the ideal is Tor_{p+1} of the quotient
+                got1 = eng.koszul_homology_dim(2, bideg)
                 if got1 != expected1:
                     return self._fail(
-                        f"first syzygies at (1,{i}): table {got1}, dual derivation "
+                        f"first syzygies at {at}: table {got1}, {name} "
                         f"generators give {expected1}"
                     )
-                for p in range(1, self.pairs.s + 2):
-                    want = tor_dual.get((p, i - 1), 0)
-                    got = ideal_tor(p + 1, (1, i))
+                for p in range(1, pairs.r + 2):
+                    want = tor_der.get((p, i - 1), 0)
+                    got = eng.koszul_homology_dim(p + 2, bideg)
                     if got != want:
                         return self._fail(
-                            f"Tor_{p+1} at (1,{i}): table {got}, dual resolution {want}"
+                            f"Tor_{p+1} at {at}: table {got}, {name} resolution {want}"
                         )
-            out["dual_column_checked"] = True
+            if dual:
+                out["dual_column_checked"] = True
         return out
 
     def _verify_slice_min_primes(self):
@@ -327,30 +317,25 @@ class Workbench:
                 "passed": True,
                 "skipped": "slice statements need no loops and no coloops",
             }
+        # the (1,.) slice is the (.,1) slice of the swap; both predictions
+        # come from M, so duality is cross-checked
         M = pairs.matroid
-        exp_x = sorted(pairs.original_labels(F) for F in M.minimal_nonempty_cyclic_flats())
-        got = slice_associated_primes(pairs, "x")
-        got_min = sorted(d["flat"] for d in got if d["tag"] == "minimal")
-        if got_min != exp_x:
-            return self._fail(
-                f"minimal slice primes {got_min} differ from minimal nonempty "
-                f"cyclic flats {exp_x}"
-            )
-        dual_min = [
-            sorted(pairs.to_original(i) for i in frozenset(range(pairs.n)) - F)
-            for F in M.maximal_proper_cyclic_flats()
-        ]
-        got_y = slice_associated_primes(pairs, "y")
-        got_y_min = sorted(d["flat"] for d in got_y if d["tag"] == "minimal")
-        if got_y_min != sorted(dual_min):
-            return self._fail(
-                f"dual slice minimal primes {got_y_min} != {sorted(dual_min)}"
-            )
-        return {
-            "passed": True,
-            "slice_x": got,
-            "slice_y": got_y,
-        }
+        full = frozenset(range(pairs.n))
+        out = {"passed": True}
+        for key, side, flats in (
+            ("slice_x", pairs, M.minimal_nonempty_cyclic_flats()),
+            ("slice_y", pairs.swap_roles(), [full - F for F in M.maximal_proper_cyclic_flats()]),
+        ):
+            want = sorted(pairs.original_labels(F) for F in flats)
+            got = slice_associated_primes(side)
+            got_min = sorted(d["flat"] for d in got if d["tag"] == "minimal")
+            if got_min != want:
+                return self._fail(
+                    f"minimal {key} primes {got_min} differ from the cyclic-flat "
+                    f"prediction {want}"
+                )
+            out[key] = got
+        return out
 
     def _verify_uniform_products(self):
         rep = uniform_checks(self.pairs)

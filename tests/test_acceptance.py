@@ -96,9 +96,9 @@ def test_criterion_3_seven():
         ([1, 3, 5, 7], full),
         (full, full),
     ]
-    sx = slice_associated_primes(seven.pairs, "x")
+    sx = slice_associated_primes(seven.pairs)
     assert all(d["tag"] == "minimal" for d in sx)
-    sy = slice_associated_primes(seven.pairs, "y")
+    sy = slice_associated_primes(seven.pairs.swap_roles())
     embedded_y = [d for d in sy if d["tag"] == "embedded"]
     assert len(embedded_y) == 1 and embedded_y[0]["is_maximal_ideal"]
 
@@ -110,8 +110,8 @@ def test_criterion_4_bracelet():
     ass = associated_primes(pairs)
     assert all(p.tag == "minimal" for p in ass)
     assert len(ass) == len(pairs.matroid.cyclic_flats())
-    for side in ("x", "y"):
-        assert all(d["tag"] == "minimal" for d in slice_associated_primes(pairs, side))
+    for side in (pairs, pairs.swap_roles()):
+        assert all(d["tag"] == "minimal" for d in slice_associated_primes(side))
     eng = bracelet.engine
     assert eng.ix_new_generators(2, 2) == 1
     dm = bracelet.derivations
@@ -137,7 +137,7 @@ def test_criterion_5_uniform():
         ]
         rep = uniform_checks(bench.pairs)
         assert rep["uniform"] and rep["failures"] == [] and rep["products_checked"] > 0
-        slices = slice_associated_primes(bench.pairs, "x")
+        slices = slice_associated_primes(bench.pairs)
         assert [(d["flat"], d["tag"]) for d in slices] == [(full, "minimal")]
 
 

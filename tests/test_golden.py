@@ -6,7 +6,10 @@ Groebner runs behind the associated-prime tests; any change to those runs
 that alters a witness or a verdict shows here.  The `analyze` and `betti`
 files gate the Betti tables, derivation data and reports over QQ and
 GF(32003).  The `verify` files gate all eight verification targets on a3
-over QQ and GF(32003), and the two slice targets on seven.
+over QQ and GF(32003); syzygy-slices, derivation-param, tor-of-der and
+slice-min-primes on seven; and slice-min-primes on bracelet9 and on seven
+with a dropped zero column, whose labels pass through both the dropped
+loop and the role swap.
 """
 
 from pathlib import Path
@@ -50,6 +53,22 @@ CASES = [
     (
         ["verify", "seven", "--theorem", "syzygy-slices", "--json"],
         "verify_seven_syzygy_slices.json",
+    ),
+    (
+        ["verify", "seven", "--theorem", "slice-min-primes", "--json"],
+        "verify_seven_slice_min_primes.json",
+    ),
+    (
+        ["verify", "seven", "--theorem", "tor-of-der", "--json"],
+        "verify_seven_tor_of_der.json",
+    ),
+    (
+        ["verify", "bracelet9", "--theorem", "slice-min-primes", "--json"],
+        "verify_bracelet9_slice_min_primes.json",
+    ),
+    (
+        ["verify", str(GOLDEN / "seven_loop.json"), "--theorem", "slice-min-primes", "--json"],
+        "verify_seven_loop_slice_min_primes.json",
     ),
 ]
 

@@ -5,9 +5,11 @@ degreewise kernel oracle."""
 import random
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 from pairideal.graded import GradedEngine, theta_from_syzygy
 from pairideal.groebner import Ideal, ModuleContext, module_syzygies
+from pairideal.io import InputSpec
 from pairideal.linalg import ExactMatrix
 from pairideal.matroid import Realization
 from pairideal.pairs import PairsIdeal
@@ -123,11 +125,22 @@ def test_syzygy_completeness_against_kernel_oracle():
             assert got == expected, (trial, d)
 
 
+def _cyclic_labels(pairs):
+    return sorted(pairs.original_labels(F) for F in pairs.matroid.cyclic_flats())
+
+
 def test_swap_roles_involution(a3, u24):
-    for bench in (a3, u24):
-        pairs = bench.pairs
+    # seven with a zero column at position 2: labels pass through the
+    # dropped loop and both swaps
+    seven_loop = InputSpec.from_file(Path(__file__).parent / "golden" / "seven_loop.json")
+    for pairs in (a3.pairs, u24.pairs, PairsIdeal(seven_loop.realization(), drop_loops=True)):
         double = pairs.swap_roles().swap_roles()
         assert pairs.matroid.rank_function_equal(double.matroid)
+        assert _cyclic_labels(double) == _cyclic_labels(pairs)
+        full = set(pairs.labels)
+        assert _cyclic_labels(pairs.swap_roles()) == sorted(
+            sorted(full - set(F)) for F in _cyclic_labels(pairs)
+        )
 
 
 def test_koszul_cap_marks_window(seven):

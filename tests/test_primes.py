@@ -91,7 +91,7 @@ def test_associated_primes_seven(seven):
 
 def test_slice_primes_uniform(u24, u35):
     for bench, n in ((u24, 4), (u35, 5)):
-        out = slice_associated_primes(bench.pairs, "x")
+        out = slice_associated_primes(bench.pairs)
         assert [(d["flat"], d["tag"]) for d in out] == [
             (list(range(1, n + 1)), "minimal")
         ]
@@ -99,33 +99,37 @@ def test_slice_primes_uniform(u24, u35):
 
 
 def test_slice_primes_seven(seven):
-    sx = slice_associated_primes(seven.pairs, "x")
+    sx = slice_associated_primes(seven.pairs)
     assert [(d["flat"], d["tag"]) for d in sx] == [
         ([1, 2, 4, 6], "minimal"),
         ([1, 3, 5, 7], "minimal"),
     ]
-    sy = slice_associated_primes(seven.pairs, "y")
+    sy = slice_associated_primes(seven.pairs.swap_roles())
     assert ([d["flat"] for d in sy if d["tag"] == "embedded"]) == [[1, 2, 3, 4, 5, 6, 7]]
     assert [d for d in sy if d["tag"] == "embedded"][0]["is_maximal_ideal"]
 
 
 def test_slice_primes_a3_minimal_part(a3):
-    out = slice_associated_primes(a3.pairs, "x")
+    out = slice_associated_primes(a3.pairs)
     minimal = [d["flat"] for d in out if d["tag"] == "minimal"]
     assert minimal == [[1, 2, 4], [1, 3, 5], [2, 3, 6], [4, 5, 6]]
 
 
 def test_slice_refuses_coloops(fail_a):
     with pytest.raises(ColoopError):
-        slice_associated_primes(fail_a.pairs, "x")
+        slice_associated_primes(fail_a.pairs)
 
 
 def test_slice_consistency_with_quotient(seven, u24):
     # slice associated primes restrict associated primes of the quotient
-    for bench, side, part in ((seven, "x", "I"), (seven, "y", "J"), (u24, "x", "I")):
+    for bench, side, part in (
+        (seven, seven.pairs, "I"),
+        (seven, seven.pairs.swap_roles(), "J"),
+        (u24, u24.pairs, "I"),
+    ):
         ass = associated_primes(bench.pairs)
         parts = {tuple(p.labels()[part]) for p in ass}
-        for d in slice_associated_primes(bench.pairs, side):
+        for d in slice_associated_primes(side):
             assert tuple(d["flat"]) in parts
 
 

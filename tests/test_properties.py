@@ -2,8 +2,8 @@
 
 Loopless, coloopless realizations of rank 2 or 3 on at most five elements:
 the Koszul and Schreyer routes give one Betti table, swapping the roles of
-the realization and its dual transposes it, and the syzygy-slice target
-verifies.
+the realization and its dual transposes it, and the syzygy-slice,
+slice-min-primes and tor-of-der targets verify.
 """
 
 import pytest
@@ -39,5 +39,6 @@ def test_random_realization_tables(real):
     assert koszul == bench.resolution_betti(target="quotient").entries
     swapped = bench.swap_engine().koszul_betti(target="quotient").entries
     assert swapped == {(p, (j, i)): v for (p, (i, j)), v in koszul.items()}
-    result = bench.verify("syzygy-slices")
-    assert result["passed"], result.get("first_violation")
+    for target in ("syzygy-slices", "slice-min-primes", "tor-of-der"):
+        result = bench.verify(target)
+        assert result["passed"], (target, result.get("first_violation"))
