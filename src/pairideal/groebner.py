@@ -20,6 +20,16 @@ generating set of the syzygy module of the inputs (the coprime-lead pair
 skip is disabled there, and chain-skipped pairs are covered by retained
 ones).
 
+Pending S-pairs wait in a heap (the pair queue of Gebauer and Moeller).
+A pair's selection key, (degree of the lcm term, term key of the lcm, i,
+j), is computed once when the pair is made, since leads never change; the
+heap pops the pair of smallest key, which fixes the selection order.  The
+chain criterion drops pairs from a dict of live pairs (each with its
+stored lcm) and leaves their heap entries behind; a popped entry whose
+pair is no longer live is skipped.  Term keys are memoized per run: each
+`buchberger`, `interreduce` and normal-form call holds its own memo and
+drops it when it returns, so memory stays bounded by one run.
+
 Every colon is one primitive, `colon_module`: a tracked run with the
 Groebner basis of the submodule N entering as inert blocks, restricted to
 the tracked elements.  On it rest the ideal colons and the exact
@@ -33,8 +43,10 @@ variable, and Krull dimension from the initial ideal.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from itertools import combinations
 from math import gcd
+from operator import add, le, sub
 
 from .ring import MonomialOrder, Poly, PolyRing
 from .spans import axpy, cancel, strip, to_ints
@@ -44,7 +56,12 @@ class GroebnerError(ValueError):
     pass
 
 
-TRACE = None  # optional (processed, pending, basis) callback for diagnostics
+# Optional diagnostics hook, called as TRACE(processed, pending, basis) after
+# every TRACE_EVERY-th processed pair: `processed` counts the live pairs
+# popped so far in this run, `pending` the live pairs still queued (stale
+# heap entries left by the chain criterion are not counted) and `basis` is
+# the run's current list of GBElements.
+TRACE = None
 TRACE_EVERY = 1000
 
 
@@ -72,15 +89,33 @@ def _shifted(raw, m):
 
 
 def _divides(e1, e2):
-    return all(a <= b for a, b in zip(e1, e2))
+    return all(map(le, e1, e2))
 
 
 def _sub(e2, e1):
-    return tuple(b - a for a, b in zip(e1, e2))
+    return tuple(map(sub, e2, e1))
 
 
 def _addexp(e1, e2):
-    return tuple(a + b for a, b in zip(e1, e2))
+    return tuple(map(add, e1, e2))
+
+
+class _Memo(dict):
+    """A dict that fills each missing entry from fn, once."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, term):
+        value = self[term] = self.fn(term)
+        return value
+
+
+def _term_keys(ctx):
+    """ctx.term_key, each value computed once while the result lives."""
+    return _Memo(ctx.term_key).__getitem__
 
 
 class ModuleContext:
@@ -102,9 +137,6 @@ class ModuleContext:
             return (deg, self.okey(exp), -pos)
         return (-pos, deg, self.okey(exp))
 
-    def lead(self, raw):
-        return max(raw, key=self.term_key)
-
     def zero_exp(self):
         return (0,) * self.ring.nvars
 
@@ -112,9 +144,9 @@ class ModuleContext:
 class GBElement:
     __slots__ = ("raw", "lead", "lc", "track", "inert", "solo")
 
-    def __init__(self, ctx, raw, track=None, inert=None):
+    def __init__(self, key, raw, track=None, inert=None):
         self.raw = raw
-        self.lead = ctx.lead(raw)
+        self.lead = max(raw, key=key)
         self.lc = raw[self.lead]
         self.track = track
         self.inert = inert
@@ -124,18 +156,21 @@ class GBElement:
         self.solo = pos if all(q == pos for (q, _e) in raw) else None
 
 
-def _reduce(ctx, raw, track, basis, full=True):
+def _reduce(ctx, raw, track, basis, full=True, key=None):
     """Normal form of raw against basis (list of GBElement), destructive.
 
     Each step cancels the lead against a reducer through `cancel`.  Over QQ
     the result equals a positive multiple of the input modulo the span
     (exact for membership, span and syzygy purposes), and the joint content
     of raw, the result so far and track is stripped after every step.
+    `key` is the run's memoized term key; without one, the call memoizes
+    its own.
     """
     p = ctx.char
+    key = key or _term_keys(ctx)
     out = {}
     while raw:
-        lt = max(raw, key=ctx.term_key)
+        lt = max(raw, key=key)
         pos, exp = lt
         red = None
         for g in basis:
@@ -166,7 +201,7 @@ def _scaled_combination(ctx, gi, gj):
     """S-pair data for two elements with equal lead position: the S-pair is
     ci * mi * gi - cj * mj * gj, whose multipliers cross the leading
     coefficients, gcd-reduced over QQ."""
-    lcm = tuple(max(a, b) for a, b in zip(gi.lead[1], gj.lead[1]))
+    lcm = tuple(map(max, gi.lead[1], gj.lead[1]))
     mi, mj = _sub(lcm, gi.lead[1]), _sub(lcm, gj.lead[1])
     g = 1 if ctx.char else gcd(gi.lc, gj.lc)
     return lcm, mi, mj, gj.lc // g, gi.lc // g
@@ -186,51 +221,56 @@ def buchberger(ctx: ModuleContext, inputs, track=False, inert_groups=None):
     skipped syzygies have zero coefficients on all inputs outside the
     group, so any projection of the syzygy module away from a group is
     still generated by the recorded combinations.
+
+    Pairs are processed in increasing (degree of the lcm term, term key of
+    the lcm, i, j), from the heap described in the module docstring.
     """
     p = ctx.char
+    key = _term_keys(ctx)
     basis = []
     syzygies = []
-    pairs = set()
+    pairs = {}  # live pair (i, j) -> lcm of the lead exponents
+    queue = []  # (selection key..., i, j), stale once (i, j) leaves pairs
 
     def add_element(raw, t, inert=None):
         strip(raw, t)
-        basis.append(GBElement(ctx, raw, t, inert))
-        new = len(basis) - 1
-        gnew = basis[new]
+        gnew = GBElement(key, raw, t, inert)
+        new = len(basis)
+        basis.append(gnew)
+        pos, lexp = gnew.lead
+        shift = ctx.shifts.get(pos, 0)
+        lcms = {}  # i -> lcm of the leads of basis[i] and gnew, same position
         for i in range(new):
             gi = basis[i]
-            if gi.lead[0] != gnew.lead[0]:
+            if gi.lead[0] != pos:
                 continue
-            if gi.inert is not None and gi.inert == gnew.inert:
+            lcm = lcms[i] = tuple(map(max, gi.lead[1], lexp))
+            if gi.inert is not None and gi.inert == inert:
                 continue  # both in one inert group: S-pair reduces to zero
             if (
                 not track
                 and gi.solo is not None
                 and gi.solo == gnew.solo
-                and all(min(a, b) == 0 for a, b in zip(gi.lead[1], gnew.lead[1]))
+                and not any(map(min, gi.lead[1], lexp))
             ):
                 continue  # product criterion (single-component elements only)
-            pairs.add((i, new))
+            pairs[(i, new)] = lcm
+            heappush(queue, (sum(lcm) + shift, ctx.term_key((pos, lcm)), i, new))
         # chain criterion: drop older pairs whose lcm the new lead divides strictly
-        lt = gnew.lead
-        drop = set()
-        for (a, b) in pairs:
-            if b == new:
-                continue
-            ga, gb = basis[a], basis[b]
-            if ga.lead[0] != lt[0]:
-                continue
-            lcm_ab = tuple(max(x, y) for x, y in zip(ga.lead[1], gb.lead[1]))
-            if not _divides(lt[1], lcm_ab):
-                continue
-            lcm_an = tuple(max(x, y) for x, y in zip(ga.lead[1], lt[1]))
-            lcm_bn = tuple(max(x, y) for x, y in zip(gb.lead[1], lt[1]))
-            if lcm_ab != lcm_an and lcm_ab != lcm_bn:
-                drop.add((a, b))
-        pairs.difference_update(drop)
+        drop = [
+            (a, b)
+            for (a, b), lcm_ab in pairs.items()
+            if b != new
+            and a in lcms
+            and _divides(lexp, lcm_ab)
+            and lcm_ab != lcms[a]
+            and lcm_ab != lcms[b]
+        ]
+        for ab in drop:
+            del pairs[ab]
 
     def reduce_and_add(raw, t):
-        res, t = _reduce(ctx, raw, t, basis, full=False)
+        res, t = _reduce(ctx, raw, t, basis, full=False, key=key)
         if res:
             add_element(res, t)
         elif track and t:
@@ -249,25 +289,15 @@ def buchberger(ctx: ModuleContext, inputs, track=False, inert_groups=None):
         else:
             reduce_and_add(raw, t)
 
-    def pair_key(ij):
-        i, j = ij
-        pos = basis[i].lead[0]
-        lcm = tuple(max(a, b) for a, b in zip(basis[i].lead[1], basis[j].lead[1]))
-        return (
-            sum(lcm) + ctx.shifts.get(pos, 0),
-            ctx.term_key((pos, lcm)),
-            i,
-            j,
-        )
-
     processed = 0
-    while pairs:
-        best = min(pairs, key=pair_key)
-        pairs.discard(best)
+    while queue:
+        _, _, i, j = heappop(queue)
+        if pairs.pop((i, j), None) is None:
+            continue  # dropped by the chain criterion
         processed += 1
         if TRACE is not None and processed % TRACE_EVERY == 0:
             TRACE(processed, len(pairs), basis)
-        gi, gj = basis[best[0]], basis[best[1]]
+        gi, gj = basis[i], basis[j]
         _, mi, mj, ci, cj = _scaled_combination(ctx, gi, gj)
         raw = {}
         axpy(raw, _shifted(gi.raw, mi), -ci, p)
@@ -281,12 +311,13 @@ def buchberger(ctx: ModuleContext, inputs, track=False, inert_groups=None):
     return basis, syzygies
 
 
-def _normal_form(ctx, raw, basis):
+def _normal_form(ctx, raw, basis, key=None):
     """Canonical normal form: fully reduced, primitive, positive lead over QQ."""
-    raw, _ = _reduce(ctx, dict(raw), None, basis, full=True)
+    key = key or _term_keys(ctx)
+    raw, _ = _reduce(ctx, dict(raw), None, basis, full=True, key=key)
     raw = strip(raw)
     if raw and ctx.char == 0:
-        lt = ctx.lead(raw)
+        lt = max(raw, key=key)
         if raw[lt] < 0:
             raw = {k: -v for k, v in raw.items()}
     return raw
@@ -294,6 +325,7 @@ def _normal_form(ctx, raw, basis):
 
 def interreduce(ctx: ModuleContext, basis):
     """Reduced basis: minimal leads, tails fully reduced, canonical scaling."""
+    key = _term_keys(ctx)
     keep = []
     for i, g in enumerate(basis):
         lt = g.lead
@@ -308,15 +340,15 @@ def interreduce(ctx: ModuleContext, basis):
             keep.append(g)
     out = []
     for g in keep:
-        raw = _normal_form(ctx, g.raw, [h for h in keep if h is not g])
+        raw = _normal_form(ctx, g.raw, [h for h in keep if h is not g], key)
         if not raw:
             continue
         if ctx.char:
-            inv = pow(raw[ctx.lead(raw)], ctx.char - 2, ctx.char)
+            inv = pow(raw[max(raw, key=key)], ctx.char - 2, ctx.char)
             if inv != 1:
                 raw = {k: (v * inv) % ctx.char for k, v in raw.items()}
-        out.append(GBElement(ctx, raw))
-    out.sort(key=lambda g: ctx.term_key(g.lead))
+        out.append(GBElement(key, raw))
+    out.sort(key=lambda g: key(g.lead))
     return out
 
 

@@ -9,6 +9,8 @@ minimality and the complex property are re-checked explicitly.
 
 from __future__ import annotations
 
+from operator import add
+
 from .groebner import ModuleContext, module_syzygies
 from .ring import PolyRing
 from .spans import Echelon, _bump
@@ -319,7 +321,14 @@ def schreyer_resolution(ring: PolyRing, inputs, shifts, order=None) -> SchreyerR
     levels = []
     level_grades = []
     cur_elements = [g.raw for g in red0]
-    cur_key = base_ctx.term_key
+    cur_key = base_key = base_ctx.term_key
+    # Induced keys are kept flat: the ambient key of a term's image in the
+    # ambient module, then the negated positions passed on the way down.
+    # This orders terms as the nested key (the previous level's key of the
+    # image under the lead, then the negated position) does, without
+    # recursing.  origin[pos] = (ambient position, exponent shift, negated
+    # positions) of each position of the current level.
+    origin = [(q, base_ctx.zero_exp(), ()) for q in range(len(shifts))]
     cur_shift_grades = list(shifts)
     while cur_elements:
         grades = [
@@ -329,11 +338,15 @@ def schreyer_resolution(ring: PolyRing, inputs, shifts, order=None) -> SchreyerR
         levels.append(cur_elements)
         level_grades.append(grades)
         leads = [max(raw, key=cur_key) for raw in cur_elements]
+        origin = [
+            (origin[lp][0], tuple(map(add, origin[lp][1], le)), origin[lp][2] + (-i,))
+            for i, (lp, le) in enumerate(leads)
+        ]
 
-        def next_key(term, _leads=leads, _prev_key=cur_key):
+        def next_key(term, _origin=origin):
             pos, exp = term
-            lp, le = _leads[pos]
-            return (_prev_key((lp, tuple(a + b for a, b in zip(le, exp)))), -pos)
+            amb, shift, chain = _origin[pos]
+            return base_key((amb, tuple(map(add, shift, exp)))) + chain
 
         ctx = ModuleContext(
             ring,

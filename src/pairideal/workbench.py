@@ -202,7 +202,7 @@ class Workbench:
                 )
             checked.append({"degree": d, "dim": lin})
         details = {"passed": True, "slice_dims": checked, "euler_vectors": len(pairs.euler_vectors())}
-        if not pairs.coloops and not pairs.matroid.loops:
+        if not pairs.coloops:
             swap = self.swap_engine()
             for d in range(1, min(self.window, 5) + 1):
                 a = eng.syzygy_slice(1, d)
@@ -278,7 +278,7 @@ class Workbench:
 
         def sides():
             yield self.pairs, self.derivations
-            if not self.pairs.coloops and not self.pairs.matroid.loops:
+            if not self.pairs.coloops:
                 swap = self.pairs.swap_roles()
                 yield swap, DerivationModule(swap)
 
@@ -312,7 +312,8 @@ class Workbench:
 
     def _verify_slice_min_primes(self):
         pairs = self.pairs
-        if pairs.coloops or pairs.matroid.loops:
+        # PairsIdeal refuses or deletes loops, so only coloops can remain
+        if pairs.coloops:
             return {
                 "passed": True,
                 "skipped": "slice statements need no loops and no coloops",
