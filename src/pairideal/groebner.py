@@ -584,22 +584,34 @@ def _extend_ring(ring: PolyRing):
 # associated-prime test for linear primes
 
 
+def prime_containing(I: Ideal, prime_gens):
+    """The Ideal of the nonzero linear forms, checked to contain I.
+
+    Returns None when every form is zero (the zero ideal).  Raises
+    GroebnerError when some generator of I lies outside the prime: a scan
+    that offers such a candidate has the wrong candidate set.
+    """
+    forms = [f for f in prime_gens if not f.is_zero()]
+    if not forms:
+        return None
+    prime = Ideal(I.ring, forms)
+    for g in I.gens:
+        if not g.is_zero() and not prime.member(g):
+            raise GroebnerError("candidate prime does not contain the ideal")
+    return prime
+
+
 def is_associated(I: Ideal, prime_gens):
     """Whether the prime generated by the linear forms is associated to ring/I.
 
     The rank-one case of linear_prime_is_associated on the cached Groebner
-    basis of I.  Returns (verdict, witness) with the successful generator
-    h of (I : p), in normal form, when associated.
+    basis of I, after `prime_containing`.  Returns (verdict, witness) with
+    the successful generator h of (I : p), in normal form, when associated.
     """
-    ring = I.ring
-    forms = [f for f in prime_gens if not f.is_zero()]
-    if not forms:
+    prime = prime_containing(I, prime_gens)
+    if prime is None:
         # the zero ideal: associated exactly to the zero ideal
         return (I.is_zero_ideal(), None)
-    prime = Ideal(ring, forms)
-    for g in I.gens:
-        if not g.is_zero() and not prime.member(g):
-            raise GroebnerError("candidate prime does not contain the ideal")
     ctx, gb = I._gb_elements()
-    verdict, w = linear_prime_is_associated(ctx, gb, 1, forms, prime)
-    return (verdict, raw_to_poly(ring, w) if verdict else None)
+    verdict, w = linear_prime_is_associated(ctx, gb, 1, prime.gens, prime)
+    return (verdict, raw_to_poly(I.ring, w) if verdict else None)

@@ -2,12 +2,20 @@
 certified associated primes over biflat candidates, slice associated primes,
 and the uniform-matroid membership checks.
 
-Every candidate is a linear prime and is decided by one exact test,
-`groebner.linear_prime_is_associated`, on top of the one tracked-colon
-primitive `groebner.colon_module`: for S/I as its rank-one case
-(`is_associated`), for the degree-one slices E/N as its rank-m case
-(`module_prime_is_associated`).  Absence of an embedded prime is only ever
-asserted through that test; degreewise scans may only report presence.
+Every candidate is a linear prime.  A candidate P of codimension above
+pdim M is not associated to M, by Auslander-Buchsbaum: P in Ass(M) means
+depth M_P = 0, so codim P = pdim M_P <= pdim M (Eisenbud-Huneke-
+Vasconcelos, "Direct methods for primary decomposition", 1992, section 1).
+pdim M is the largest homological index of the minimal Betti table read
+off the exact Schreyer complex, which has no scan window: for S/I the
+memoized `pairs_quotient_betti`, for the slices E/N `schreyer_resolution`
+on the `slice_columns()` presentation.  Every other candidate is decided
+by one exact test, `groebner.linear_prime_is_associated`, on top of the
+one tracked-colon primitive `groebner.colon_module`: for S/I as its
+rank-one case (`is_associated`), for the degree-one slices E/N as its
+rank-m case (`module_prime_is_associated`).  Absence of an embedded prime
+is only ever asserted by that rule or that test; degreewise scans may only
+report presence.
 """
 
 from __future__ import annotations
@@ -22,9 +30,11 @@ from .groebner import (
     interreduce,
     is_associated,
     linear_prime_is_associated,
+    prime_containing,
 )
 from .matroid import MatroidError, biflats
 from .pairs import PairsIdeal
+from .resolution import schreyer_quotient_betti, schreyer_resolution
 from .ring import _unit
 from .spans import Echelon
 
@@ -102,6 +112,24 @@ def pairs_ideal_object(pairs: PairsIdeal) -> Ideal:
         gens = [g for _, g in pairs.nonzero_generators()]
         pairs._ideal_object = Ideal(pairs.ring, gens)
     return pairs._ideal_object
+
+
+def pairs_quotient_betti(pairs: PairsIdeal):
+    """Minimal Betti entries {(p, grade): dim} of S/I, memoized on `pairs`.
+
+    Read off the Schreyer complex, which is dropped when this returns.  The
+    dict is shared by every caller, so none may mutate it.
+    """
+    if not hasattr(pairs, "_quotient_betti"):
+        pairs._quotient_betti = schreyer_quotient_betti(
+            pairs.ring, [g for _, g in pairs.nonzero_generators()]
+        )
+    return pairs._quotient_betti
+
+
+def _pdim(entries):
+    """Projective dimension: the largest homological index of a Betti table."""
+    return max(p for p, _ in entries)
 
 
 # ---------------------------------------------------------------------------
@@ -202,14 +230,17 @@ def associated_primes(pairs: PairsIdeal, progress=None):
     """The full associated-prime list of S/pairs-ideal, each tagged.
 
     Candidates are the biflats (complete by the structure theory); each is
-    decided by the exact colon criterion.  Minimal primes are recognized
-    combinatorially and re-certified like every other candidate.
+    checked to contain the ideal, then ruled out when its codim exceeds
+    pdim S/I, else decided by the exact colon criterion.  Minimal primes
+    are recognized combinatorially and re-certified like every other
+    candidate.
     """
     ideal = pairs_ideal_object(pairs)
     if ideal.is_zero_ideal():
         full = frozenset(range(pairs.n))
         p = LinearPrime(pairs, frozenset(), full, tag="minimal")
         return [p]
+    pdim = _pdim(pairs_quotient_betti(pairs))
     M = pairs.matroid
     minimal_keys = {
         (F, frozenset(range(pairs.n)) - F) for F in M.cyclic_flats()
@@ -217,7 +248,11 @@ def associated_primes(pairs: PairsIdeal, progress=None):
     out = []
     for F, G in biflats(M):
         cand = LinearPrime(pairs, F, G)
-        verdict, witness = is_associated(ideal, cand.forms)
+        if cand.codim > pdim:
+            prime_containing(ideal, cand.forms)  # the check is_associated makes
+            verdict = False
+        else:
+            verdict, witness = is_associated(ideal, cand.forms)
         if progress is not None:
             progress(cand, verdict)
         if verdict:
@@ -241,6 +276,7 @@ def slice_associated_primes(pairs: PairsIdeal, progress=None):
     """
     pairs.require_no_coloops("slice associated primes")
     ring, m, cols, _ = pairs.slice_columns()
+    pdim = _slice_pdim(ring, m, cols)
     ctx = ModuleContext(ring)
     # reduced Groebner basis of N, shared by every candidate
     basis = interreduce(ctx, buchberger(ctx, cols, track=False)[0])
@@ -252,7 +288,10 @@ def slice_associated_primes(pairs: PairsIdeal, progress=None):
             continue  # associated primes contain a minimal prime (so F is nonempty)
         # f_i has x-ring variable indices already: they come first in S
         forms = echelon_forms(ring, [pairs.f[i] for i in sorted(F)])
-        verdict = module_prime_is_associated(ctx, basis, m, forms)
+        if len(forms) > pdim:
+            verdict = False  # codim above pdim E/N
+        else:
+            verdict = module_prime_is_associated(ctx, basis, m, forms)
         if progress is not None:
             progress(F, verdict)
         if verdict:
@@ -266,6 +305,15 @@ def slice_associated_primes(pairs: PairsIdeal, progress=None):
             )
     out.sort(key=lambda d: (len(d["flat"]), d["flat"]))
     return out
+
+
+def _slice_pdim(ring, rank, cols):
+    """pdim E/N for E free of rank `rank` and N spanned by `cols`.
+
+    Read off the Schreyer complex, which is dropped when this returns.
+    """
+    zero = (0,) * ring.ngrades
+    return _pdim(schreyer_resolution(ring, cols, [zero] * rank).minimal_betti())
 
 
 def module_prime_is_associated(ctx, basis, rank, prime_forms) -> bool:

@@ -38,11 +38,11 @@ from .primes import (
     associated_primes,
     minimal_primes,
     pairs_ideal_object,
+    pairs_quotient_betti,
     slice_associated_primes,
     uniform_checks,
     verify_min_primes,
 )
-from .resolution import schreyer_quotient_betti
 
 
 VERIFY_TARGETS = (
@@ -100,9 +100,7 @@ class Workbench:
 
     def resolution_betti(self, target="quotient") -> BettiTable:
         if "resolution" not in self._betti_cache:
-            entries = schreyer_quotient_betti(
-                self.pairs.ring, [g for _, g in self.pairs.nonzero_generators()]
-            )
+            entries = pairs_quotient_betti(self.pairs)
             self._betti_cache["resolution"] = BettiTable(
                 "quotient", "resolution", entries, "full (exact complex)", True
             )
@@ -462,8 +460,8 @@ def full_report(bench: Workbench, include_primes=True, include_betti=True):
             "koszul": tab.to_json(),
             "resolution": res.to_json(),
             "methods_agree": tab.entries == res.entries,
-            "pdim_ideal": max((p for (p, _) in tab.entries), default=0),
-            "pdim_quotient": max((p for (p, _) in tab.entries), default=-1) + 1,
+            "pdim_ideal": max((p for (p, _) in res.entries), default=0),
+            "pdim_quotient": res.max_p() + 1,
             "pdim_certificate": "exact free complex (induced orders)",
         }
     if include_primes:

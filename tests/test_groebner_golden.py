@@ -6,8 +6,9 @@ byte.  The S-pair selection order is pinned by hashing the stream that
 `groebner.TRACE` receives with `TRACE_EVERY = 1`: one
 `(processed, pending, len(basis))` triple per processed pair, where
 `pending` counts the live pairs left.  The recorded hashes cover the
-associated-prime scan of a3 (many tracked colon runs) and the Schreyer
-complex of seven (induced module orders).
+colon test on every biflat of a3 (many tracked colon runs: the oracle that
+the pruned associated-prime scan is checked against in `test_primes.py`)
+and the Schreyer complex of seven (induced module orders).
 """
 
 import hashlib
@@ -19,7 +20,8 @@ import pytest
 from pairideal import groebner
 from pairideal.fixtures import get_fixture
 from pairideal.pairs import PairsIdeal
-from pairideal.primes import associated_primes, pairs_ideal_object
+from pairideal.matroid import biflats
+from pairideal.primes import LinearPrime, pairs_ideal_object
 from pairideal.resolution import schreyer_quotient_betti
 from pairideal.scalars import field_from_descriptor
 
@@ -69,7 +71,11 @@ def _trace_stream(run):
 
 
 def _a3_associated_primes():
-    associated_primes(_pairs("a3"))
+    pairs = _pairs("a3")
+    ideal = pairs_ideal_object(pairs)
+    ideal.groebner()
+    for F, G in biflats(pairs.matroid):
+        groebner.is_associated(ideal, LinearPrime(pairs, F, G).forms)
 
 
 def _seven_schreyer_betti():

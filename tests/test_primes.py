@@ -1,14 +1,23 @@
 import pytest
 
-from pairideal.matroid import ColoopError
+from pairideal.fixtures import get_fixture
+from pairideal.groebner import ModuleContext, buchberger, interreduce, is_associated
+from pairideal.linalg import ExactMatrix
+from pairideal.matroid import ColoopError, Realization, biflats
+from pairideal.pairs import PairsIdeal
 from pairideal.primes import (
     LinearPrime,
     associated_primes,
+    echelon_forms,
     minimal_primes,
+    module_prime_is_associated,
+    pairs_ideal_object,
     slice_associated_primes,
     uniform_checks,
     verify_min_primes,
 )
+from pairideal.resolution import schreyer_quotient_betti
+from pairideal.scalars import QQ
 
 
 def prime_sets(primes):
@@ -150,3 +159,77 @@ def test_linear_prime_codim_cross_check(a3):
     p = LinearPrime(pairs, frozenset({0, 1, 3}), full - frozenset({0, 1, 3}))
     assert p.codim == 4
     assert len(p.forms) == 4
+
+
+def _realization(name):
+    """A fixture, or the block-diagonal sum of fixtures for `a+b`."""
+    if "+" not in name:
+        return get_fixture(name)
+    blocks = [get_fixture(part).matrix.entries for part in name.split("+")]
+    width = sum(len(block[0]) for block in blocks)
+    rows, offset = [], 0
+    for block in blocks:
+        for row in block:
+            out = [QQ.zero] * width
+            out[offset : offset + len(row)] = row
+            rows.append(out)
+        offset += len(block[0])
+    return Realization(name, QQ, ExactMatrix(QQ, rows))
+
+
+def colon_oracle(pairs):
+    """Keys of the biflats that the colon test finds associated, none pruned."""
+    ideal = pairs_ideal_object(pairs)
+    cands = [LinearPrime(pairs, F, G) for F, G in biflats(pairs.matroid)]
+    return sorted(p.key() for p in cands if is_associated(ideal, p.forms)[0])
+
+
+def slice_colon_oracle(side):
+    """Labels of the slice flats that the module colon test finds associated."""
+    ring, m, cols, _ = side.slice_columns()
+    ctx = ModuleContext(ring)
+    basis = interreduce(ctx, buchberger(ctx, cols, track=False)[0])
+    M = side.matroid
+    minimal_cyc = M.minimal_nonempty_cyclic_flats()
+    return sorted(
+        side.original_labels(F)
+        for F in M.flats()
+        if any(C <= F for C in minimal_cyc)
+        and module_prime_is_associated(
+            ctx, basis, m, echelon_forms(ring, [side.f[i] for i in sorted(F)])
+        )
+    )
+
+
+# colon tests made by the pruned scan, out of all biflat candidates
+PRUNED_COLONS = {"a3": (18, 33), "a3+u:2:3": (106, 198)}
+
+
+@pytest.mark.parametrize(
+    "name", ["a3", "fail_A", "fail_PA", "u:2:4", "u:3:5", "seven", "a3+u:2:3"]
+)
+def test_pruned_scan_equals_colon_oracle(name, monkeypatch):
+    pairs = PairsIdeal(_realization(name))
+    colons = 0
+
+    def counting(ideal, forms):
+        nonlocal colons
+        colons += 1
+        return is_associated(ideal, forms)
+
+    seen = []
+    monkeypatch.setattr("pairideal.primes.is_associated", counting)
+    ass = associated_primes(pairs, progress=lambda cand, verdict: seen.append(cand))
+    monkeypatch.undo()
+    assert sorted(p.key() for p in ass) == colon_oracle(pairs)
+    # every candidate is reported, and only those within pdim get a colon
+    gens = [g for _, g in pairs.nonzero_generators()]
+    pdim = max(p for p, _ in schreyer_quotient_betti(pairs.ring, gens))
+    assert len(seen) == len(list(biflats(pairs.matroid)))
+    assert colons == sum(1 for cand in seen if cand.codim <= pdim)
+    if name in PRUNED_COLONS:
+        assert (colons, len(seen)) == PRUNED_COLONS[name]
+    if not pairs.coloops:
+        for side in (pairs, pairs.swap_roles()):
+            got = sorted(d["flat"] for d in slice_associated_primes(side))
+            assert got == slice_colon_oracle(side)
