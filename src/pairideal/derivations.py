@@ -9,7 +9,7 @@ generator is re-verified against the defining identity theta(f_j) in (f_j).
 
 from __future__ import annotations
 
-from .graded import _dx, theta_from_syzygy
+from .graded import apply_theta, theta_from_syzygy
 from .groebner import ModuleContext, module_syzygies
 from .matroid import LoopError, MatroidError, Realization
 from .pairs import PairsIdeal
@@ -211,16 +211,12 @@ def ilog_generators(pairs: PairsIdeal, dermod: DerivationModule):
     Exact division is re-run here; a failure signals an invalid derivation.
     """
     RA = xa_ring(pairs.field, pairs.r, pairs.n)
-    S = pairs.ring
     out = []
     for theta in dermod.thetas:
         terms = []
         for k in range(pairs.n):
             fk = pairs.f[k]
-            applied = S.zero()
-            for i in range(pairs.r):
-                applied = applied + theta[i] * _dx(fk, i)
-            quot = _exact_div(applied, fk)
+            quot = _exact_div(apply_theta(theta, fk), fk)
             for e, c in quot.terms.items():
                 exp = e[: pairs.r] + _unit(pairs.n, k)
                 terms.append((exp, c))

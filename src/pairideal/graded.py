@@ -7,6 +7,12 @@ logarithmic subideal, and the bounded linear-type comparison.  Each piece
 is a finite exact computation, so these routines double as an independent
 oracle for the Groebner route.
 
+Every piece that is the span of the variable multiples of lower pieces is
+grown by `spans.grow`: the bidegree pieces of the ideal and of its powers
+(`IdealPieces`), the symmetric pieces of the linear-type comparison for
+a-degree q >= 2, and the lower spans that the minimal-generator counts of
+the derivation slices and of the critical-set ideal subtract.
+
 Every kernel slice is built by one product kernel,
 `GradedEngine._product_kernel`: the kernel of the tagged vectors m * prod
 in one bidegree of S.  The syzygy slice in bidegree (c,d) takes the pair
@@ -19,86 +25,51 @@ from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement
 from math import comb, lcm
+from operator import add
 
 from .pairs import PairsIdeal
 from .ring import Poly, RingError, _compositions, _unit
-from .spans import Echelon, _bump, kernel_of_stacked_vectors
+from .spans import Echelon, Pieces, grow, kernel_of_stacked_vectors
 
 
-class IdealPieces:
+class IdealPieces(Pieces):
     """Bidegree pieces of an ideal of S given by homogeneous generators.
 
-    Pieces are grown incrementally: the (i,j) piece is spanned by the
-    variable multiples of the (i-1,j) and (i,j-1) pieces plus any generators
-    of bidegree (i,j).
+    The (i,j) piece is spanned by the variable multiples of the (i-1,j) and
+    (i,j-1) pieces plus any generators of bidegree (i,j); its columns are
+    the positions in `monomial_basis`.
     """
 
     def __init__(self, ring, generators):
+        super().__init__(ring.field, [(g, 0, t) for t, g in enumerate(ring.grades)])
         self.ring = ring
-        self.field = ring.field
-        self.gens_by_bidegree = {}
+        self._columns = {}
         for g in generators:
-            if g.is_zero():
-                continue
-            self.gens_by_bidegree.setdefault(g.grade(), []).append(g)
-        self._mono = {}
-        self._index = {}
-        self._pieces = {}
+            if not g.is_zero():
+                self.gens.setdefault(g.grade(), []).append(self.poly_vector(g))
+
+    def columns(self, bideg):
+        """(monomial_basis(bideg), {monomial: position})."""
+        got = self._columns.get(bideg)
+        if got is None:
+            mons = self.ring.monomial_basis(bideg)
+            got = self._columns[bideg] = (mons, {m: i for i, m in enumerate(mons)})
+        return got
 
     def monomials(self, bideg):
-        if bideg not in self._mono:
-            mons = self.ring.monomial_basis(bideg)
-            self._mono[bideg] = mons
-            self._index[bideg] = {m: i for i, m in enumerate(mons)}
-        return self._mono[bideg]
+        return self.columns(bideg)[0]
 
     def index(self, bideg):
-        self.monomials(bideg)
-        return self._index[bideg]
+        return self.columns(bideg)[1]
 
     def poly_vector(self, p: Poly, bideg=None):
         """Sparse column vector of a homogeneous polynomial."""
         if p.is_zero():
             return {}
-        bideg = bideg or p.grade()
-        idx = self.index(bideg)
+        idx = self.index(bideg or p.grade())
         return {idx[e]: c for e, c in p.terms.items()}
 
-    def piece(self, bideg) -> Echelon:
-        got = self._pieces.get(bideg)
-        if got is not None:
-            return got
-        ech = Echelon(self.field)
-        i, j = bideg
-        if i >= 0 and j >= 0:
-            idx = self.index(bideg)
-            nvars = self.ring.nvars
-            for t in range(nvars):
-                gt = self.ring.grades[t]
-                prev = (i - gt[0], j - gt[1])
-                if prev[0] < 0 or prev[1] < 0:
-                    continue
-                sub = self.piece(prev)
-                if not sub.dim:
-                    continue
-                pidx = self._mono[prev]
-                for row in sub.rows.values():
-                    vec = {}
-                    for col, c in row.items():
-                        e = pidx[col]
-                        e2 = list(e)
-                        e2[t] += 1
-                        vec[idx[tuple(e2)]] = c
-                    ech.insert(vec)
-            for g in self.gens_by_bidegree.get(bideg, []):
-                ech.insert(self.poly_vector(g, bideg))
-        self._pieces[bideg] = ech
-        return ech
-
     def dim(self, bideg) -> int:
-        i, j = bideg
-        if i < 0 or j < 0:
-            return 0
         return self.piece(bideg).dim
 
     def contains(self, p: Poly) -> bool:
@@ -215,6 +186,8 @@ class GradedEngine:
         self._K_cache = {}
         self._L_cache = {}
         self._ix_cache = {}
+        self._rank_cache = {}
+        self._pp_cache = {tuple([0] * pairs.n): self.ring.one()}
 
     # -- Hilbert data -----------------------------------------------------------
     def ideal_dim(self, bideg) -> int:
@@ -353,11 +326,15 @@ class GradedEngine:
         return cols
 
     def _koszul_rank(self, p, bideg):
-        ech = Echelon(self.field)
-        for col in self._boundary_columns(p, bideg):
-            if col:
-                ech.insert(col)
-        return ech.dim
+        """Rank of d_p in this bidegree, kept for the life of the engine."""
+        got = self._rank_cache.get((p, bideg))
+        if got is None:
+            ech = Echelon(self.field)
+            for col in self._boundary_columns(p, bideg):
+                if col:
+                    ech.insert(col)
+            got = self._rank_cache[(p, bideg)] = ech.dim
+        return got
 
     def koszul_homology_dim(self, p, bideg):
         _, dim_p = self._chain_basis(p, bideg)
@@ -452,22 +429,13 @@ class GradedEngine:
 
     def derivation_new_generator_count(self, d: int) -> int:
         """dim K_(d,1) minus dim R_1 * K_(d-1,1): minimal generators at degree d."""
-        if d < 1:
-            return 0
-        if d == 1:
-            return self.derivation_slice_dim(1)
-        ech = Echelon(self.field)
-        for c in self.derivation_slice(d - 1):
-            for t in range(self.pairs.r):
-                ech.insert(_bump(c, 1, t))
-        total = self.derivation_slice_dim(d)
-        return total - ech.dim
+        variables = [((1, 0), 1, t) for t in range(self.pairs.r)]
+        lower = grow(self.field, (d, 1), variables, lambda g: self.syzygy_slice(*g))
+        return self.derivation_slice_dim(d) - lower.dim
 
     # -- critical-set ideal slices ----------------------------------------------------
     def _pair_product(self, gamma):
         """Product of (f_k g_k)^gamma_k in S, cached."""
-        if not hasattr(self, "_pp_cache"):
-            self._pp_cache = {tuple([0] * self.pairs.n): self.ring.one()}
         got = self._pp_cache.get(gamma)
         if got is None:
             k = next(i for i, e in enumerate(gamma) if e)
@@ -505,14 +473,10 @@ class GradedEngine:
 
     def ix_new_generators(self, i: int, j: int) -> int:
         """Minimal-generator count of the critical-set ideal at (i;j)."""
-        ech = Echelon(self.field)
-        for v in self.ix_slice(i - 1, j):
-            for t in range(self.pairs.r):
-                ech.insert(_bump(v, 0, t))
-        for v in self.ix_slice(i, j - 1):
-            for k in range(self.pairs.n):
-                ech.insert(_bump(v, 1, k))
-        return self.ix_dim(i, j) - ech.dim
+        variables = [((1, 0), 0, t) for t in range(self.pairs.r)]
+        variables += [((0, 1), 1, k) for k in range(self.pairs.n)]
+        lower = grow(self.field, (i, j), variables, lambda g: self.ix_slice(*g))
+        return self.ix_dim(i, j) - lower.dim
 
     def ilog_slice(self, der_generators, i: int, j: int):
         """Span of the multiples of the logarithmic generators at (i;j).
@@ -521,33 +485,22 @@ class GradedEngine:
         the derivations module).  Returns (echelon, list of basis keys) in
         the same (x-exponent, a-exponent) coordinates as ix_slice.
         """
-        gens = []
-        for cvec in der_generators:
-            g = {}
-            for (k, e), v in cvec.items():
-                g[(e, _unit(self.pairs.n, k))] = v
-            gens.append(g)
         ech = Echelon(self.field)
-        for g in gens:
+        for cvec in der_generators:
+            g = _lt_vector(self.pairs.n, cvec)
             d = _ix_xdeg(g)
             if d > i or j < 1:
                 continue
             gammas = _compositions(j - 1, self.pairs.n)
             for m in self.ring.monomial_basis((i - d, 0)):
                 for gamma in gammas:
-                    vec = {}
-                    for (e, ga), v in g.items():
-                        e2 = tuple(a + b for a, b in zip(e, m))
-                        ga2 = tuple(a + b for a, b in zip(ga, gamma))
-                        key = (e2, ga2)
-                        acc = vec.get(key, 0) + v
-                        if acc:
-                            vec[key] = acc
-                        else:
-                            vec.pop(key, None)
-                    # distinct source keys always map to distinct targets here,
-                    # but merged keys are handled above for safety
-                    ech.insert(vec)
+                    # a translation by (m, gamma) keeps distinct keys distinct
+                    ech.insert(
+                        {
+                            (tuple(map(add, e, m)), tuple(map(add, ga, gamma))): v
+                            for (e, ga), v in g.items()
+                        }
+                    )
         return ech
 
     def ilog_dim(self, der_generators, i, j) -> int:
@@ -608,27 +561,21 @@ class GradedEngine:
         return self._sym_piece(c, d, q).dim
 
     def _sym_piece(self, c, d, q):
+        """The (c,d;q) piece: the relation slice at q = 1, above it the span
+        of its variable multiples by x, y and a."""
         key = (c, d, q)
         got = self._L_cache.get(key)
-        if got is not None:
-            return got
-        ech = Echelon(self.field)
-        if c >= 0 and d >= 0 and q >= 1:
+        if got is None:
             if q == 1:
+                got = Echelon(self.field)
                 for v in self.syzygy_slice(c + 1, d + 1):
-                    ech.insert(_lt_vector(self.pairs.n, v))
+                    got.insert(_lt_vector(self.pairs.n, v))
             else:
-                for t in range(self.ring.nvars):
-                    gt = self.ring.grades[t]
-                    sub = self._sym_piece(c - gt[0], d - gt[1], q)
-                    for row in sub.rows.values():
-                        ech.insert(_bump(row, 0, t))
-                sub = self._sym_piece(c, d, q - 1)
-                for row in sub.rows.values():
-                    for k in range(self.pairs.n):
-                        ech.insert(_bump(row, 1, k))
-        self._L_cache[key] = ech
-        return ech
+                variables = [(g + (0,), 0, t) for t, g in enumerate(self.ring.grades)]
+                variables += [((0, 0, 1), 1, k) for k in range(self.pairs.n)]
+                got = grow(self.field, key, variables, lambda g: self._sym_piece(*g).rows.values())
+            self._L_cache[key] = got
+        return got
 
     def linear_type_check(self, bound: int):
         """Compare relation and symmetric-kernel pieces up to the bound.
@@ -670,28 +617,21 @@ def theta_from_syzygy(pairs: PairsIdeal, cvec):
         cpolys.append(S.from_terms(terms))
     theta = [cpolys[i] * S.var(i) for i in range(r)]
     for j in range(pairs.n):
-        fj = pairs.f[j]
-        applied = S.zero()
-        for i in range(r):
-            applied = applied + theta[i] * _dx(fj, i)
-        if applied - cpolys[j] * fj:
+        if apply_theta(theta, pairs.f[j]) - cpolys[j] * pairs.f[j]:
             raise RingError("syzygy does not define a logarithmic derivation")
     return theta
 
 
+def apply_theta(theta, f: Poly) -> Poly:
+    """theta(f) = sum_i theta_i * coeff(f, x_i) for a linear form f, with
+    theta the tuple of polynomials theta(x_1), ..., theta(x_r)."""
+    out = f.ring.zero()
+    for e, c in f.terms.items():
+        out = out + theta[e.index(1)].scale(c)
+    return out
+
+
 # -- helpers --------------------------------------------------------------------
-
-
-def _dx(p: Poly, i: int) -> Poly:
-    ring = p.ring
-    F = ring.field
-    terms = []
-    for e, c in p.terms.items():
-        if e[i]:
-            e2 = list(e)
-            e2[i] -= 1
-            terms.append((tuple(e2), F.mul(c, F.of(e[i]))))
-    return ring.from_terms(terms)
 
 
 def _ix_xdeg(gvec):

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from operator import add
 
-from .groebner import ModuleContext, module_syzygies
+from .groebner import ModuleContext, buchberger, interreduce, module_syzygies, poly_to_raw
 from .ring import PolyRing
-from .spans import Echelon, _bump
+from .spans import Echelon, Pieces
 
 
 class ResolutionError(ValueError):
@@ -34,7 +34,7 @@ def raw_grade(ring: PolyRing, raw, shifts):
     return grade
 
 
-class ModulePieces:
+class ModulePieces(Pieces):
     """Multigrade pieces of a submodule of a shifted free module.
 
     Generators must be registered in weakly increasing total degree; pieces
@@ -43,41 +43,16 @@ class ModulePieces:
     """
 
     def __init__(self, ring: PolyRing, shifts):
+        super().__init__(ring.field, [(g, 1, t) for t, g in enumerate(ring.grades)])
         self.ring = ring
-        self.field = ring.field
         self.shifts = shifts
-        self.gens_by_grade = {}
-        self._pieces = {}
 
     def register(self, raw, grade=None):
         g = grade if grade is not None else raw_grade(self.ring, raw, self.shifts)
         if any(sum(k) > sum(g) for k in self._pieces):
             raise ResolutionError("generators must be registered in degree order")
-        self.gens_by_grade.setdefault(g, []).append(raw)
+        self.gens.setdefault(g, []).append(raw)
         self._pieces.pop(g, None)
-
-    def lower_span(self, grade) -> Echelon:
-        """Span of all variable multiples of strictly lower pieces."""
-        ech = Echelon(self.field)
-        ring = self.ring
-        for t in range(ring.nvars):
-            gt = ring.grades[t]
-            prev = tuple(a - b for a, b in zip(grade, gt))
-            if any(x < 0 for x in prev):
-                continue
-            for row in self.piece(prev).rows.values():
-                ech.insert(_bump(row, 1, t))
-        return ech
-
-    def piece(self, grade) -> Echelon:
-        got = self._pieces.get(grade)
-        if got is not None:
-            return got
-        ech = self.lower_span(grade)
-        for raw in self.gens_by_grade.get(grade, []):
-            ech.insert(raw)
-        self._pieces[grade] = ech
-        return ech
 
 
 def minimal_generators(ring: PolyRing, elements, shifts):
@@ -208,8 +183,6 @@ def resolve_submodule(
 def resolve_quotient_by_ideal(ring: PolyRing, ideal_gens, max_steps=None) -> FreeResolution:
     """Minimal resolution data for ring/(ideal): steps[0] = minimal ideal gens."""
     raws = []
-    from .groebner import poly_to_raw
-
     for g in ideal_gens:
         if not g.is_zero():
             raws.append(poly_to_raw(g))
@@ -272,8 +245,6 @@ class SchreyerResolution:
         Index p=0 refers to the ambient free module's contribution (for a
         quotient resolution this is the module itself).
         """
-        from .spans import Echelon
-
         grades_by_level = [list(ambient_grades or self.ambient_shifts)]
         grades_by_level += [list(g) for g in self.level_grades]
         scalars = [self.scalar_columns(p) for p in range(len(self.levels))]
@@ -313,8 +284,6 @@ def schreyer_resolution(ring: PolyRing, inputs, shifts, order=None) -> SchreyerR
     a minimal-lead Groebner basis of the syzygies of level p with respect
     to the induced order.
     """
-    from .groebner import buchberger, interreduce
-
     base_ctx = ModuleContext(ring, shifts={i: sum(s) for i, s in enumerate(shifts)}, order=order)
     basis0, _ = buchberger(base_ctx, [dict(r) for r in inputs if r], track=False)
     red0 = interreduce(base_ctx, basis0)
@@ -380,8 +349,6 @@ def schreyer_resolution(ring: PolyRing, inputs, shifts, order=None) -> SchreyerR
 
 def schreyer_quotient_betti(ring: PolyRing, ideal_gens, order=None):
     """Minimal Betti numbers of ring/(ideal) via the induced-order complex."""
-    from .groebner import poly_to_raw
-
     raws = [poly_to_raw(g) for g in ideal_gens if not g.is_zero()]
     zero_grade = (0,) * ring.ngrades
     res = schreyer_resolution(ring, raws, [zero_grade], order=order)

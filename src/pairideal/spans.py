@@ -11,6 +11,11 @@ quotient bases), and tracked insertion (kernel extraction: when an inserted
 vector is dependent, the exact combination over previously inserted vectors
 is returned).
 
+Graded pieces are grown degree by degree by one function, `grow`: the span
+of the variable multiples of the lower pieces.  `Pieces` memoizes the
+pieces of a submodule grown that way; `graded.IdealPieces` and
+`resolution.ModulePieces` are its two kinds.
+
 The coefficient kernel is three primitives, used here and by `groebner`:
 
 - `to_ints(vec, p)`: the only way field scalars become raw integer
@@ -31,6 +36,7 @@ the field once per call, not once per entry.
 from __future__ import annotations
 
 from math import gcd, lcm
+from operator import sub
 
 
 def to_ints(vec, p):
@@ -112,6 +118,65 @@ def _bump(vec, slot, i):
             e[i] += 1
             out[(tuple(e), b)] = v
     return out
+
+
+def grow(field, grade, variables, lower, columns=None):
+    """The Echelon span of the variable multiples of the lower pieces.
+
+    variables: (shift, slot, i) per variable; its multiple of a row of the
+    piece at grade - shift raises exponent i of the row's keys, in key slot
+    `slot` (see `_bump`).  lower(prev) gives the rows of the piece at prev,
+    and is asked only when prev >= 0 entrywise.  With columns, a function
+    grade -> (monomials, {monomial: position}), rows are keyed by positions
+    in those lists instead: the multiple re-indexes each monomial of prev
+    once for all its rows, and the column order stays that of the lists.
+    """
+    ech = Echelon(field)
+    for shift, slot, i in variables:
+        prev = tuple(map(sub, grade, shift))
+        if min(prev) < 0 or not (rows := lower(prev)):
+            continue
+        if columns is None:
+            multiples = (_bump(row, slot, i) for row in rows)
+        else:
+            to = columns(grade)[1]
+            col = [to[e[:i] + (e[i] + 1,) + e[i + 1 :]] for e in columns(prev)[0]]
+            multiples = ({col[c]: v for c, v in row.items()} for row in rows)
+        for vec in multiples:
+            ech.insert(vec)
+    return ech
+
+
+class Pieces:
+    """Memoized graded pieces of a submodule: the piece at a grade is grown
+    (`grow`) from the lower pieces, and spans the generators of that grade.
+
+    `variables` and `columns` are as in `grow`; `gens` maps a grade to the
+    generator vectors sitting in it.
+    """
+
+    columns = None
+
+    def __init__(self, field, variables):
+        self.field = field
+        self.variables = variables
+        self.gens = {}
+        self._pieces = {}
+
+    def lower_span(self, grade) -> Echelon:
+        """Span of the variable multiples of the lower pieces."""
+        return grow(
+            self.field, grade, self.variables, lambda g: self.piece(g).rows.values(), self.columns
+        )
+
+    def piece(self, grade) -> Echelon:
+        got = self._pieces.get(grade)
+        if got is None:
+            got = self.lower_span(grade)
+            for vec in self.gens.get(grade, ()):
+                got.insert(vec)
+            self._pieces[grade] = got
+        return got
 
 
 class Echelon:

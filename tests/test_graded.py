@@ -115,9 +115,11 @@ def test_derivation_slices(a3, boolean3, seven):
 
 
 def test_derivation_new_generators(a3, bracelet):
-    assert [a3.engine.derivation_new_generator_count(d) for d in (1, 2, 3, 4)] == [1, 1, 1, 0]
+    counts = [a3.engine.derivation_new_generator_count(d) for d in (-1, 0, 1, 2, 3, 4)]
+    assert counts == [0, 0, 1, 1, 1, 0]
     # bracelet: Euler in degree 1 and four generators one degree higher
-    assert [bracelet.engine.derivation_new_generator_count(d) for d in (1, 2, 3)] == [1, 0, 4]
+    counts = [bracelet.engine.derivation_new_generator_count(d) for d in (-1, 0, 1, 2, 3)]
+    assert counts == [0, 0, 1, 0, 4]
 
 
 def test_theta_from_syzygy(a3, u12):
@@ -184,6 +186,9 @@ def test_ix_slices(a3, bracelet):
         assert eng.ix_slice(2, 0) == []
         for i in range(3):
             assert eng.ix_dim(i, 1) == eng.derivation_slice_dim(i + 1)
+        # at i = 0 only the a-multiples of the (0;j-1) piece are lower: the
+        # Euler element is the one new generator, at (0;1)
+        assert [eng.ix_new_generators(0, j) for j in (0, 1, 2)] == [0, 1, 0]
     assert bracelet.engine.ix_dim(2, 2) == 123
     assert bracelet.engine.ix_new_generators(2, 2) == 1
 

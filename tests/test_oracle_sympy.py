@@ -1,19 +1,29 @@
-"""Differential oracle: reduced Groebner bases against sympy.
+"""Differential oracles against sympy.
 
 Small integer ideals (at most 3 variables, 3 generators, degree 2) are
 drawn by hypothesis; the monic reduced basis of `Ideal.groebner()` must
 equal `sympy.groebner(..., order="grevlex")` over QQ and over GF(32003).
+
+The fixtures' pairs ideals, and two of their squares, are checked
+degreewise: the dimensions of the grown bidegree pieces must match the
+counts of sympy's grevlex standard monomials, and degreewise membership
+must match sympy's `contains` on seeded random elements.
 sympy is an optional test dependency; the package itself does not use it.
 """
 
-from itertools import product
+import random
+from itertools import combinations_with_replacement, product
+from pathlib import Path
 
 import pytest
+from conftest import bench_for
 from hypothesis import given, settings, strategies as st
 
 from pairideal.groebner import Ideal
+from pairideal.io import InputSpec
 from pairideal.ring import PolyRing
 from pairideal.scalars import QQ, PrimeField
+from pairideal.workbench import Workbench
 
 sympy = pytest.importorskip("sympy")
 
@@ -69,3 +79,87 @@ def test_groebner_matches_sympy_over_qq(gens):
 @given(ideals)
 def test_groebner_matches_sympy_over_gf32003(gens):
     _check(PrimeField(PRIME), gens)
+
+
+# -- the fixtures' pairs ideals ---------------------------------------------------
+
+A3_GF32003 = Path(__file__).parent / "golden" / "a3_gf32003.json"
+WINDOW = 4
+
+
+def _bench(name):
+    if name == "a3_gf32003":
+        return Workbench(InputSpec.from_file(A3_GF32003).realization())
+    return bench_for(name)
+
+
+def _to_sympy(poly, xs):
+    field = poly.ring.field
+    coeff = (lambda c: c) if field.char else (lambda c: sympy.Rational(c.numerator, c.denominator))
+    return sum(
+        (coeff(c) * sympy.Mul(*(x**k for x, k in zip(xs, e))) for e, c in poly.terms.items()),
+        sympy.S.Zero,
+    )
+
+
+def _sympy_basis(ring, gens):
+    xs = sympy.symbols(ring.names)
+    options = {"modulus": ring.field.char} if ring.field.char else {}
+    basis = sympy.groebner([_to_sympy(g, xs) for g in gens], *xs, order="grevlex", **options)
+    return basis, xs
+
+
+def _standard_counts(ring, basis, window):
+    """Grevlex standard monomials of each bidegree i + j <= window."""
+    leads = [g.monoms(order="grevlex")[0] for g in basis.polys]
+    return {
+        (i, j): sum(
+            not any(all(a >= b for a, b in zip(m, lead)) for lead in leads)
+            for m in ring.monomial_basis((i, j))
+        )
+        for i in range(window + 1)
+        for j in range(window + 1 - i)
+    }
+
+
+@pytest.mark.parametrize("name", ["a3", "fail_A", "u:2:4", "seven", "a3_gf32003"])
+def test_pairs_quotient_dims_match_sympy(name):
+    eng = _bench(name).engine
+    basis, _ = _sympy_basis(eng.ring, eng.pairs.generators)
+    standard = _standard_counts(eng.ring, basis, WINDOW)
+    assert eng.hilbert(WINDOW) == standard
+
+
+@pytest.mark.parametrize("name", ["a3", "seven"])
+def test_pairs_square_dims_match_sympy(name):
+    eng = _bench(name).engine
+    gens = eng.pairs.generators
+    square = [f * g for f, g in combinations_with_replacement(gens, 2)]
+    basis, _ = _sympy_basis(eng.ring, square)
+    standard = _standard_counts(eng.ring, basis, WINDOW + 1)
+    pieces = eng.power_pieces(2)
+    for bideg, count in standard.items():
+        assert pieces.dim(bideg) == eng.ring.monomial_count(bideg) - count, bideg
+
+
+@pytest.mark.parametrize("name", ["a3", "fail_A", "u:2:4", "seven", "a3_gf32003"])
+def test_pairs_membership_matches_sympy(name):
+    eng = _bench(name).engine
+    ring, gens = eng.ring, eng.pairs.generators
+    basis, xs = _sympy_basis(ring, gens)
+    rng = random.Random(f"pairs-membership-{name}")
+    verdicts = []
+    for trial in range(24):
+        elem = ring.zero()
+        for _ in range(rng.randint(1, 3)):
+            mons = ring.monomial_basis((rng.randint(0, 2), rng.randint(0, 2)))
+            coeff = rng.choice((-2, -1, 1, 3))
+            elem = elem + rng.choice(gens).mul_monomial(rng.choice(mons), coeff)
+        if trial % 2:
+            # a stray term, outside the ideal whenever it lies on an axis
+            mons = ring.monomial_basis((rng.randint(0, 2), rng.randint(0, 2)))
+            elem = elem + ring.monomial(rng.choice(mons), rng.randint(1, 3))
+        ours = eng.member(elem)
+        assert ours == basis.contains(_to_sympy(elem, xs)), elem
+        verdicts.append(ours)
+    assert True in verdicts and False in verdicts

@@ -1,7 +1,11 @@
 from math import comb
 
+import pytest
+
 from pairideal.groebner import poly_to_raw
 from pairideal.resolution import (
+    ModulePieces,
+    ResolutionError,
     minimal_generators,
     resolve_quotient_by_ideal,
     resolve_submodule,
@@ -31,6 +35,17 @@ def test_minimal_generators_drop_redundant():
     y = {(0, (0, 1)): 1}
     mins = minimal_generators(R, [xx, x, y], [(0,)])
     assert len(mins) == 2
+
+
+def test_module_pieces_grow_and_keep_degree_order():
+    R = x_ring(QQ, 2)
+    pieces = ModulePieces(R, [(0,)])
+    pieces.register({(0, (1, 0)): 1})
+    # the degree-2 piece of (x) is spanned by x^2 and x*y
+    assert pieces.piece((2,)).dim == 2
+    assert pieces.lower_span((1,)).dim == 0
+    with pytest.raises(ResolutionError):
+        pieces.register({(0, (0, 1)): 1})
 
 
 def test_a3_quotient_resolution(a3):
