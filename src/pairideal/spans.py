@@ -13,7 +13,8 @@ is returned).
 
 Graded pieces are grown degree by degree by one function, `grow`: the span
 of the variable multiples of the lower pieces.  `Pieces` memoizes the
-pieces of a submodule grown that way; `graded.IdealPieces` and
+pieces of a submodule grown that way, from one side where the generators'
+grades allow it (`Pieces.lower_span`); `graded.IdealPieces` and
 `resolution.ModulePieces` are its two kinds.
 
 The coefficient kernel is three primitives, used here and by `groebner`:
@@ -36,7 +37,7 @@ the field once per call, not once per entry.
 from __future__ import annotations
 
 from math import gcd, lcm
-from operator import sub
+from operator import le, sub
 
 
 def to_ints(vec, p):
@@ -130,6 +131,10 @@ def grow(field, grade, variables, lower, columns=None):
     grade -> (monomials, {monomial: position}), rows are keyed by positions
     in those lists instead: the multiple re-indexes each monomial of prev
     once for all its rows, and the column order stays that of the lists.
+
+    Callers may pass a subset of the variables: the result is the same
+    span whenever every monomial that carries a lower generator to `grade`
+    is divisible by one of them (see `Pieces.lower_span`).
     """
     ech = Echelon(field)
     for shift, slot, i in variables:
@@ -152,7 +157,10 @@ class Pieces:
     (`grow`) from the lower pieces, and spans the generators of that grade.
 
     `variables` and `columns` are as in `grow`; `gens` maps a grade to the
-    generator vectors sitting in it.
+    generator vectors sitting in it.  Since the generator grades are known,
+    each piece is grown by the variables of one grade coordinate when that
+    gives the same span (`lower_span`), which leaves out the multiples that
+    would all be eliminated to zero.
     """
 
     columns = None
@@ -164,9 +172,25 @@ class Pieces:
         self._pieces = {}
 
     def lower_span(self, grade) -> Echelon:
-        """Span of the variable multiples of the lower pieces."""
+        """Span of the generators strictly below `grade`, times S.
+
+        It is grown from one side: if some coordinate k has g[k] < grade[k]
+        for every generator grade g strictly below, only the variables of
+        positive k-th grade multiply (the first such k; all variables if
+        none).  Each monomial of S_(grade - g) is then divisible by one of
+        them, so the span, and with it the pivots and `Echelon.reduce`
+        residuals, is that of all variable multiples.
+        """
+        below = [g for g in self.gens if g != grade and all(map(le, g, grade))]
+        if not below:
+            return Echelon(self.field)
+        variables = self.variables
+        for k, top in enumerate(grade):
+            if all(g[k] < top for g in below):
+                variables = [v for v in variables if v[0][k] > 0]
+                break
         return grow(
-            self.field, grade, self.variables, lambda g: self.piece(g).rows.values(), self.columns
+            self.field, grade, variables, lambda g: self.piece(g).rows.values(), self.columns
         )
 
     def piece(self, grade) -> Echelon:

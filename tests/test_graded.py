@@ -1,14 +1,19 @@
 """Degreewise engine: pieces, Hilbert data, Koszul homology, slices."""
 
 from math import comb, prod
+from operator import ge
 from pathlib import Path
 
 import pytest
 from conftest import bench_for
 
-from pairideal.graded import theta_from_syzygy
+from pairideal.fixtures import get_fixture
+from pairideal.graded import IdealPieces, theta_from_syzygy
 from pairideal.io import InputSpec
-from pairideal.ring import RingError
+from pairideal.resolution import ModulePieces
+from pairideal.ring import RingError, pair_ring
+from pairideal.scalars import QQ
+from pairideal.spans import Echelon, grow
 from pairideal.workbench import Workbench
 
 A3_GF32003 = Path(__file__).parent / "golden" / "a3_gf32003.json"
@@ -224,3 +229,76 @@ def test_membership_degreewise(a3):
     member = gens[0] * pairs.ring.var(0) + gens[3] * pairs.ring.var(4)
     assert eng.member(member)
     assert not eng.member(pairs.ring.var(0))
+
+
+# -- one-sided growth of the generated pieces -------------------------------------
+
+
+def _all_sides(P, grade):
+    """The piece at `grade` grown by every variable, over P's lower pieces."""
+    ech = grow(P.field, grade, P.variables, lambda g: P.piece(g).rows.values(), P.columns)
+    for vec in P.gens.get(grade, ()):
+        ech.insert(vec)
+    return ech
+
+
+def _assert_one_sided_exact(P, window):
+    for i in range(window + 1):
+        for j in range(window + 1 - i):
+            got, want = P.piece((i, j)), _all_sides(P, (i, j))
+            assert got.dim == want.dim, (i, j)
+            assert got.pivot_columns() == want.pivot_columns(), (i, j)
+
+
+@pytest.mark.parametrize("fixture", ["a3", "seven", "bracelet"])
+def test_one_sided_ideal_pieces_match_all_variable_growth(fixture, request):
+    eng = request.getfixturevalue(fixture).engine
+    _assert_one_sided_exact(eng.ideal, 6)
+    if fixture != "bracelet":
+        _assert_one_sided_exact(eng.power_pieces(2), 6)
+
+
+def test_mixed_generator_degrees_fall_back_to_all_variables():
+    # generators in bidegrees (1,0) and (0,2): at (1,2) neither coordinate
+    # lies above both, so no side may be left out
+    sympy = pytest.importorskip("sympy")
+    S = pair_ring(QQ, 3, 2)
+    terms = [
+        {(1, 0, 0, 0, 0): 1, (0, 1, 0, 0, 0): 2, (0, 0, 1, 0, 0): -1},
+        {(0, 0, 0, 2, 0): 1, (0, 0, 0, 1, 1): -1},
+        {(0, 0, 0, 0, 2): 1, (0, 0, 0, 1, 1): 3},
+    ]
+    P = IdealPieces(S, [S.from_terms((e, QQ.of(c)) for e, c in g.items()) for g in terms])
+    _assert_one_sided_exact(P, 5)
+    xs = sympy.symbols(S.names)
+    exprs = [sum(c * sympy.prod(v**k for v, k in zip(xs, e)) for e, c in g.items()) for g in terms]
+    basis = sympy.groebner(exprs, *xs, order="grevlex")
+    leads = [g.monoms(order="grevlex")[0] for g in basis.polys]
+    for i in range(6):
+        for j in range(6 - i):
+            mons = S.monomial_basis((i, j))
+            standard = sum(not any(all(map(ge, m, lead)) for lead in leads) for m in mons)
+            assert P.dim((i, j)) == len(mons) - standard, (i, j)
+
+    M = ModulePieces(S, [(0, 0), (0, 0)])
+    M.register({(0, (1, 0, 0, 0, 0)): 1, (1, (0, 1, 0, 0, 0)): -1})
+    M.register({(0, (0, 0, 1, 0, 0)): 1})
+    M.register({(1, (0, 0, 0, 2, 0)): 1, (0, (0, 0, 0, 1, 1)): 2})
+    _assert_one_sided_exact(M, 5)
+    # and there each side alone spans less
+    for pieces in (P, M):
+        whole = pieces.lower_span((1, 2)).dim
+        for side in (0, 1):
+            one = [v for v in pieces.variables if v[0][side]]
+            lower = lambda g: pieces.piece(g).rows.values()
+            assert grow(S.field, (1, 2), one, lower, pieces.columns).dim < whole
+
+
+def test_hilbert_inserts_stay_one_sided(monkeypatch):
+    # growing the seven pieces by all variables makes 19,719 inserts
+    eng = Workbench(get_fixture("seven")).engine
+    calls = []
+    insert = Echelon.insert
+    monkeypatch.setattr(Echelon, "insert", lambda self, vec: calls.append(1) or insert(self, vec))
+    eng.hilbert(8)
+    assert len(calls) <= 10_735
