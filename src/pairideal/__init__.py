@@ -10,11 +10,8 @@ from .pairs import PairsIdeal
 from .graded import BettiTable, GradedEngine
 from .groebner import Ideal, is_associated
 from .resolution import (
-    FreeResolution,
     SchreyerResolution,
     minimal_generators,
-    resolve_quotient_by_ideal,
-    resolve_submodule,
     schreyer_quotient_betti,
     schreyer_resolution,
 )
@@ -55,11 +52,8 @@ __all__ = [
     "GradedEngine",
     "Ideal",
     "is_associated",
-    "FreeResolution",
     "SchreyerResolution",
     "minimal_generators",
-    "resolve_quotient_by_ideal",
-    "resolve_submodule",
     "schreyer_quotient_betti",
     "schreyer_resolution",
     "DerivationModule",

@@ -1,10 +1,13 @@
 """Logarithmic derivations, freeness data, pdim bounds, and realization
 comparison.
 
-The module of logarithmic derivations is computed as the y-degree-one
+The module of logarithmic derivations D is computed as the y-degree-one
 syzygy module of the pair generators over the x-subring (certified via
-tracked Groebner syzygies), then minimalized and resolved.  Every emitted
-generator is re-verified against the defining identity theta(f_j) in (f_j).
+tracked Groebner syzygies), then minimalized.  Its Tor comes from the
+Schreyer complex over F/D, F the free module of c-vectors: Tor_0(D) is read
+from the minimal generators, and Tor_p(D) = Tor_{p+1}(F/D) for p >= 1.
+Every emitted generator is re-verified against the defining identity
+theta(f_j) in (f_j).
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from .groebner import ModuleContext, module_syzygies
 from .matroid import LoopError, MatroidError, Realization
 from .pairs import PairsIdeal
 from .ring import Poly, RingError, _unit, xa_ring
-from .resolution import minimal_generators, raw_grade, resolve_submodule
+from .resolution import ResolutionError, minimal_generators, raw_grade, schreyer_resolution
 
 
 class DerivationModule:
@@ -41,19 +44,27 @@ class DerivationModule:
         ]
         shifts = [(1,)] * n  # a c-vector of x-degree d-1 sits in degree d
         self.kernel_generators = minimal_generators(R, syz, shifts)
-        self.kernel_generators.sort(
-            key=lambda rawv: raw_grade(R, rawv, shifts)
-        )
-        self.resolution = resolve_submodule(R, self.kernel_generators, shifts)
-        self.generator_degrees = sorted(
-            sum(g) - 1 for g in self.resolution.steps[0]["grades"]
-        )
-        self.pdim = self.resolution.length - 1
+        self.generator_degrees = [
+            raw_grade(R, rawv, shifts)[0] - 1 for rawv in self.kernel_generators
+        ]
+        # the generators have constant entries (the Euler derivation), so
+        # Tor_0(D) is read from their grades, not from Tor_1(F/D)
+        tor = {}
+        for d in self.generator_degrees:
+            tor[(0, d)] = tor.get((0, d), 0) + 1
+        res = schreyer_resolution(R, self.kernel_generators, shifts)
+        if not res.verify_complex():
+            raise ResolutionError("differentials do not compose to zero")
+        for (p, g), v in res.minimal_betti().items():
+            if p >= 2:
+                tor[(p - 1, g[0] - 1)] = v
+        self._tor = tor
+        self.pdim = max(p for p, _ in tor)
         self.free = self.pdim == 0
         self.exponents = self.generator_degrees if self.free else None
         self.thetas = []
         self.c_vectors = []
-        for rawv in self.resolution.steps[0]["matrix"]:
+        for rawv in self.kernel_generators:
             cvec = {}
             for (k, e), v in rawv.items():
                 cvec[(k, e + (0,) * s)] = v
@@ -87,18 +98,7 @@ class DerivationModule:
 
     def tor_dims(self):
         """(p, degree) -> dim Tor_p over the x-ring, derivation grading."""
-        out = {}
-        for p, step in enumerate(self.resolution.steps):
-            for g in step["grades"]:
-                key = (p, g[0] - 1)
-                out[key] = out.get(key, 0) + 1
-        return out
-
-    def minimal_generator_histogram(self):
-        out = {}
-        for d in self.generator_degrees:
-            out[d] = out.get(d, 0) + 1
-        return out
+        return dict(self._tor)
 
 
 def _poly_det(m):

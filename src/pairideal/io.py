@@ -5,7 +5,8 @@ An input is a JSON object
     {"name": str,
      "field": "rational" | {"prime": int},
      "matrix": [[int | "a/b", ...], ...],
-     "options": {"drop_loops": bool, "window": int, "bound": int}}
+     "options": {"drop_loops": bool, "window": int, "bound": int,
+                 "allow_small_prime": bool}}
 
 and parses to an InputSpec; rendering back is byte-stable after one
 round trip.  Prime fields with p <= n are refused unless the option
@@ -76,6 +77,9 @@ class InputSpec:
         bad = set(options) - {"drop_loops", "window", "bound", "allow_small_prime"}
         if bad:
             raise InputError(f"unknown options {sorted(bad)}")
+        for key in ("drop_loops", "allow_small_prime"):
+            if key in options and not isinstance(options[key], bool):
+                raise InputError(f"{key} must be true or false, got {options[key]!r}")
         return cls(data["name"], data["field"], matrix, options)
 
     @classmethod

@@ -1,17 +1,18 @@
-"""Minimal multigraded free resolutions via iterated certified syzygies.
+"""Multigraded free resolutions: one engine, the Schreyer complex.
 
-Each step computes a generating set of the syzygy module of the current
-minimal generators (tracked Buchberger: exact, no window), then extracts a
-minimal generating set degreewise by exact linear algebra.  The resulting
-differentials have entries in the irrelevant maximal ideal by construction;
-minimality and the complex property are re-checked explicitly.
+`schreyer_resolution` builds an exact, generally non-minimal free complex
+over a submodule N of a shifted free module F0 from induced-order syzygy
+bases (tracked Buchberger: exact, no window).  The minimal Betti numbers of
+F0/N are read gradewise off its scalar parts (La Scala-Stillman, JSC 1998);
+index 0 is F0, and Tor_p(N) = Tor_{p+1}(F0/N) for p >= 1 because F0 is free.
+`minimal_generators` extracts a minimal generating subset degreewise.
 """
 
 from __future__ import annotations
 
 from operator import add
 
-from .groebner import ModuleContext, buchberger, interreduce, module_syzygies, poly_to_raw
+from .groebner import ModuleContext, buchberger, interreduce, poly_to_raw
 from .ring import PolyRing
 from .spans import Echelon, Pieces
 
@@ -58,9 +59,10 @@ class ModulePieces(Pieces):
 def minimal_generators(ring: PolyRing, elements, shifts):
     """A minimal generating subset of homogeneous module elements.
 
-    Elements are processed in increasing total degree; one is kept exactly
-    when it is independent of the submodule generated by those already kept
-    in its own multigrade (Nakayama degreewise).
+    Elements are processed, and returned, in increasing (total degree,
+    grade); one is kept exactly when it is independent of the submodule
+    generated by those already kept in its own multigrade (Nakayama
+    degreewise).
     """
     graded = []
     for raw in elements:
@@ -84,128 +86,6 @@ def minimal_generators(ring: PolyRing, elements, shifts):
     return kept
 
 
-class FreeResolution:
-    """A minimal free resolution presented by raw differential matrices.
-
-    steps[p] holds the grades of the rank-beta_{p+1} free module and the
-    matrix whose columns express its generators inside the previous free
-    module (terms (row index, exponent)).  For the resolution of a quotient
-    F0/N, steps[0] presents the minimal generators of N inside F0.
-    """
-
-    def __init__(self, ring, ambient_shifts, steps):
-        self.ring = ring
-        self.ambient_shifts = ambient_shifts
-        self.steps = steps
-
-    @property
-    def length(self):
-        return len(self.steps)
-
-    def betti(self):
-        """Map (step, grade) -> count of generators (step 0 = the module)."""
-        out = {}
-        for p, step in enumerate(self.steps):
-            for g in step["grades"]:
-                out[(p, g)] = out.get((p, g), 0) + 1
-        return out
-
-    def is_minimal(self, include_first=False) -> bool:
-        """No unit entries in the differentials.
-
-        The first matrix presents generators inside the ambient module; it
-        is a differential only when resolving a quotient (include_first).
-        """
-        zero = (0,) * self.ring.nvars
-        start = 0 if include_first else 1
-        for step in self.steps[start:]:
-            for raw in step["matrix"]:
-                for (pos, e) in raw:
-                    if e == zero:
-                        return False
-        return True
-
-    def verify_complex(self) -> bool:
-        """Consecutive differentials compose to zero (exact raw arithmetic)."""
-        for p in range(1, len(self.steps)):
-            prev = self.steps[p - 1]["matrix"]
-            for raw in self.steps[p]["matrix"]:
-                acc = {}
-                for (idx, e), c in raw.items():
-                    for (pos, e2), c2 in prev[idx].items():
-                        key = (pos, tuple(a + b for a, b in zip(e, e2)))
-                        v = acc.get(key, 0) + c * c2
-                        if self.ring.field.char:
-                            v %= self.ring.field.char
-                        if v:
-                            acc[key] = v
-                        else:
-                            acc.pop(key, None)
-                if acc:
-                    return False
-        return True
-
-
-def resolve_submodule(
-    ring: PolyRing, gens, shifts, max_steps=None, first_is_differential=False
-) -> FreeResolution:
-    """Minimal free resolution of the submodule generated by `gens`.
-
-    gens: raw dicts over (position, exponent) inside the free module with
-    the given grade shifts.  steps[0] lists the minimal generators.
-    """
-    steps = []
-    current = [dict(g) for g in gens if g]
-    cur_shifts = list(shifts)
-    while current:
-        mins = minimal_generators(ring, current, cur_shifts)
-        if not mins:
-            break
-        grades = [raw_grade(ring, m, cur_shifts) for m in mins]
-        order = sorted(range(len(mins)), key=lambda i: (sum(grades[i]), grades[i]))
-        mins = [mins[i] for i in order]
-        grades = [grades[i] for i in order]
-        steps.append({"grades": grades, "matrix": mins})
-        if max_steps is not None and len(steps) >= max_steps:
-            break
-        ctx = ModuleContext(ring, shifts={i: sum(g) for i, g in enumerate(grades)})
-        syz = module_syzygies(ctx, mins)
-        current = [s for s in syz if s]
-        cur_shifts = grades
-    res = FreeResolution(ring, list(shifts), steps)
-    if not res.is_minimal(include_first=first_is_differential):
-        raise ResolutionError("resolution has a unit entry (minimality bug)")
-    if not res.verify_complex():
-        raise ResolutionError("differentials do not compose to zero")
-    return res
-
-
-def resolve_quotient_by_ideal(ring: PolyRing, ideal_gens, max_steps=None) -> FreeResolution:
-    """Minimal resolution data for ring/(ideal): steps[0] = minimal ideal gens."""
-    raws = []
-    for g in ideal_gens:
-        if not g.is_zero():
-            raws.append(poly_to_raw(g))
-    zero_grade = (0,) * ring.ngrades
-    return resolve_submodule(
-        ring, raws, [zero_grade], max_steps=max_steps, first_is_differential=True
-    )
-
-
-def quotient_betti_entries(res: FreeResolution):
-    """Betti numbers of F0/N from the resolution of N: Tor_0 = the ambient."""
-    entries = {(0, tuple(s)): 1 for s in res.ambient_shifts}
-    for (p, g), v in res.betti().items():
-        key = (p + 1, g)
-        entries[key] = entries.get(key, 0) + v
-    return entries
-
-
-# ---------------------------------------------------------------------------
-# Schreyer resolutions: non-minimal but cheap to extend, with minimal Betti
-# numbers read off the scalarized complex
-
-
 class SchreyerResolution:
     """An exact complex of free modules built from iterated syzygy bases.
 
@@ -223,10 +103,6 @@ class SchreyerResolution:
         self.levels = levels  # levels[p] = list of raw dicts
         self.level_grades = level_grades  # grades per element, per level
 
-    @property
-    def length(self):
-        return len(self.levels)
-
     def scalar_columns(self, p):
         """Constant-coefficient part of differential p (level index p)."""
         zero = (0,) * self.ring.nvars
@@ -239,13 +115,13 @@ class SchreyerResolution:
             cols.append(col)
         return cols
 
-    def minimal_betti(self, ambient_grades=None):
+    def minimal_betti(self):
         """Minimal Betti numbers {(p, grade): dim} of the resolved module.
 
         Index p=0 refers to the ambient free module's contribution (for a
         quotient resolution this is the module itself).
         """
-        grades_by_level = [list(ambient_grades or self.ambient_shifts)]
+        grades_by_level = [list(self.ambient_shifts)]
         grades_by_level += [list(g) for g in self.level_grades]
         scalars = [self.scalar_columns(p) for p in range(len(self.levels))]
         all_grades = sorted({g for lv in grades_by_level for g in lv})
@@ -275,8 +151,28 @@ class SchreyerResolution:
                     entries[(p, g)] = h
         return entries
 
+    def verify_complex(self) -> bool:
+        """Consecutive differentials compose to zero (exact raw arithmetic)."""
+        for p in range(1, len(self.levels)):
+            prev = self.levels[p - 1]
+            for raw in self.levels[p]:
+                acc = {}
+                for (idx, e), c in raw.items():
+                    for (pos, e2), c2 in prev[idx].items():
+                        key = (pos, tuple(a + b for a, b in zip(e, e2)))
+                        v = acc.get(key, 0) + c * c2
+                        if self.ring.field.char:
+                            v %= self.ring.field.char
+                        if v:
+                            acc[key] = v
+                        else:
+                            acc.pop(key, None)
+                if acc:
+                    return False
+        return True
 
-def schreyer_resolution(ring: PolyRing, inputs, shifts, order=None) -> SchreyerResolution:
+
+def schreyer_resolution(ring: PolyRing, inputs, shifts) -> SchreyerResolution:
     """Exact free complex over the input module via induced-order syzygies.
 
     inputs: raw elements of the ambient free module (grade shifts given).
@@ -284,7 +180,7 @@ def schreyer_resolution(ring: PolyRing, inputs, shifts, order=None) -> SchreyerR
     a minimal-lead Groebner basis of the syzygies of level p with respect
     to the induced order.
     """
-    base_ctx = ModuleContext(ring, shifts={i: sum(s) for i, s in enumerate(shifts)}, order=order)
+    base_ctx = ModuleContext(ring, shifts={i: sum(s) for i, s in enumerate(shifts)})
     basis0, _ = buchberger(base_ctx, [dict(r) for r in inputs if r], track=False)
     red0 = interreduce(base_ctx, basis0)
     levels = []
@@ -347,10 +243,10 @@ def schreyer_resolution(ring: PolyRing, inputs, shifts, order=None) -> SchreyerR
     return SchreyerResolution(ring, list(shifts), levels, level_grades)
 
 
-def schreyer_quotient_betti(ring: PolyRing, ideal_gens, order=None):
+def schreyer_quotient_betti(ring: PolyRing, ideal_gens):
     """Minimal Betti numbers of ring/(ideal) via the induced-order complex."""
     raws = [poly_to_raw(g) for g in ideal_gens if not g.is_zero()]
     zero_grade = (0,) * ring.ngrades
-    res = schreyer_resolution(ring, raws, [zero_grade], order=order)
+    res = schreyer_resolution(ring, raws, [zero_grade])
     return res.minimal_betti()
 

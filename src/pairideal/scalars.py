@@ -181,6 +181,8 @@ def field_from_descriptor(desc):
         return QQ
     if isinstance(desc, dict) and set(desc) == {"prime"}:
         try:
+            if isinstance(desc["prime"], (bool, float)):
+                raise TypeError
             p = int(desc["prime"])
         except (TypeError, ValueError):
             raise FieldError(f"prime must be an integer, got {desc['prime']!r}") from None

@@ -5,16 +5,18 @@ Verification targets (each returns a dict with a boolean `passed` and the
 first violated assertion when failing):
 
   syzygy-slices          Euler relations, dim of the (1,1) syzygy slice,
-                         slice dimensions against the certified kernel module
+                         slice dimensions against the Hilbert function of the
+                         kernel module, read from its Tor table
   derivation-param       the a-degree-one slices of the critical-set ideal
                          against the logarithmic generators and the kernel
                          module, with containment
   min-primes             radical certificate for the cyclic-flat description
                          of the zero set, plus the localization proxy on
                          small ground sets
-  tor-of-der             syzygy Betti columns in y-degree one against the
-                         derivation-module resolution; the (1,i) column is
-                         the same check on pairs.swap_roles()
+  tor-of-der             Koszul Betti columns in y-degree one against the
+                         derivation module's Tor, read from its Schreyer
+                         complex; the (1,i) column is the same check on
+                         pairs.swap_roles()
   slice-min-primes       minimal primes of the (.,1) slice, and of that slice
                          of pairs.swap_roles(), against the cyclic flats of M
   uniform-products       products of dual forms times a form lie in the ideal
@@ -91,12 +93,10 @@ class Workbench:
         return pairs_ideal_object(self.pairs)
 
     def koszul_betti(self, target="quotient") -> BettiTable:
-        key = ("koszul", target)
-        if key not in self._betti_cache:
-            self._betti_cache[key] = self.engine.koszul_betti(
-                window=self.window, target=target
-            )
-        return self._betti_cache[key]
+        if "koszul" not in self._betti_cache:
+            self._betti_cache["koszul"] = self.engine.koszul_betti(window=self.window)
+        table = self._betti_cache["koszul"]
+        return table.ideal_view() if target == "ideal" else table
 
     def resolution_betti(self, target="quotient") -> BettiTable:
         if "resolution" not in self._betti_cache:
@@ -285,11 +285,10 @@ class Workbench:
             dual = pairs is not self.pairs
             name = "dual derivation" if dual else "derivation"
             tor_der = dm.tor_dims()  # (p, der-degree) -> dim
-            gen_hist = dm.minimal_generator_histogram()
             for i in range(1, self.window + 1):
                 bideg = (1, i) if dual else (i, 1)
                 at = "({},{})".format(*bideg)
-                expected1 = gen_hist.get(i - 1, 0) - (self.pairs.kappa if i == 1 else 0)
+                expected1 = tor_der.get((0, i - 1), 0) - (self.pairs.kappa if i == 1 else 0)
                 # Tor_p of the ideal is Tor_{p+1} of the quotient
                 got1 = eng.koszul_homology_dim(2, bideg)
                 if got1 != expected1:
@@ -426,18 +425,16 @@ class Workbench:
 
 
 def _kernel_module_dims(dm: DerivationModule, window: int):
-    """Hilbert function of the kernel module from its certified resolution."""
-    ring = dm.ring
-    r = ring.nvars
+    """Hilbert function of the kernel module from its Tor table."""
+    r = dm.ring.nvars
+    tor = dm.tor_dims()
     out = {}
     for d in range(1, window + 1):
         total = 0
-        for p, step in enumerate(dm.resolution.steps):
-            sign = 1 if p % 2 == 0 else -1
-            for g in step["grades"]:
-                k = d - g[0]
-                if k >= 0:
-                    total += sign * comb(k + r - 1, r - 1)
+        for (p, deg), v in tor.items():
+            k = d - deg - 1
+            if k >= 0:
+                total += (-1) ** p * v * comb(k + r - 1, r - 1)
         out[d] = total
     return out
 

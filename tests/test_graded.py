@@ -19,10 +19,9 @@ from pairideal.workbench import Workbench
 A3_GF32003 = Path(__file__).parent / "golden" / "a3_gf32003.json"
 
 
-# the worked braid-arrangement table, pinned by three independent methods
-# (Koszul homology, the exact induced-order complex, and the minimal
-# resolution); the top corner is 3, forced by the Euler characteristic of
-# the Koszul complex at (3,3)
+# the worked braid-arrangement table, pinned by two independent methods
+# (Koszul homology and the exact induced-order complex); the top corner is
+# 3, forced by the Euler characteristic of the Koszul complex at (3,3)
 A3_IDEAL_BETTI = {
     (0, (1, 1)): 5,
     (1, (2, 1)): 1,
@@ -71,6 +70,19 @@ def test_a3_koszul_table(a3):
     assert table.entries == A3_IDEAL_BETTI
     assert table.certified_window
     assert table.max_p() == 3  # projective dimension of the ideal
+
+
+def test_workbench_answers_both_targets_from_one_koszul_scan():
+    bench = Workbench(get_fixture("u:2:4"))
+    scans = []
+    scan = bench.engine.koszul_betti
+    bench.engine.koszul_betti = lambda **kw: scans.append(kw) or scan(**kw)
+    quotient = bench.koszul_betti(target="quotient")
+    ideal = bench.koszul_betti(target="ideal")
+    assert len(scans) == 1
+    assert ideal.target == "ideal"
+    assert ideal.entries == scan(window=bench.window, target="ideal").entries
+    assert quotient.entries == scan(window=bench.window).entries
 
 
 def test_u12_principal_ideal_betti(u12):

@@ -39,6 +39,25 @@ def test_fractions_in_matrix(tmp_path):
     assert spec.realization().rank == 2
 
 
+# a prime or a switch of the wrong JSON type
+_SILENT_BAD_INPUTS = [
+    {"name": "x", "field": {"prime": 32003.7}, "matrix": [[1, 0, 1], [0, 1, 1]]},
+    {"name": "x", "field": {"prime": True}, "matrix": [[1, 0, 1], [0, 1, 1]]},
+    {
+        "name": "x",
+        "field": "rational",
+        "matrix": [[1, 0, 0], [0, 1, 0]],
+        "options": {"drop_loops": "false"},
+    },
+    {
+        "name": "x",
+        "field": {"prime": 3},
+        "matrix": [[1, 0, 1], [0, 1, 1]],
+        "options": {"allow_small_prime": "no"},
+    },
+]
+
+
 @pytest.mark.parametrize(
     "bad",
     [
@@ -49,6 +68,7 @@ def test_fractions_in_matrix(tmp_path):
         {"name": "x", "field": "real", "matrix": [[1]]},
         {"name": "x", "field": "rational", "matrix": [[1]], "options": {"beans": 1}},
         {"name": "x", "field": {"prime": "abc"}, "matrix": [[1]]},
+        *_SILENT_BAD_INPUTS,
     ],
 )
 def test_schema_violations(bad):
@@ -177,6 +197,14 @@ def test_cli_rejects_bad_file_options(tmp_path, argv, options, capsys):
     path = tmp_path / "in.json"
     path.write_text(json.dumps(_spec(options)))
     assert cli.main([a.format(path=path) for a in argv]) == 1
+    _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("bad", _SILENT_BAD_INPUTS)
+def test_cli_refuses_silent_bad_inputs(tmp_path, bad, capsys):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(bad))
+    assert cli.main(["der", str(path), "--json"]) == 1
     _one_error_line(capsys)
 
 

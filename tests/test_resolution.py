@@ -6,15 +6,16 @@ from pairideal.groebner import poly_to_raw
 from pairideal.resolution import (
     ModulePieces,
     ResolutionError,
+    SchreyerResolution,
     minimal_generators,
-    resolve_quotient_by_ideal,
-    resolve_submodule,
     schreyer_quotient_betti,
     schreyer_resolution,
-    quotient_betti_entries,
 )
+from pairideal.derivations import DerivationModule
+from pairideal.fixtures import get_fixture
 from pairideal.ring import x_ring
 from pairideal.scalars import QQ
+from pairideal.workbench import Workbench
 
 from test_graded import A3_IDEAL_BETTI
 
@@ -22,10 +23,10 @@ from test_graded import A3_IDEAL_BETTI
 def test_free_module_input_resolves_in_one_step():
     R = x_ring(QQ, 2)
     gens = [{(0, (1, 0)): 1}, {(1, (0, 1)): 1}]
-    res = resolve_submodule(R, gens, [(0,), (0,)])
-    assert res.length == 1  # generators only, no syzygies
-    assert res.is_minimal()
+    res = schreyer_resolution(R, gens, [(0,), (0,)])
+    assert len(res.levels) == 1  # generators only, no syzygies
     assert res.verify_complex()
+    assert res.minimal_betti() == {(0, (0,)): 2, (1, (1,)): 2}
 
 
 def test_minimal_generators_drop_redundant():
@@ -48,17 +49,6 @@ def test_module_pieces_grow_and_keep_degree_order():
         pieces.register({(0, (0, 1)): 1})
 
 
-def test_a3_quotient_resolution(a3):
-    gens = [g for _, g in a3.pairs.nonzero_generators()]
-    res = resolve_quotient_by_ideal(a3.pairs.ring, gens)
-    assert res.length == 4
-    assert res.is_minimal(include_first=True)
-    assert res.verify_complex()
-    ent = quotient_betti_entries(res)
-    shifted = {(p - 1, g): v for (p, g), v in ent.items() if p >= 1}
-    assert shifted == A3_IDEAL_BETTI
-
-
 def test_a3_schreyer_agrees(a3):
     gens = [g for _, g in a3.pairs.nonzero_generators()]
     ent = schreyer_quotient_betti(a3.pairs.ring, gens)
@@ -69,8 +59,7 @@ def test_a3_schreyer_agrees(a3):
 def test_resolution_hilbert_alternation(a3):
     # alternating free-module Hilbert sums reproduce the quotient dimensions
     gens = [g for _, g in a3.pairs.nonzero_generators()]
-    res = resolve_quotient_by_ideal(a3.pairs.ring, gens)
-    ent = quotient_betti_entries(res)
+    ent = schreyer_quotient_betti(a3.pairs.ring, gens)
     eng = a3.engine
 
     def free_dim(shift, bideg):
@@ -100,8 +89,8 @@ def test_seven_schreyer_pdim(seven):
 
 def test_der_module_resolution_free_a3(a3):
     dm = a3.derivations
-    assert dm.resolution.length == 1
-    assert [g[0] for g in dm.resolution.steps[0]["grades"]] == [1, 2, 3]
+    assert dm.pdim == 0
+    assert dm.tor_dims() == {(0, 0): 1, (0, 1): 1, (0, 2): 1}
 
 
 def test_bracelet_resolution_and_transpose(bracelet):
@@ -111,3 +100,45 @@ def test_bracelet_resolution_and_transpose(bracelet):
     sw = bracelet.pairs.swap_roles()
     ent_sw = schreyer_quotient_betti(sw.ring, [g for _, g in sw.nonzero_generators()])
     assert {(p, (g[1], g[0])): v for (p, g), v in ent_sw.items()} == ent
+
+
+def _quotient_complex(bench):
+    gens = bench.pairs.nonzero_generators()
+    return schreyer_resolution(bench.pairs.ring, [poly_to_raw(g) for _, g in gens], [(0, 0)])
+
+
+@pytest.mark.parametrize("name", ["a3", "seven"])
+def test_schreyer_complex_composes_to_zero(name, request):
+    res = _quotient_complex(request.getfixturevalue(name))
+    assert len(res.levels) >= 4
+    assert res.verify_complex()
+
+
+def test_verify_complex_sees_one_altered_coefficient(a3):
+    res = _quotient_complex(a3)
+    raw = res.levels[2][0]
+    term = next(iter(raw))
+    raw[term] = raw[term] + 1
+    assert not res.verify_complex()
+
+
+def test_derivation_module_refuses_a_broken_complex(a3, monkeypatch):
+    monkeypatch.setattr(SchreyerResolution, "verify_complex", lambda self: False)
+    with pytest.raises(ResolutionError):
+        DerivationModule(a3.pairs)
+
+
+@pytest.mark.parametrize(
+    "name,pdim,tor",
+    [
+        ("u:4:6", 2, {(0, 0): 1, (0, 2): 10, (1, 3): 10, (2, 4): 3}),
+        ("u:5:7", 3, {(0, 0): 1, (0, 2): 20, (1, 3): 30, (2, 4): 18, (3, 5): 4}),
+    ],
+)
+def test_derivation_tor_beyond_pdim_one(name, pdim, tor):
+    # Tor_p(D) = Tor_{p+1}(F/D) for p >= 1; Tor_0 from the generator grades
+    bench = Workbench(get_fixture(name))
+    dm = bench.derivations
+    assert dm.pdim == pdim
+    assert dm.tor_dims() == tor
+    assert bench.verify("tor-of-der")["passed"]
