@@ -18,7 +18,7 @@ from .fixtures import FixtureError, fixture_names, get_fixture
 from .groebner import GroebnerError
 from .io import InputError, InputSpec, spec_for_realization
 from .matroid import MatroidError
-from .primes import associated_primes, minimal_primes, slice_associated_primes
+from .primes import PointError, associated_primes, minimal_primes, slice_associated_primes
 from .resolution import ResolutionError
 from .ring import RingError
 from .scalars import FieldError
@@ -348,12 +348,19 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone: send what is still buffered to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (
         InputError,
         FixtureError,
         MatroidError,
         GroebnerError,
+        PointError,
         ResolutionError,
         RingError,
         FieldError,

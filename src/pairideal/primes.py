@@ -2,20 +2,33 @@
 certified associated primes over biflat candidates, slice associated primes,
 and the uniform-matroid membership checks.
 
-Every candidate is a linear prime.  A candidate P of codimension above
-pdim M is not associated to M, by Auslander-Buchsbaum: P in Ass(M) means
-depth M_P = 0, so codim P = pdim M_P <= pdim M (Eisenbud-Huneke-
-Vasconcelos, "Direct methods for primary decomposition", 1992, section 1).
-pdim M is the largest homological index of the minimal Betti table read
-off the exact Schreyer complex, which has no scan window: for S/I the
-memoized `pairs_quotient_betti`, for the slices E/N `schreyer_resolution`
-on the `slice_columns()` presentation.  Every other candidate is decided
-by one exact test, `groebner.linear_prime_is_associated`, on top of the
-one tracked-colon primitive `groebner.colon_module`: for S/I as its
-rank-one case (`is_associated`), for the degree-one slices E/N as its
-rank-m case (`module_prime_is_associated`).  Absence of an embedded prime
-is only ever asserted by that rule or that test; degreewise scans may only
-report presence.
+Every candidate is a linear prime P of codimension c, and the scans of S/I
+and of the slices E/N decide each one by two rules, in this order:
+
+- containment: P contains the ideal (`prime_containing`, on every
+  candidate of S/I);
+- the rank at a point: over the regular local ring S_P, P in Ass(M) means
+  depth M_P = 0, so by Auslander-Buchsbaum pdim M_P = c and
+  Tor_c(M_P, k(P)) != 0 (Eisenbud-Huneke-Vasconcelos, "Direct methods for
+  primary decomposition", 1992, section 1).  That Tor has dimension
+  b_c - rank d_c - rank d_(c+1) over k(P) for any free resolution F of M
+  (Buchsbaum-Eisenbud, "What makes a complex exact?", 1973).  Ranks over
+  k(P) are at least the ranks at any point of V(P), so ranks at one point
+  that add up to b_c rule P out (`ranks_rule_out`).  Past the length of F
+  b_c = 0 and P is ruled out with no evaluation; at the origin the ranks
+  are those of the scalar parts, which rule out exactly c > pdim M, and no
+  point has smaller ranks.
+
+F is the exact Schreyer complex, with no scan window: for S/I the memoized
+`pairs_quotient_complex`, for the slices `schreyer_resolution` on the
+`slice_columns()` presentation.  Only a candidate that neither rule rules
+out gets the colon test, `groebner.linear_prime_is_associated` on top of
+the one tracked-colon primitive `groebner.colon_module`: for S/I as its
+rank-one case (`is_associated`), for the degree-one slices as its rank-m
+case (`module_prime_is_associated`).  It decides the candidate, and an
+associated prime of S/I keeps its colon witness.  Absence of an embedded
+prime is only ever asserted by these rules or that test; degreewise scans
+may only report presence.
 """
 
 from __future__ import annotations
@@ -34,7 +47,7 @@ from .groebner import (
 )
 from .matroid import MatroidError, biflats
 from .pairs import PairsIdeal
-from .resolution import schreyer_quotient_betti, schreyer_resolution
+from .resolution import schreyer_quotient_complex, schreyer_resolution
 from .ring import _unit
 from .spans import Echelon
 
@@ -114,22 +127,24 @@ def pairs_ideal_object(pairs: PairsIdeal) -> Ideal:
     return pairs._ideal_object
 
 
+def pairs_quotient_complex(pairs: PairsIdeal):
+    """The Schreyer complex of S/I, memoized on `pairs`."""
+    if not hasattr(pairs, "_quotient_complex"):
+        pairs._quotient_complex = schreyer_quotient_complex(
+            pairs.ring, [g for _, g in pairs.nonzero_generators()]
+        )
+    return pairs._quotient_complex
+
+
 def pairs_quotient_betti(pairs: PairsIdeal):
     """Minimal Betti entries {(p, grade): dim} of S/I, memoized on `pairs`.
 
-    Read off the Schreyer complex, which is dropped when this returns.  The
-    dict is shared by every caller, so none may mutate it.
+    Read off the memoized Schreyer complex.  The dict is shared by every
+    caller, so none may mutate it.
     """
     if not hasattr(pairs, "_quotient_betti"):
-        pairs._quotient_betti = schreyer_quotient_betti(
-            pairs.ring, [g for _, g in pairs.nonzero_generators()]
-        )
+        pairs._quotient_betti = pairs_quotient_complex(pairs).minimal_betti()
     return pairs._quotient_betti
-
-
-def _pdim(entries):
-    """Projective dimension: the largest homological index of a Betti table."""
-    return max(p for p, _ in entries)
 
 
 # ---------------------------------------------------------------------------
@@ -223,24 +238,73 @@ def _power_membership(ideal: Ideal, h, max_power=8):
 
 
 # ---------------------------------------------------------------------------
+# the rank test at a point of V(P)
+
+
+class PointError(ValueError):
+    pass
+
+
+def point_on(ring, forms):
+    """A point of V(P) for P spanned by echelon linear forms (pivot = smallest
+    index): free coordinate i is 2 + i, and the pivot coordinates are
+    back-substituted, largest pivot first, with field operations."""
+    F = ring.field
+    point = [F.of(2 + i) for i in range(ring.nvars)]
+    for form in sorted(forms, key=_pivot, reverse=True):
+        piv, c = _pivot(form)
+        point[piv] = F.zero
+        point[piv] = F.neg(F.div(form.evaluate(point), c))
+    return point
+
+
+def _pivot(form):
+    """(index, coefficient) of the smallest variable of a linear form."""
+    return min((e.index(1), c) for e, c in form.terms.items())
+
+
+def ranks_rule_out(res, codim, forms) -> bool:
+    """Whether the ranks of the free complex `res` of M at `point_on` prove
+    the prime P spanned by `forms`, of codimension `codim`, not associated
+    to M: rank d_c + rank d_(c+1) = b_c there (see the module docstring).
+
+    Past the length of the complex b_c = 0, and nothing is evaluated.
+    False proves nothing.  Raises PointError if a form does not vanish at
+    the point.
+    """
+    b = res.free_rank(codim)
+    if not b:
+        return True
+    point = point_on(res.ring, forms)
+    F = res.ring.field
+    for f in forms:
+        if not F.is_zero(f.evaluate(point)):
+            raise PointError(f"the form {f} does not vanish at the point {point}")
+    return res.rank_at(codim, point) + res.rank_at(codim + 1, point) == b
+
+
+# ---------------------------------------------------------------------------
 # associated primes of the quotient
 
 
 def associated_primes(pairs: PairsIdeal, progress=None):
     """The full associated-prime list of S/pairs-ideal, each tagged.
 
-    Candidates are the biflats (complete by the structure theory); each is
-    checked to contain the ideal, then ruled out when its codim exceeds
-    pdim S/I, else decided by the exact colon criterion.  Minimal primes
-    are recognized combinatorially and re-certified like every other
-    candidate.
+    Candidates are the biflats (complete by the structure theory).  Each is
+    checked to contain the ideal, then ruled out when the ranks of the
+    Schreyer complex at one point of V(P) add up to b_c (`ranks_rule_out`),
+    which holds with no evaluation when codim P exceeds the complex's
+    length.  The colon test runs
+    only on the candidates left, and decides them.  Minimal primes are
+    recognized combinatorially and re-certified like every other
+    candidate.  `progress(candidate, verdict)` fires once per candidate.
     """
     ideal = pairs_ideal_object(pairs)
     if ideal.is_zero_ideal():
         full = frozenset(range(pairs.n))
         p = LinearPrime(pairs, frozenset(), full, tag="minimal")
         return [p]
-    pdim = _pdim(pairs_quotient_betti(pairs))
+    res = pairs_quotient_complex(pairs)
     M = pairs.matroid
     minimal_keys = {
         (F, frozenset(range(pairs.n)) - F) for F in M.cyclic_flats()
@@ -248,7 +312,7 @@ def associated_primes(pairs: PairsIdeal, progress=None):
     out = []
     for F, G in biflats(M):
         cand = LinearPrime(pairs, F, G)
-        if cand.codim > pdim:
+        if ranks_rule_out(res, cand.codim, cand.forms):
             prime_containing(ideal, cand.forms)  # the check is_associated makes
             verdict = False
         else:
@@ -270,13 +334,17 @@ def associated_primes(pairs: PairsIdeal, progress=None):
 def slice_associated_primes(pairs: PairsIdeal, progress=None):
     """Associated primes of the y-degree-one slice of the quotient.
 
-    The (.,1) slice is a module over the x-ring with candidates P_F over
-    nonempty flats F; the (1,.) slice is this scan on `pairs.swap_roles()`,
-    whose flats are the dual flats.  Requires no loops or coloops.
+    The (.,1) slice is a module E/N over the x-ring with candidates P_F
+    over the flats F that contain a minimal nonempty cyclic flat; the (1,.)
+    slice is this scan on `pairs.swap_roles()`, whose flats are the dual
+    flats.  A candidate is ruled out by the ranks of the Schreyer complex
+    of E/N at one point of V(P_F) (`ranks_rule_out`, b_0 = rank E); the
+    module colon test decides the rest.  `progress(flat, verdict)` fires once per candidate.
+    Requires no loops or coloops.
     """
     pairs.require_no_coloops("slice associated primes")
     ring, m, cols, _ = pairs.slice_columns()
-    pdim = _slice_pdim(ring, m, cols)
+    res = schreyer_resolution(ring, cols, [(0,) * ring.ngrades] * m)
     ctx = ModuleContext(ring)
     # reduced Groebner basis of N, shared by every candidate
     basis = interreduce(ctx, buchberger(ctx, cols, track=False)[0])
@@ -288,8 +356,8 @@ def slice_associated_primes(pairs: PairsIdeal, progress=None):
             continue  # associated primes contain a minimal prime (so F is nonempty)
         # f_i has x-ring variable indices already: they come first in S
         forms = echelon_forms(ring, [pairs.f[i] for i in sorted(F)])
-        if len(forms) > pdim:
-            verdict = False  # codim above pdim E/N
+        if ranks_rule_out(res, len(forms), forms):
+            verdict = False
         else:
             verdict = module_prime_is_associated(ctx, basis, m, forms)
         if progress is not None:
@@ -305,15 +373,6 @@ def slice_associated_primes(pairs: PairsIdeal, progress=None):
             )
     out.sort(key=lambda d: (len(d["flat"]), d["flat"]))
     return out
-
-
-def _slice_pdim(ring, rank, cols):
-    """pdim E/N for E free of rank `rank` and N spanned by `cols`.
-
-    Read off the Schreyer complex, which is dropped when this returns.
-    """
-    zero = (0,) * ring.ngrades
-    return _pdim(schreyer_resolution(ring, cols, [zero] * rank).minimal_betti())
 
 
 def module_prime_is_associated(ctx, basis, rank, prime_forms) -> bool:

@@ -5,16 +5,19 @@ over a submodule N of a shifted free module F0 from induced-order syzygy
 bases (tracked Buchberger: exact, no window).  The minimal Betti numbers of
 F0/N are read gradewise off its scalar parts (La Scala-Stillman, JSC 1998);
 index 0 is F0, and Tor_p(N) = Tor_{p+1}(F0/N) for p >= 1 because F0 is free.
+`SchreyerResolution.rank_at` evaluates a differential at a point and takes
+its rank, for the rank test of `primes.ranks_rule_out`.
 `minimal_generators` extracts a minimal generating subset degreewise.
 """
 
 from __future__ import annotations
 
+from math import prod
 from operator import add
 
 from .groebner import ModuleContext, buchberger, interreduce, poly_to_raw
 from .ring import PolyRing
-from .spans import Echelon, Pieces
+from .spans import Echelon, Pieces, to_ints
 
 
 class ResolutionError(ValueError):
@@ -102,6 +105,39 @@ class SchreyerResolution:
         self.ambient_shifts = ambient_shifts
         self.levels = levels  # levels[p] = list of raw dicts
         self.level_grades = level_grades  # grades per element, per level
+
+    def free_rank(self, p):
+        """b_p, the rank of F_p: F_0 is the ambient module, F_p = 0 past the end."""
+        if p == 0:
+            return len(self.ambient_shifts)
+        return len(self.levels[p - 1]) if p <= len(self.levels) else 0
+
+    def rank_at(self, p, point):
+        """Rank of the differential d_p: F_p -> F_(p-1) evaluated at a point.
+
+        0 unless 1 <= p <= the length.  The monomials are evaluated in
+        integers (residues over GF(p)) at den * point, where den clears the
+        point's denominators; a monomial of degree k then carries a spare
+        den^k, and each column is scaled by den^(its top degree) to clear
+        them, which keeps the rank.
+        """
+        if not 1 <= p <= len(self.levels):
+            return 0
+        char = self.ring.field.char
+        x, den = to_ints(dict(enumerate(point)), char)
+        values = {}  # exponent -> value of the monomial at den * point
+        ech = Echelon(self.ring.field)
+        for raw in self.levels[p - 1]:
+            top = max(sum(e) for _, e in raw)
+            col = {}
+            for (pos, e), c in raw.items():
+                v = values.get(e)
+                if v is None:
+                    v = prod(x.get(i, 0) ** k for i, k in enumerate(e) if k)
+                    v = values[e] = v % char if char else v
+                col[pos] = col.get(pos, 0) + c * v * den ** (top - sum(e))
+            ech.insert(col)
+        return ech.dim
 
     def scalar_columns(self, p):
         """Constant-coefficient part of differential p (level index p)."""
@@ -243,10 +279,13 @@ def schreyer_resolution(ring: PolyRing, inputs, shifts) -> SchreyerResolution:
     return SchreyerResolution(ring, list(shifts), levels, level_grades)
 
 
+def schreyer_quotient_complex(ring: PolyRing, ideal_gens) -> SchreyerResolution:
+    """The induced-order complex of ring/(ideal); F_0 is the ring."""
+    raws = [poly_to_raw(g) for g in ideal_gens if not g.is_zero()]
+    return schreyer_resolution(ring, raws, [(0,) * ring.ngrades])
+
+
 def schreyer_quotient_betti(ring: PolyRing, ideal_gens):
     """Minimal Betti numbers of ring/(ideal) via the induced-order complex."""
-    raws = [poly_to_raw(g) for g in ideal_gens if not g.is_zero()]
-    zero_grade = (0,) * ring.ngrades
-    res = schreyer_resolution(ring, raws, [zero_grade])
-    return res.minimal_betti()
+    return schreyer_quotient_complex(ring, ideal_gens).minimal_betti()
 

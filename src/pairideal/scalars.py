@@ -180,12 +180,9 @@ def field_from_descriptor(desc):
     if desc == "rational":
         return QQ
     if isinstance(desc, dict) and set(desc) == {"prime"}:
-        try:
-            if isinstance(desc["prime"], (bool, float)):
-                raise TypeError
-            p = int(desc["prime"])
-        except (TypeError, ValueError):
-            raise FieldError(f"prime must be an integer, got {desc['prime']!r}") from None
+        p = desc["prime"]
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise FieldError(f"prime must be an integer, got {p!r}")
         return PrimeField(p)
     raise FieldError(f"unknown field descriptor {desc!r}")
 

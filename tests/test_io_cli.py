@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ from pairideal import cli
 from pairideal.fixtures import get_fixture
 from pairideal.groebner import GroebnerError
 from pairideal.io import InputError, InputSpec, spec_for_realization
+from pairideal.primes import PointError
 from pairideal.resolution import ResolutionError
 from pairideal.ring import RingError
 from pairideal.scalars import FieldError
@@ -68,6 +70,8 @@ _SILENT_BAD_INPUTS = [
         {"name": "x", "field": "real", "matrix": [[1]]},
         {"name": "x", "field": "rational", "matrix": [[1]], "options": {"beans": 1}},
         {"name": "x", "field": {"prime": "abc"}, "matrix": [[1]]},
+        {"name": "x", "field": {"prime": " 32003 "}, "matrix": [[1]]},
+        {"name": "x", "field": {"prime": "32003"}, "matrix": [[1]]},
         *_SILENT_BAD_INPUTS,
     ],
 )
@@ -153,6 +157,31 @@ def test_cli_determinism():
     assert a.returncode == 0
 
 
+def test_cli_closed_pipe_has_no_traceback():
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("sizing a pipe needs Linux")
+    read_end, write_end = os.pipe()
+    # one page of pipe, less than the report: the writer is still writing
+    # when the reader leaves
+    fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pairideal.cli", "analyze", "a3", "--json"],
+        stdout=write_end,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    os.close(write_end)
+    line = b""
+    while not line.endswith(b"\n") and (byte := os.read(read_end, 1)):
+        line += byte
+    os.close(read_end)
+    _, err = proc.communicate()
+    assert line == b"{\n"
+    assert "Traceback" not in err
+    assert proc.returncode == 1
+
+
 def test_cli_betti_json():
     out = run_cli("betti", "u:1:2", "--method", "both", "--json")
     data = json.loads(out.stdout)
@@ -229,7 +258,9 @@ def test_cli_bad_fixture_parameters(name, capsys):
     assert "Traceback" not in err and not err.startswith('error: "')
 
 
-@pytest.mark.parametrize("exc", [GroebnerError, ResolutionError, RingError, FieldError])
+@pytest.mark.parametrize(
+    "exc", [GroebnerError, PointError, ResolutionError, RingError, FieldError]
+)
 def test_cli_maps_engine_errors(exc, monkeypatch, capsys):
     def fail(source, args):
         raise exc("engine refused")

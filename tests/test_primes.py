@@ -1,23 +1,31 @@
+from pathlib import Path
+
 import pytest
 
+from pairideal.cli import main
 from pairideal.fixtures import get_fixture
 from pairideal.groebner import ModuleContext, buchberger, interreduce, is_associated
-from pairideal.linalg import ExactMatrix
+from pairideal.linalg import ExactMatrix, rank
 from pairideal.matroid import ColoopError, Realization, biflats
 from pairideal.pairs import PairsIdeal
 from pairideal.primes import (
     LinearPrime,
+    PointError,
     associated_primes,
     echelon_forms,
     minimal_primes,
     module_prime_is_associated,
     pairs_ideal_object,
+    pairs_quotient_betti,
+    pairs_quotient_complex,
+    point_on,
+    ranks_rule_out,
     slice_associated_primes,
     uniform_checks,
     verify_min_primes,
 )
-from pairideal.resolution import schreyer_quotient_betti
-from pairideal.scalars import QQ
+from pairideal.resolution import schreyer_resolution
+from pairideal.scalars import QQ, PrimeField
 
 
 def prime_sets(primes):
@@ -202,14 +210,11 @@ def slice_colon_oracle(side):
 
 
 # colon tests made by the pruned scan, out of all biflat candidates
-PRUNED_COLONS = {"a3": (18, 33), "a3+u:2:3": (106, 198)}
+PRUNED_COLONS = {"a3": (6, 33), "a3+u:2:3": (12, 198)}
 
 
-@pytest.mark.parametrize(
-    "name", ["a3", "fail_A", "fail_PA", "u:2:4", "u:3:5", "seven", "a3+u:2:3"]
-)
-def test_pruned_scan_equals_colon_oracle(name, monkeypatch):
-    pairs = PairsIdeal(_realization(name))
+def _counted_scan(pairs, monkeypatch):
+    """(associated primes, candidates reported, colon tests made)."""
     colons = 0
 
     def counting(ideal, forms):
@@ -218,18 +223,85 @@ def test_pruned_scan_equals_colon_oracle(name, monkeypatch):
         return is_associated(ideal, forms)
 
     seen = []
-    monkeypatch.setattr("pairideal.primes.is_associated", counting)
-    ass = associated_primes(pairs, progress=lambda cand, verdict: seen.append(cand))
-    monkeypatch.undo()
-    assert sorted(p.key() for p in ass) == colon_oracle(pairs)
-    # every candidate is reported, and only those within pdim get a colon
-    gens = [g for _, g in pairs.nonzero_generators()]
-    pdim = max(p for p, _ in schreyer_quotient_betti(pairs.ring, gens))
-    assert len(seen) == len(list(biflats(pairs.matroid)))
-    assert colons == sum(1 for cand in seen if cand.codim <= pdim)
-    if name in PRUNED_COLONS:
-        assert (colons, len(seen)) == PRUNED_COLONS[name]
+    with monkeypatch.context() as patch:
+        patch.setattr("pairideal.primes.is_associated", counting)
+        ass = associated_primes(pairs, progress=lambda cand, verdict: seen.append(cand))
+    return ass, seen, colons
+
+
+def _check_slices(pairs):
     if not pairs.coloops:
         for side in (pairs, pairs.swap_roles()):
             got = sorted(d["flat"] for d in slice_associated_primes(side))
             assert got == slice_colon_oracle(side)
+
+
+@pytest.mark.parametrize(
+    "name", ["a3", "fail_A", "fail_PA", "u:2:4", "u:3:5", "seven", "a3+u:2:3"]
+)
+def test_pruned_scan_equals_colon_oracle(name, monkeypatch):
+    pairs = PairsIdeal(_realization(name))
+    ass, seen, colons = _counted_scan(pairs, monkeypatch)
+    assert sorted(p.key() for p in ass) == colon_oracle(pairs)
+    # every candidate is reported, and the point decides every one that is
+    # not associated, so only the associated ones get a colon
+    assert len(seen) == len(list(biflats(pairs.matroid)))
+    assert colons == len(ass)
+    if name in PRUNED_COLONS:
+        assert (colons, len(seen)) == PRUNED_COLONS[name]
+    _check_slices(pairs)
+
+
+def test_origin_point_falls_back_to_colons(monkeypatch, capsys):
+    # at the origin the ranks decide only what codim > pdim decides
+    monkeypatch.setattr(
+        "pairideal.primes.point_on", lambda ring, forms: [ring.field.zero] * ring.nvars
+    )
+    pairs = PairsIdeal(_realization("a3"))
+    ass, seen, colons = _counted_scan(pairs, monkeypatch)
+    assert sorted(p.key() for p in ass) == colon_oracle(pairs)
+    pdim = max(p for p, _ in pairs_quotient_betti(pairs))
+    assert colons == sum(1 for cand in seen if cand.codim <= pdim) == 18
+    _check_slices(pairs)
+    assert main(["primes", "a3", "--slices", "--json"]) == 0
+    golden = Path(__file__).parent / "golden" / "primes_a3_slices.json"
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
+def test_point_off_the_prime_is_refused(a3, monkeypatch):
+    pairs = a3.pairs
+    cand = LinearPrime(pairs, frozenset({0, 1, 3}), frozenset(range(6)) - {0, 1, 3})
+    res = pairs_quotient_complex(pairs)
+    assert point_on(pairs.ring, cand.forms)[2] == 2 + 2  # a free coordinate
+    ranks_rule_out(res, cand.codim, cand.forms)  # the scan's own point passes
+    one = pairs.ring.field.one
+    monkeypatch.setattr("pairideal.primes.point_on", lambda ring, forms: [one] * ring.nvars)
+    with pytest.raises(PointError):
+        ranks_rule_out(res, cand.codim, cand.forms)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)])
+def test_rank_at_matches_field_evaluation(field):
+    # a rational point off every variety, evaluated entry by entry with field
+    # operations, on the slice presentation and on S/I
+    rows = [[field.of(v) for v in row] for row in get_fixture("a3").matrix.entries]
+    pairs = PairsIdeal(Realization("a3", field, ExactMatrix(field, rows)))
+    ring, m, cols, _ = pairs.slice_columns()
+    for res in (
+        schreyer_resolution(ring, cols, [(0,) * ring.ngrades] * m),
+        pairs_quotient_complex(pairs),
+    ):
+        F = res.ring.field
+        point = [F.div(F.of(i + 3), F.of(2 * i + 5)) for i in range(res.ring.nvars)]
+        for p in range(1, len(res.levels) + 1):
+            matrix = []
+            for raw in res.levels[p - 1]:
+                col = [F.zero] * res.free_rank(p - 1)
+                for (pos, e), c in raw.items():
+                    v = c
+                    for x, k in zip(point, e):
+                        for _ in range(k):
+                            v = F.mul(v, x)
+                    col[pos] = F.add(col[pos], v)
+                matrix.append(col)
+            assert res.rank_at(p, point) == rank(ExactMatrix(F, matrix)) > 0

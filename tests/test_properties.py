@@ -2,9 +2,9 @@
 
 Loopless, coloopless realizations of rank 2 or 3 on at most five elements:
 the Koszul and Schreyer routes give one Betti table, swapping the roles of
-the realization and its dual transposes it, no biflat of codimension above
-pdim S/I passes the colon test (the Auslander-Buchsbaum pruning of the
-associated-prime scan), and the syzygy-slice, slice-min-primes,
+the realization and its dual transposes it, no biflat that the ranks of
+the Schreyer complex at a point of V(P) rule out passes the colon test,
+over QQ and over GF(32003), and the syzygy-slice, slice-min-primes,
 tor-of-der and min-primes targets verify.
 """
 
@@ -17,9 +17,17 @@ from hypothesis import assume, given, settings, strategies as st
 from pairideal.groebner import is_associated
 from pairideal.linalg import ExactMatrix
 from pairideal.matroid import Realization, biflats
-from pairideal.primes import LinearPrime
-from pairideal.scalars import QQ
+from pairideal.pairs import PairsIdeal
+from pairideal.primes import (
+    LinearPrime,
+    pairs_ideal_object,
+    pairs_quotient_complex,
+    ranks_rule_out,
+)
+from pairideal.scalars import QQ, PrimeField
 from pairideal.workbench import Workbench
+
+GF = PrimeField(32003)
 
 
 @st.composite
@@ -44,11 +52,14 @@ def test_random_realization_tables(real):
     assert koszul == resolution.entries
     swapped = bench.swap_engine().koszul_betti(target="quotient").entries
     assert swapped == {(p, (j, i)): v for (p, (i, j)), v in koszul.items()}
-    pdim = resolution.max_p()
-    for F, G in biflats(bench.pairs.matroid):
-        cand = LinearPrime(bench.pairs, F, G)
-        if cand.codim > pdim:
-            assert not is_associated(bench.ideal(), cand.forms)[0], cand
+    gfp = [[GF.of(v) for v in row] for row in real.matrix.entries]
+    for pairs in (bench.pairs, PairsIdeal(Realization("random", GF, ExactMatrix(GF, gfp)))):
+        ideal = pairs_ideal_object(pairs)
+        res = pairs_quotient_complex(pairs)
+        for F, G in biflats(pairs.matroid):
+            cand = LinearPrime(pairs, F, G)
+            if ranks_rule_out(res, cand.codim, cand.forms):
+                assert not is_associated(ideal, cand.forms)[0], cand
     for target in ("syzygy-slices", "slice-min-primes", "tor-of-der", "min-primes"):
         result = bench.verify(target)
         assert result["passed"], (target, result.get("first_violation"))
