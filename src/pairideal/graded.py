@@ -23,6 +23,15 @@ in one bidegree of S.  The syzygy slice in bidegree (c,d) takes the pair
 generators f_k g_k as products; the derivation slice in degree d is the
 (d,1) syzygy slice; the critical-set slice takes the products
 prod_k (f_k g_k)^gamma_k.
+
+The critical-set slices are counted and tested without that kernel.  The
+(i;j) slice is the kernel of R_i (x) A_j -> S_(i+j,j), whose image is the
+(i+j,j) piece of I^j, so `ix_dim` reads its dimension off the grown power
+pieces (`rees_kernel_dim(i, 0, j)`); and a vector lies in it exactly when
+the product map sends it to zero (`ix_contains`), which is how the
+logarithmic slices are tested for containment.  `ix_slice` builds the
+kernel only where its vectors are needed: the minimal-generator counts and
+the parameterized-point evaluations.
 """
 
 from __future__ import annotations
@@ -483,7 +492,11 @@ class GradedEngine:
         return kernel
 
     def ix_dim(self, i, j):
-        return len(self.ix_slice(i, j))
+        """dim I_X(i;j) = rees_kernel_dim(i, 0, j), with no kernel built
+        (see the module docstring); `ix_slice` builds that kernel."""
+        if j == 0 or i < 0:
+            return 0
+        return self.rees_kernel_dim(i, 0, j)
 
     def ix_new_generators(self, i: int, j: int) -> int:
         """Minimal-generator count of the critical-set ideal at (i;j).
@@ -524,12 +537,20 @@ class GradedEngine:
     def ilog_dim(self, der_generators, i, j) -> int:
         return self.ilog_slice(der_generators, i, j).dim
 
+    def ix_contains(self, vec) -> bool:
+        """Whether vec, over (x-exponent, a-exponent) keys, lies in the
+        critical-set ideal: its image sum v * x^e * prod (f_k g_k)^gamma_k
+        in S is zero."""
+        F = self.field
+        image = {}
+        for (e, gamma), v in vec.items():
+            for m, c in self._pair_product(gamma).mul_monomial(e, v).terms.items():
+                image[m] = F.add(image.get(m, F.zero), c)
+        return all(F.is_zero(c) for c in image.values())
+
     def ilog_contained_in_ix(self, der_generators, i, j) -> bool:
-        ix = Echelon(self.field)
-        for v in self.ix_slice(i, j):
-            ix.insert(v)
         log = self.ilog_slice(der_generators, i, j)
-        return all(ix.contains(row) for row in log.rows.values())
+        return all(self.ix_contains(row) for row in log.rows.values())
 
     # -- bounded linear-type comparison --------------------------------------------------
     def power_pieces(self, q: int) -> IdealPieces:

@@ -7,9 +7,11 @@ first violated assertion when failing):
   syzygy-slices          Euler relations, dim of the (1,1) syzygy slice,
                          slice dimensions against the Hilbert function of the
                          kernel module, read from its Tor table
-  derivation-param       the a-degree-one slices of the critical-set ideal
-                         against the logarithmic generators and the kernel
-                         module, with containment
+  derivation-param       the a-degree-one slices of the critical-set ideal,
+                         counted on the Rees side (the rank of the ideal
+                         piece), against the logarithmic generators and the
+                         (i+1,1) syzygy kernel, two independent routes;
+                         containment is tested by the product map
   min-primes             radical certificate for the cyclic-flat description
                          of the zero set, plus the localization proxy on
                          small ground sets
@@ -24,6 +26,8 @@ first violated assertion when failing):
                          annihilate the computed relation slices
   linear-type            bounded comparison of the full relation ideal with
                          its linear part, consistent with the slice inclusion
+                         (a strict inclusion at (i;j) with i, j <= bound must
+                         show as a failing (i,0;j) record)
 """
 
 from __future__ import annotations
@@ -404,16 +408,19 @@ class Workbench:
                     break
             if strict:
                 break
-        if strict and equal:
+        # the record (i,0;j) of a strict slice must fail, when the bound
+        # reaches it; past the bound no record can show it
+        if strict and max(strict) <= self.bound:
             i, j = strict
             rec = next(
                 (r for r in records if (r["x"], r["y"], r["a"]) == (i, 0, j)), None
             )
-            return self._fail(
-                f"strict slice inclusion at ({i};{j}) but no failing relation "
-                f"degree found up to the bound",
-                record=rec,
-            )
+            if rec is None or rec["equal"]:
+                return self._fail(
+                    f"strict slice inclusion at ({i};{j}) but the relation "
+                    f"degree ({i},0;{j}) does not fail",
+                    record=rec,
+                )
         return {
             "passed": True,
             "equal_up_to_bound": equal,

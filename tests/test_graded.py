@@ -8,11 +8,12 @@ import pytest
 from conftest import bench_for
 
 from pairideal.fixtures import get_fixture
-from pairideal.graded import IdealPieces, theta_from_syzygy
+from pairideal.graded import GradedEngine, IdealPieces, theta_from_syzygy
 from pairideal.io import InputSpec
+from pairideal.pairs import PairsIdeal
 from pairideal.resolution import ModulePieces
-from pairideal.ring import RingError, pair_ring
-from pairideal.scalars import QQ
+from pairideal.ring import RingError, _compositions, pair_ring
+from pairideal.scalars import QQ, PrimeField
 from pairideal.spans import Echelon, grow
 from pairideal.workbench import Workbench
 
@@ -220,6 +221,89 @@ def test_ilog_slices(a3, bracelet):
     engb = bracelet.engine
     assert engb.ilog_dim(dmb.c_vectors, 2, 2) == 122
     assert engb.ilog_contained_in_ix(dmb.c_vectors, 2, 2)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["QQ", "GF32003"])
+@pytest.mark.parametrize("name", ["a3", "u:3:5", "fail_A", "boolean:3"])
+def test_ix_dim_equals_tracked_kernel(name, field):
+    # the tracked kernel stays as the oracle of the Rees-side count
+    pairs = PairsIdeal(get_fixture(name, field))
+    zeros = {"fail_A": 1, "boolean:3": pairs.n}.get(name, 0)
+    assert len(pairs.zero_generator_indices) == zeros
+    eng = GradedEngine(pairs)
+    for j in range(4):
+        for i in range(-1, 5):
+            assert eng.ix_dim(i, j) == len(eng.ix_slice(i, j)), (i, j)
+
+
+@pytest.mark.parametrize("name", ["a3", "seven"])
+def test_ix_contains_matches_echelon_route(name):
+    # the product map against reduction by an Echelon of the kernel vectors,
+    # on the logarithmic rows, the kernel vectors, every key of R_i (x) A_j
+    # alone, and each logarithmic row plus one such key
+    bench = bench_for(name)
+    eng, dm = bench.engine, bench.derivations
+    n = bench.pairs.n
+    for j in (1, 2):
+        for i in range(3):
+            kernel = eng.ix_slice(i, j)
+            ix = Echelon(eng.field)
+            for vec in kernel:
+                ix.insert(vec)
+            log = list(eng.ilog_slice(dm.c_vectors, i, j).rows.values())
+            keys = [
+                (m, gamma)
+                for m in eng.ring.monomial_basis((i, 0))
+                for gamma in _compositions(j, n)
+            ]
+            units = [{key: 1} for key in keys]
+            plus = [{**row, key: row.get(key, 0) + 1} for row in log for key in keys[:3]]
+            vectors = log + kernel + units + plus
+            got = [eng.ix_contains(vec) for vec in vectors]
+            assert got == [ix.contains(vec) for vec in vectors], (i, j)
+            assert all(got[: len(log) + len(kernel)]) and not any(got[len(log) + len(kernel) :])
+            assert eng.ilog_contained_in_ix(dm.c_vectors, i, j)
+
+
+def test_ix_contains_refuses_an_extra_term(a3):
+    eng, dm = a3.engine, a3.derivations
+    n = a3.pairs.n
+    row = next(iter(eng.ilog_slice(dm.c_vectors, 1, 2).rows.values()))
+    extra = next(
+        (m, gamma)
+        for m in eng.ring.monomial_basis((1, 0))
+        for gamma in _compositions(2, n)
+        if (m, gamma) not in row
+    )
+    assert eng.ix_contains(row)
+    assert not eng.ix_contains({**row, extra: 1})
+    # the same at the generators: a derivation vector with one extra term is
+    # no syzygy, so its logarithmic slice leaves the relation slice
+    cvec = dm.c_vectors[-1]
+    d = sum(next(iter(cvec))[1])
+    extra = next(
+        (k, e)
+        for e in eng.ring.monomial_basis((d, 0))
+        for k in range(n)
+        if (k, e) not in cvec
+    )
+    assert eng.ilog_contained_in_ix([cvec], d, 1)
+    assert not eng.ilog_contained_in_ix([{**cvec, extra: 1}], d, 1)
+
+
+@pytest.mark.parametrize("target", ["linear-type", "derivation-param"])
+def test_verify_builds_no_ix_kernel(target, monkeypatch):
+    calls = []
+    ix_slice = GradedEngine.ix_slice
+
+    def counted(self, i, j):
+        calls.append((i, j))
+        return ix_slice(self, i, j)
+
+    monkeypatch.setattr(GradedEngine, "ix_slice", counted)
+    bench = Workbench(get_fixture("a3"), bound=3)
+    assert bench.verify(target)["passed"]
+    assert calls == []
 
 
 def test_linear_type(u12, a3, bracelet):
