@@ -333,7 +333,6 @@ def build_parser():
     p = sub.add_parser("compare", help="compare two realizations of one matroid")
     p.add_argument("source_a")
     p.add_argument("source_b")
-    p.add_argument("--recipe", action="store_true", help="derivation-module comparison")
     p.add_argument(
         "--slices",
         action="store_true",

@@ -40,6 +40,7 @@ from itertools import combinations, combinations_with_replacement
 from math import comb, lcm
 from operator import add
 
+from .memo import memo
 from .pairs import PairsIdeal
 from .ring import Poly, RingError, _compositions, _unit
 from .spans import Echelon, Pieces, grow, kernel_of_stacked_vectors
@@ -60,18 +61,15 @@ class IdealPieces(Pieces):
     def __init__(self, ring, generators):
         super().__init__(ring.field, [(g, 0, t) for t, g in enumerate(ring.grades)])
         self.ring = ring
-        self._columns = {}
         for g in generators:
             if not g.is_zero():
                 self.gens.setdefault(g.grade(), []).append(self.poly_vector(g))
 
+    @memo
     def columns(self, bideg):
         """(monomial_basis(bideg), {monomial: position})."""
-        got = self._columns.get(bideg)
-        if got is None:
-            mons = self.ring.monomial_basis(bideg)
-            got = self._columns[bideg] = (mons, {m: i for i, m in enumerate(mons)})
-        return got
+        mons = self.ring.monomial_basis(bideg)
+        return mons, {m: i for i, m in enumerate(mons)}
 
     def monomials(self, bideg):
         return self.columns(bideg)[0]
@@ -197,15 +195,6 @@ class GradedEngine:
         self.ring = pairs.ring
         self.field = pairs.field
         self.ideal = IdealPieces(self.ring, pairs.generators)
-        self._powers = {1: self.ideal}
-        self._quotient_cache = {}
-        self._qindex_cache = {}
-        self._mult_cache = {}
-        self._K_cache = {}
-        self._L_cache = {}
-        self._ix_cache = {}
-        self._rank_cache = {}
-        self._pp_cache = {tuple([0] * pairs.n): self.ring.one()}
 
     # -- Hilbert data -----------------------------------------------------------
     def ideal_dim(self, bideg) -> int:
@@ -229,25 +218,17 @@ class GradedEngine:
         return self.ideal.contains(p)
 
     # -- quotient pieces and multiplication -------------------------------------
+    @memo
     def quotient_basis(self, bideg):
-        got = self._quotient_cache.get(bideg)
-        if got is None:
-            i, j = bideg
-            if i < 0 or j < 0:
-                got = []
-            else:
-                got = self.ideal.quotient_basis(bideg)
-            self._quotient_cache[bideg] = got
-        return got
+        if min(bideg) < 0:
+            return []
+        return self.ideal.quotient_basis(bideg)
 
+    @memo
     def _quotient_index(self, bideg):
         """{column of the ideal's piece: position in quotient_basis(bideg)}."""
-        got = self._qindex_cache.get(bideg)
-        if got is None:
-            idx = self.ideal.index(bideg)
-            got = {idx[m]: c for c, m in enumerate(self.quotient_basis(bideg))}
-            self._qindex_cache[bideg] = got
-        return got
+        idx = self.ideal.index(bideg)
+        return {idx[m]: c for c, m in enumerate(self.quotient_basis(bideg))}
 
     def _quotient_nf(self, exp, bideg):
         """Class of a monomial in the quotient piece: (sparse dict, lam)."""
@@ -255,25 +236,20 @@ class GradedEngine:
         qcol = self._quotient_index(bideg)
         return {qcol[c]: v for c, v in res.items()}, lam
 
+    @memo
     def mult_map(self, bideg, var):
         """Multiplication by variable `var` as columns over quotient bases.
 
         Returns a list over the source quotient basis with entries
         (sparse dict over target quotient basis, lam).
         """
-        key = (bideg, var)
-        got = self._mult_cache.get(key)
-        if got is not None:
-            return got
         gt = self.ring.grades[var]
         target = (bideg[0] + gt[0], bideg[1] + gt[1])
-        src = self.quotient_basis(bideg)
         cols = []
-        for m in src:
+        for m in self.quotient_basis(bideg):
             e2 = list(m)
             e2[var] += 1
             cols.append(self._quotient_nf(tuple(e2), target))
-        self._mult_cache[key] = cols
         return cols
 
     # -- Koszul Betti numbers ------------------------------------------------------
@@ -344,16 +320,15 @@ class GradedEngine:
                 cols.append(vec)
         return cols
 
+    @memo
     def _koszul_rank(self, p, bideg):
-        """Rank of d_p in this bidegree, kept for the life of the engine."""
-        got = self._rank_cache.get((p, bideg))
-        if got is None:
-            ech = Echelon(self.field)
-            for col in self._boundary_columns(p, bideg):
-                if col:
-                    ech.insert(col)
-            got = self._rank_cache[(p, bideg)] = ech.dim
-        return got
+        """Rank of d_p in this bidegree, memoized on the engine: the
+        homology at p and at p - 1 both subtract it."""
+        ech = Echelon(self.field)
+        for col in self._boundary_columns(p, bideg):
+            if col:
+                ech.insert(col)
+        return ech.dim
 
     def koszul_homology_dim(self, p, bideg):
         _, dim_p = self._chain_basis(p, bideg)
@@ -457,17 +432,17 @@ class GradedEngine:
         return self.derivation_slice_dim(d) - lower.dim
 
     # -- critical-set ideal slices ----------------------------------------------------
+    @memo
     def _pair_product(self, gamma):
-        """Product of (f_k g_k)^gamma_k in S, cached."""
-        got = self._pp_cache.get(gamma)
-        if got is None:
-            k = next(i for i, e in enumerate(gamma) if e)
-            prev = list(gamma)
-            prev[k] -= 1
-            got = self._pair_product(tuple(prev)) * self.pairs.generators[k]
-            self._pp_cache[gamma] = got
-        return got
+        """Product of (f_k g_k)^gamma_k in S."""
+        k = next((i for i, e in enumerate(gamma) if e), None)
+        if k is None:
+            return self.ring.one()
+        prev = list(gamma)
+        prev[k] -= 1
+        return self._pair_product(tuple(prev)) * self.pairs.generators[k]
 
+    @memo
     def ix_slice(self, i: int, j: int):
         """Basis of the (i;j) piece of the critical-set ideal.
 
@@ -475,21 +450,14 @@ class GradedEngine:
         a-monomial to the product of the pair generators.  Vectors are dicts
         over (x-exponent, a-exponent) pairs.
         """
-        key = (i, j)
-        got = self._ix_cache.get(key)
-        if got is not None:
-            return got
         if j == 0 or i < 0:
-            self._ix_cache[key] = []
             return []
         products = [(gamma, self._pair_product(gamma)) for gamma in _compositions(j, self.pairs.n)]
         kernel = self._product_kernel(products, (i, 0), (i + j, j))
         # keys (gamma, m) become (m, gamma), one tuple per key shared by all
         # kernel vectors, as the echelon's tag keys are
         flip = {}
-        kernel = [{flip.setdefault(k, (k[1], k[0])): v for k, v in vec.items()} for vec in kernel]
-        self._ix_cache[key] = kernel
-        return kernel
+        return [{flip.setdefault(k, (k[1], k[0])): v for k, v in vec.items()} for vec in kernel]
 
     def ix_dim(self, i, j):
         """dim I_X(i;j) = rees_kernel_dim(i, 0, j), with no kernel built
@@ -534,9 +502,6 @@ class GradedEngine:
                     )
         return ech
 
-    def ilog_dim(self, der_generators, i, j) -> int:
-        return self.ilog_slice(der_generators, i, j).dim
-
     def ix_contains(self, vec) -> bool:
         """Whether vec, over (x-exponent, a-exponent) keys, lies in the
         critical-set ideal: its image sum v * x^e * prod (f_k g_k)^gamma_k
@@ -548,26 +513,20 @@ class GradedEngine:
                 image[m] = F.add(image.get(m, F.zero), c)
         return all(F.is_zero(c) for c in image.values())
 
-    def ilog_contained_in_ix(self, der_generators, i, j) -> bool:
-        log = self.ilog_slice(der_generators, i, j)
-        return all(self.ix_contains(row) for row in log.rows.values())
-
     # -- bounded linear-type comparison --------------------------------------------------
+    @memo
     def power_pieces(self, q: int) -> IdealPieces:
-        got = self._powers.get(q)
-        if got is None:
-            gens = []
-            seen = set()
-            nz = [g for g in self.pairs.generators if g]
-            for combo in combinations_with_replacement(range(len(nz)), q):
-                prod = self.ring.one()
-                for k in combo:
-                    prod = prod * nz[k]
-                if prod:
-                    gens.append(prod)
-            got = IdealPieces(self.ring, gens)
-            self._powers[q] = got
-        return got
+        if q == 1:
+            return self.ideal
+        gens = []
+        nz = [g for g in self.pairs.generators if g]
+        for combo in combinations_with_replacement(range(len(nz)), q):
+            prod = self.ring.one()
+            for k in combo:
+                prod = prod * nz[k]
+            if prod:
+                gens.append(prod)
+        return IdealPieces(self.ring, gens)
 
     def rees_kernel_dim(self, c: int, d: int, q: int) -> int:
         """dim of the (c,d;q) piece of the full relation ideal of the generators."""
@@ -577,18 +536,12 @@ class GradedEngine:
         image = self.power_pieces(q).dim((c + q, d + q))
         return domain - image
 
+    @memo
     def syzygy_slice(self, c: int, d: int):
         """All a-linear relations in bidegree (c,d): kernel of +S_(c-1,d-1)^n -> S_(c,d)."""
-        key = (c, d)
-        got = self._K_cache.get(key)
-        if got is not None:
-            return got
         if c < 1 or d < 1:
-            self._K_cache[key] = []
             return []
-        kernel = self._product_kernel(enumerate(self.pairs.generators), (c - 1, d - 1), (c, d))
-        self._K_cache[key] = kernel
-        return kernel
+        return self._product_kernel(enumerate(self.pairs.generators), (c - 1, d - 1), (c, d))
 
     def symmetric_kernel_dim(self, c: int, d: int, q: int) -> int:
         """dim of the (c,d;q) piece of the ideal generated by a-linear relations.
@@ -599,6 +552,7 @@ class GradedEngine:
         """
         return self._sym_piece(c, d, q).dim
 
+    @memo
     def _sym_piece(self, c, d, q):
         """The (c,d;q) piece: the relation slice at q = 1, above it the span
         of its variable multiples by x, y and a.
@@ -608,19 +562,14 @@ class GradedEngine:
         74,435 over the same 8,207 rows on seven at bound 3), and the peak
         memory of the linear-type check grew by 13-14 %; so all three
         sides multiply."""
-        key = (c, d, q)
-        got = self._L_cache.get(key)
-        if got is None:
-            if q == 1:
-                got = Echelon(self.field)
-                for v in self.syzygy_slice(c + 1, d + 1):
-                    got.insert(_lt_vector(self.pairs.n, v))
-            else:
-                variables = [(g + (0,), 0, t) for t, g in enumerate(self.ring.grades)]
-                variables += [((0, 0, 1), 1, k) for k in range(self.pairs.n)]
-                got = grow(self.field, key, variables, lambda g: self._sym_piece(*g).rows.values())
-            self._L_cache[key] = got
-        return got
+        if q == 1:
+            piece = Echelon(self.field)
+            for v in self.syzygy_slice(c + 1, d + 1):
+                piece.insert(_lt_vector(self.pairs.n, v))
+            return piece
+        variables = [(g + (0,), 0, t) for t, g in enumerate(self.ring.grades)]
+        variables += [((0, 0, 1), 1, k) for k in range(self.pairs.n)]
+        return grow(self.field, (c, d, q), variables, lambda g: self._sym_piece(*g).rows.values())
 
     def linear_type_check(self, bound: int):
         """Compare relation and symmetric-kernel pieces up to the bound.

@@ -48,6 +48,7 @@ from itertools import combinations
 from math import gcd
 from operator import add, le, sub
 
+from .memo import memo
 from .ring import MonomialOrder, Poly, PolyRing
 from .spans import axpy, cancel, strip, to_ints
 
@@ -101,7 +102,8 @@ def _addexp(e1, e2):
 
 
 class _Memo(dict):
-    """A dict that fills each missing entry from fn, once."""
+    """A dict that fills each missing entry from fn, once.  Not a `memo`:
+    it lives for one run by design (see the module docstring)."""
 
     __slots__ = ("fn",)
 
@@ -119,23 +121,21 @@ def _term_keys(ctx):
 
 
 class ModuleContext:
-    """Ring + module order data shared by one Buchberger run."""
+    """Ring + module order data shared by one Buchberger run.
 
-    def __init__(self, ring: PolyRing, shifts=None, order=None, top=True, key_fn=None):
+    The module order is term over position: position breaks ties."""
+
+    def __init__(self, ring: PolyRing, shifts=None, order=None, key_fn=None):
         self.ring = ring
         self.char = ring.field.char
         self.okey = (order or ring.order).key
         self.shifts = shifts or {}
-        self.top = top  # term-over-position; position breaks ties
         if key_fn is not None:
             self.term_key = key_fn
 
     def term_key(self, term):
         pos, exp = term
-        deg = sum(exp) + self.shifts.get(pos, 0)
-        if self.top:
-            return (deg, self.okey(exp), -pos)
-        return (-pos, deg, self.okey(exp))
+        return (sum(exp) + self.shifts.get(pos, 0), self.okey(exp), -pos)
 
     def zero_exp(self):
         return (0,) * self.ring.nvars
@@ -433,29 +433,22 @@ class Ideal:
         self.ring = ring
         self.gens = list(gens)
         self.order = order or ring.order
-        self._gb = None
 
     def __repr__(self):
         return f"Ideal({self.ring}, {len(self.gens)} gens)"
 
-    def _context(self):
-        return ModuleContext(self.ring, order=self.order)
-
+    @memo
     def groebner(self):
-        """The reduced Groebner basis as canonical Polys (cached)."""
-        if self._gb is None:
-            ctx = self._context()
-            inputs = [poly_to_raw(g) for g in self.gens if not g.is_zero()]
-            basis, _ = buchberger(ctx, inputs, track=False)
-            red = interreduce(ctx, basis)
-            self._gb = [raw_to_poly(self.ring, g.raw) for g in red]
-            self._gb_raw = red
-            self._gb_ctx = ctx
-        return self._gb
+        """The reduced Groebner basis as canonical Polys."""
+        return [raw_to_poly(self.ring, g.raw) for g in self._gb_elements()[1]]
 
+    @memo
     def _gb_elements(self):
-        self.groebner()
-        return self._gb_ctx, self._gb_raw
+        """(context, reduced Groebner basis as GBElements)."""
+        ctx = ModuleContext(self.ring, order=self.order)
+        inputs = [poly_to_raw(g) for g in self.gens if not g.is_zero()]
+        basis, _ = buchberger(ctx, inputs, track=False)
+        return ctx, interreduce(ctx, basis)
 
     def normal_form(self, p: Poly) -> Poly:
         """Canonical normal form (primitive, positive lead over QQ)."""

@@ -11,9 +11,11 @@ design; the intended scale is n <= ~12.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations
 
 from .linalg import ExactMatrix, kernel_basis, rref
+from .memo import memo
 from .spans import Echelon
 
 
@@ -43,27 +45,21 @@ class Realization:
         self.rank = r
         # canonical row-space basis: the nonzero RREF rows
         self.basis_matrix = ExactMatrix(field, [red.row(i) for i in range(r)])
-        self._dual_matrix = None
-        self._matroid = None
 
     def __repr__(self):
         return f"Realization({self.name!r}, n={self.n}, rank={self.rank}, {self.field})"
 
-    @property
+    @cached_property
     def dual_matrix(self) -> ExactMatrix:
         """A basis matrix D for the annihilator subspace, M . D^T = 0."""
-        if self._dual_matrix is None:
-            D = kernel_basis(self.basis_matrix)
-            self._dual_matrix = D
-        return self._dual_matrix
+        return kernel_basis(self.basis_matrix)
 
     def dual(self) -> "Realization":
         return Realization(self.name + "^perp", self.field, self.dual_matrix)
 
+    @memo
     def matroid(self) -> "Matroid":
-        if self._matroid is None:
-            self._matroid = Matroid(self)
-        return self._matroid
+        return Matroid(self)
 
     def column(self, e: int):
         return self.matrix.column(e)
@@ -80,6 +76,8 @@ class Matroid:
     def __init__(self, realization: Realization):
         self.re = realization
         self.n = realization.n
+        # not a memo: 380,967 calls in `flats boolean:12`, on sets that are
+        # normalised to a frozenset first
         self._rank_cache = {frozenset(): 0}
         self.rank = self.rank_of(range(self.n))
 
@@ -117,38 +115,40 @@ class Matroid:
         r = self.rank_of(s)
         return frozenset(e for e in range(self.n) if self.rank_of(s | {e}) == r)
 
+    @memo
     def circuits(self):
         """Minimal dependent sets, in (size, sorted tuple) order."""
-        if not hasattr(self, "_circuits"):
-            found = []
-            for size in range(1, self.n + 1):
-                for comb in combinations(range(self.n), size):
-                    s = frozenset(comb)
-                    if any(c <= s for c in found):
-                        continue
-                    if self.rank_of(s) < size:
-                        found.append(s)
-            self._circuits = sorted(found, key=lambda c: (len(c), sorted(c)))
-        return self._circuits
+        found = []
+        for size in range(1, self.n + 1):
+            for comb in combinations(range(self.n), size):
+                s = frozenset(comb)
+                if any(c <= s for c in found):
+                    continue
+                if self.rank_of(s) < size:
+                    found.append(s)
+        return sorted(found, key=lambda c: (len(c), sorted(c)))
 
+    @memo
     def flats(self):
         """All flats, grown rank by rank from the closure of the empty set."""
-        if not hasattr(self, "_flats"):
-            bottom = self.closure(())
-            levels = [{bottom}]
-            seen = {bottom}
-            while levels[-1]:
-                nxt = set()
-                for F in levels[-1]:
-                    for e in range(self.n):
-                        if e not in F:
-                            G = self.closure(F | {e})
-                            if G not in seen:
-                                seen.add(G)
-                                nxt.add(G)
-                levels.append(nxt)
-            self._flats = sorted(seen, key=lambda f: (len(f), sorted(f)))
-        return self._flats
+        bottom = self.closure(())
+        levels = [{bottom}]
+        seen = {bottom}
+        while levels[-1]:
+            nxt = set()
+            for F in levels[-1]:
+                for e in range(self.n):
+                    if e not in F:
+                        G = self.closure(F | {e})
+                        if G not in seen:
+                            seen.add(G)
+                            nxt.add(G)
+            levels.append(nxt)
+        return sorted(seen, key=lambda f: (len(f), sorted(f)))
+
+    @memo
+    def _flat_set(self) -> frozenset:
+        return frozenset(self.flats())
 
     def flats_of_rank(self, k):
         return [F for F in self.flats() if self.rank_of(F) == k]
@@ -157,7 +157,7 @@ class Matroid:
     def cyclic_part(self, F) -> frozenset:
         """Union of the circuits contained in the flat F."""
         F = frozenset(F)
-        if F not in set(self.flats()):
+        if F not in self._flat_set():
             raise MatroidError(f"{sorted(F)} is not a flat")
         out = set()
         for c in self.circuits():
@@ -165,23 +165,20 @@ class Matroid:
                 out |= c
         return frozenset(out)
 
+    @memo
     def cyclic_flats(self):
         """Flats that are unions of circuits, sorted by (size, elements).
 
         Cross-checked against the dual characterization: F is cyclic iff
         its complement is a flat of the dual matroid.
         """
-        if not hasattr(self, "_cyclic_flats"):
-            by_union = [F for F in self.flats() if self.cyclic_part(F) == F]
-            dual = self.dual()
-            full = frozenset(range(self.n))
-            by_dual = [
-                F for F in self.flats() if dual.closure(full - F) == full - F
-            ]
-            if by_union != by_dual:
-                raise MatroidError("cyclic-flat characterizations disagree (bug)")
-            self._cyclic_flats = by_union
-        return self._cyclic_flats
+        by_union = [F for F in self.flats() if self.cyclic_part(F) == F]
+        dual = self.dual()
+        full = frozenset(range(self.n))
+        by_dual = [F for F in self.flats() if dual.closure(full - F) == full - F]
+        if by_union != by_dual:
+            raise MatroidError("cyclic-flat characterizations disagree (bug)")
+        return by_union
 
     def minimal_nonempty_cyclic_flats(self):
         cyc = [F for F in self.cyclic_flats() if F]
@@ -193,39 +190,35 @@ class Matroid:
         return [F for F in cyc if not any(F < G for G in cyc)]
 
     # -- duality ----------------------------------------------------------------
+    @memo
     def dual(self) -> "DualMatroid":
-        if not hasattr(self, "_dual"):
-            self._dual = DualMatroid(self)
-        return self._dual
+        return DualMatroid(self)
 
     # -- connectivity -------------------------------------------------------------
+    @memo
     def components(self):
         """Partition into connected components via circuit connectivity."""
-        if not hasattr(self, "_components"):
-            parent = list(range(self.n))
+        parent = list(range(self.n))
 
-            def find(a):
-                while parent[a] != a:
-                    parent[a] = parent[parent[a]]
-                    a = parent[a]
-                return a
+        def find(a):
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            return a
 
-            def union(a, b):
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
+        def union(a, b):
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[ra] = rb
 
-            for c in self.circuits():
-                c = sorted(c)
-                for e in c[1:]:
-                    union(c[0], e)
-            blocks = {}
-            for e in range(self.n):
-                blocks.setdefault(find(e), set()).add(e)
-            self._components = sorted(
-                (frozenset(b) for b in blocks.values()), key=lambda b: sorted(b)
-            )
-        return self._components
+        for c in self.circuits():
+            c = sorted(c)
+            for e in c[1:]:
+                union(c[0], e)
+        blocks = {}
+        for e in range(self.n):
+            blocks.setdefault(find(e), set()).add(e)
+        return sorted((frozenset(b) for b in blocks.values()), key=lambda b: sorted(b))
 
     @property
     def kappa(self):

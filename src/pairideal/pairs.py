@@ -6,12 +6,19 @@ and forms the linear forms f_i (in the x-variables) and g_i (in the
 y-variables) together with the generators f_i * g_i of the ideal of pairs.
 The pinned bases make every downstream number reproducible; the ground-set
 permutation is recorded and inverted in reports.
+
+The objects derived from the whole ideal are memoized on it: the `Ideal`
+of S/I with its Groebner basis, the Schreyer complex of S/I and its
+minimal Betti entries, and the pairs ideal of the dual realization.
 """
 
 from __future__ import annotations
 
+from .groebner import Ideal
 from .linalg import ExactMatrix, rref
 from .matroid import ColoopError, LoopError, MatroidError, Realization, labels
+from .memo import memo
+from .resolution import SchreyerResolution, schreyer_quotient_complex
 from .ring import _unit, pair_ring, x_ring
 from .spans import Echelon, to_ints
 
@@ -101,8 +108,6 @@ class PairsIdeal:
         self.kappa = len(self.components)
         self.char_warning = field.char != 0
 
-        self._swap = None
-
     def __repr__(self):
         return (
             f"PairsIdeal({self.input_realization.name!r}, n={self.n}, r={self.r}, "
@@ -138,6 +143,24 @@ class PairsIdeal:
     def nonzero_generators(self):
         return [(i, self.generators[i]) for i in range(self.n) if self.generators[i]]
 
+    # -- S/I: the Groebner and Schreyer routes -------------------------------------
+    @memo
+    def ideal_object(self) -> Ideal:
+        """The ideal as an `Ideal`, whose Groebner basis it memoizes."""
+        return Ideal(self.ring, [g for _, g in self.nonzero_generators()])
+
+    @memo
+    def quotient_complex(self) -> SchreyerResolution:
+        """The Schreyer complex of S/I."""
+        return schreyer_quotient_complex(self.ring, [g for _, g in self.nonzero_generators()])
+
+    @memo
+    def quotient_betti(self):
+        """Minimal Betti entries {(p, grade): dim} of S/I, read off the
+        Schreyer complex.  The dict is shared by every caller, so none may
+        mutate it."""
+        return self.quotient_complex().minimal_betti()
+
     def slice_columns(self):
         """The y-degree-one slice as a submodule N of a free module E.
 
@@ -172,12 +195,10 @@ class PairsIdeal:
                 f"{[self.to_original(i) for i in self.coloops]}"
             )
 
+    @memo
     def swap_roles(self) -> "PairsIdeal":
         """The pairs ideal of the dual realization (grading transposed, labels kept)."""
-        if self._swap is None:
-            dual = Realization(
-                self.input_realization.name + "^perp", self.field, self.dual_normal
-            )
-            self._swap = PairsIdeal(dual)
-            self._swap.labels = [self.labels[c] for c in self._swap.perm]
-        return self._swap
+        dual = Realization(self.input_realization.name + "^perp", self.field, self.dual_normal)
+        swap = PairsIdeal(dual)
+        swap.labels = [self.labels[c] for c in swap.perm]
+        return swap

@@ -19,9 +19,9 @@ and of the slices E/N decide each one by two rules, in this order:
   are those of the scalar parts, which rule out exactly c > pdim M, and no
   point has smaller ranks.
 
-F is the exact Schreyer complex, with no scan window: for S/I the memoized
-`pairs_quotient_complex`, for the slices `schreyer_resolution` on the
-`slice_columns()` presentation.  Only a candidate that neither rule rules
+F is the exact Schreyer complex, with no scan window: for S/I the one
+memoized on the ideal, `PairsIdeal.quotient_complex`, for the slices
+`schreyer_resolution` on the `slice_columns()` presentation.  Only a candidate that neither rule rules
 out gets the colon test, `groebner.linear_prime_is_associated` on top of
 the one tracked-colon primitive `groebner.colon_module`: for S/I as its
 rank-one case (`is_associated`), for the degree-one slices as its rank-m
@@ -47,7 +47,7 @@ from .groebner import (
 )
 from .matroid import MatroidError, biflats
 from .pairs import PairsIdeal
-from .resolution import schreyer_quotient_complex, schreyer_resolution
+from .resolution import schreyer_resolution
 from .ring import _unit
 from .spans import Echelon
 
@@ -120,33 +120,6 @@ def echelon_forms(ring, forms):
     ]
 
 
-def pairs_ideal_object(pairs: PairsIdeal) -> Ideal:
-    if not hasattr(pairs, "_ideal_object"):
-        gens = [g for _, g in pairs.nonzero_generators()]
-        pairs._ideal_object = Ideal(pairs.ring, gens)
-    return pairs._ideal_object
-
-
-def pairs_quotient_complex(pairs: PairsIdeal):
-    """The Schreyer complex of S/I, memoized on `pairs`."""
-    if not hasattr(pairs, "_quotient_complex"):
-        pairs._quotient_complex = schreyer_quotient_complex(
-            pairs.ring, [g for _, g in pairs.nonzero_generators()]
-        )
-    return pairs._quotient_complex
-
-
-def pairs_quotient_betti(pairs: PairsIdeal):
-    """Minimal Betti entries {(p, grade): dim} of S/I, memoized on `pairs`.
-
-    Read off the memoized Schreyer complex.  The dict is shared by every
-    caller, so none may mutate it.
-    """
-    if not hasattr(pairs, "_quotient_betti"):
-        pairs._quotient_betti = pairs_quotient_complex(pairs).minimal_betti()
-    return pairs._quotient_betti
-
-
 # ---------------------------------------------------------------------------
 # minimal primes
 
@@ -180,7 +153,7 @@ def verify_min_primes(pairs: PairsIdeal):
             containment.append(
                 {"prime": p.labels(), "generator": pairs.to_original(i), "side": side}
             )
-    ideal = pairs_ideal_object(pairs)
+    ideal = pairs.ideal_object()
     inter = _intersect_all([_prime_ideal(p) for p in mins], pairs.ring)
     memberships = []
     for h in inter.groebner():
@@ -299,12 +272,12 @@ def associated_primes(pairs: PairsIdeal, progress=None):
     recognized combinatorially and re-certified like every other
     candidate.  `progress(candidate, verdict)` fires once per candidate.
     """
-    ideal = pairs_ideal_object(pairs)
+    ideal = pairs.ideal_object()
     if ideal.is_zero_ideal():
         full = frozenset(range(pairs.n))
         p = LinearPrime(pairs, frozenset(), full, tag="minimal")
         return [p]
-    res = pairs_quotient_complex(pairs)
+    res = pairs.quotient_complex()
     M = pairs.matroid
     minimal_keys = {
         (F, frozenset(range(pairs.n)) - F) for F in M.cyclic_flats()

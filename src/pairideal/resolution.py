@@ -15,9 +15,9 @@ from __future__ import annotations
 from math import prod
 from operator import add
 
-from .groebner import ModuleContext, buchberger, interreduce, poly_to_raw
+from .groebner import ModuleContext, _shifted, buchberger, interreduce, poly_to_raw
 from .ring import PolyRing
-from .spans import Echelon, Pieces, to_ints
+from .spans import Echelon, Pieces, axpy, to_ints
 
 
 class ResolutionError(ValueError):
@@ -189,20 +189,12 @@ class SchreyerResolution:
 
     def verify_complex(self) -> bool:
         """Consecutive differentials compose to zero (exact raw arithmetic)."""
-        for p in range(1, len(self.levels)):
-            prev = self.levels[p - 1]
-            for raw in self.levels[p]:
+        char = self.ring.field.char
+        for prev, level in zip(self.levels, self.levels[1:]):
+            for raw in level:
                 acc = {}
                 for (idx, e), c in raw.items():
-                    for (pos, e2), c2 in prev[idx].items():
-                        key = (pos, tuple(a + b for a, b in zip(e, e2)))
-                        v = acc.get(key, 0) + c * c2
-                        if self.ring.field.char:
-                            v %= self.ring.field.char
-                        if v:
-                            acc[key] = v
-                        else:
-                            acc.pop(key, None)
+                    axpy(acc, _shifted(prev[idx], e), -c, char)
                 if acc:
                     return False
         return True

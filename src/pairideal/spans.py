@@ -169,6 +169,7 @@ class Pieces:
         self.field = field
         self.variables = variables
         self.gens = {}
+        # not a memo: `ModulePieces.register` scans the grades and drops entries
         self._pieces = {}
 
     def lower_span(self, grade) -> Echelon:

@@ -1,4 +1,4 @@
-"""Analysis orchestration: one object caching every engine for a realization,
+"""Analysis orchestration: one object memoizing every engine for a realization,
 the structured report, and the named verification targets.
 
 Verification targets (each returns a dict with a boolean `passed` and the
@@ -33,18 +33,17 @@ first violated assertion when failing):
 from __future__ import annotations
 
 import random
+from functools import cached_property
 from math import comb
 
 from .derivations import DerivationModule, pdim_bounds
 from .graded import BettiTable, GradedEngine
-from .groebner import Ideal
 from .matroid import Realization
+from .memo import memo
 from .pairs import PairsIdeal
 from .primes import (
     associated_primes,
     minimal_primes,
-    pairs_ideal_object,
-    pairs_quotient_betti,
     slice_associated_primes,
     uniform_checks,
     verify_min_primes,
@@ -64,51 +63,40 @@ VERIFY_TARGETS = (
 
 
 class Workbench:
-    """Caches the pairs ideal and every engine for one realization."""
+    """Memoizes the pairs ideal and every engine for one realization."""
 
     def __init__(self, realization: Realization, drop_loops=False, window=None, bound=4):
         self.realization = realization
         self.pairs = PairsIdeal(realization, drop_loops=drop_loops)
         self.window = window if window is not None else self.pairs.n + 2
         self.bound = bound
-        self._engine = None
-        self._der = None
-        self._swap_engine = None
-        self._betti_cache = {}
 
-    @property
+    @cached_property
     def engine(self) -> GradedEngine:
-        if self._engine is None:
-            self._engine = GradedEngine(self.pairs)
-        return self._engine
+        return GradedEngine(self.pairs)
 
-    @property
+    @cached_property
     def derivations(self) -> DerivationModule:
-        if self._der is None:
-            self._der = DerivationModule(self.pairs)
-        return self._der
+        return DerivationModule(self.pairs)
 
+    @memo
     def swap_engine(self) -> GradedEngine:
-        if self._swap_engine is None:
-            self._swap_engine = GradedEngine(self.pairs.swap_roles())
-        return self._swap_engine
+        return GradedEngine(self.pairs.swap_roles())
 
-    def ideal(self) -> Ideal:
-        return pairs_ideal_object(self.pairs)
+    @memo
+    def _quotient_table(self, method) -> BettiTable:
+        """The Betti table of S/I by one method; the ideal's is its view."""
+        if method == "koszul":
+            return self.engine.koszul_betti(window=self.window)
+        entries = self.pairs.quotient_betti()
+        return BettiTable("quotient", "resolution", entries, "full (exact complex)", True)
 
     def koszul_betti(self, target="quotient") -> BettiTable:
-        if "koszul" not in self._betti_cache:
-            self._betti_cache["koszul"] = self.engine.koszul_betti(window=self.window)
-        table = self._betti_cache["koszul"]
+        table = self._quotient_table("koszul")
         return table.ideal_view() if target == "ideal" else table
 
     def resolution_betti(self, target="quotient") -> BettiTable:
-        if "resolution" not in self._betti_cache:
-            entries = pairs_quotient_betti(self.pairs)
-            self._betti_cache["resolution"] = BettiTable(
-                "quotient", "resolution", entries, "full (exact complex)", True
-            )
-        table = self._betti_cache["resolution"]
+        table = self._quotient_table("resolution")
         return table.ideal_view() if target == "ideal" else table
 
     # -- reports ---------------------------------------------------------------
@@ -222,14 +210,14 @@ class Workbench:
         rows = []
         for i in range(0, self.window):
             ix = eng.ix_dim(i, 1)
-            il = eng.ilog_dim(dm.c_vectors, i, 1)
+            log = eng.ilog_slice(dm.c_vectors, i, 1)
             der = eng.derivation_slice_dim(i + 1)
-            if not (ix == il == der):
+            if not (ix == log.dim == der):
                 return self._fail(
                     f"a-degree-one slice at x-degree {i}: relation ideal {ix}, "
-                    f"logarithmic part {il}, derivations {der}"
+                    f"logarithmic part {log.dim}, derivations {der}"
                 )
-            if not eng.ilog_contained_in_ix(dm.c_vectors, i, 1):
+            if not all(eng.ix_contains(row) for row in log.rows.values()):
                 return self._fail(f"logarithmic slice not inside the relation slice at ({i};1)")
             rows.append({"i": i, "dim": ix})
         return {"passed": True, "slices": rows}
@@ -254,7 +242,7 @@ class Workbench:
         mins = minimal_primes(pairs)
         if len(mins) < 2:
             return None
-        ideal = self.ideal()
+        ideal = pairs.ideal_object()
         from .primes import _intersect_all, _prime_ideal
 
         results = []
@@ -400,7 +388,7 @@ class Workbench:
         for i in range(0, self.window):
             for j in (2,):
                 ix = eng.ix_dim(i, j)
-                il = eng.ilog_dim(dm.c_vectors, i, j)
+                il = eng.ilog_slice(dm.c_vectors, i, j).dim
                 if il > ix:
                     return self._fail(f"logarithmic slice exceeds relation slice at ({i};{j})")
                 if il < ix:

@@ -115,10 +115,9 @@ def test_criterion_4_bracelet():
     eng = bracelet.engine
     assert eng.ix_new_generators(2, 2) == 1
     dm = bracelet.derivations
-    log_dim = eng.ilog_dim(dm.c_vectors, 2, 2)
-    ix_dim = eng.ix_dim(2, 2)
-    assert eng.ilog_contained_in_ix(dm.c_vectors, 2, 2)
-    assert log_dim < ix_dim  # strict inclusion
+    log = eng.ilog_slice(dm.c_vectors, 2, 2)
+    assert all(map(eng.ix_contains, log.rows.values()))
+    assert log.dim < eng.ix_dim(2, 2)  # strict inclusion
     M = pairs.matroid
     assert all(M.rank_of(F) == 2 for F in M.minimal_nonempty_cyclic_flats())
     assert not dm.free
@@ -158,7 +157,7 @@ def test_criterion_6_properties():
         dm = bench.derivations
         for i in range(0, min(bench.window, 4)):
             ix = bench.engine.ix_dim(i, 1)
-            il = bench.engine.ilog_dim(dm.c_vectors, i, 1)
+            il = bench.engine.ilog_slice(dm.c_vectors, i, 1).dim
             der = bench.engine.derivation_slice_dim(i + 1)
             assert ix == il == der, (name, i)
 
@@ -205,7 +204,7 @@ def test_criterion_6_properties():
     for name, bench in benches.items():
         pairs = bench.pairs
         S = pairs.ring
-        ideal = bench.ideal()
+        ideal = bench.pairs.ideal_object()
         eng = bench.engine
         rng = random.Random(zlib.crc32(name.encode()))
         gens = [g for _, g in pairs.nonzero_generators()]

@@ -215,12 +215,14 @@ def test_ilog_slices(a3, bracelet):
     dm = a3.derivations
     eng = a3.engine
     for (i, j) in [(0, 1), (1, 1), (2, 1), (0, 2), (1, 2), (2, 2)]:
-        assert eng.ilog_dim(dm.c_vectors, i, j) == eng.ix_dim(i, j)
-        assert eng.ilog_contained_in_ix(dm.c_vectors, i, j)
+        log = eng.ilog_slice(dm.c_vectors, i, j)
+        assert log.dim == eng.ix_dim(i, j)
+        assert all(map(eng.ix_contains, log.rows.values()))
     dmb = bracelet.derivations
     engb = bracelet.engine
-    assert engb.ilog_dim(dmb.c_vectors, 2, 2) == 122
-    assert engb.ilog_contained_in_ix(dmb.c_vectors, 2, 2)
+    log = engb.ilog_slice(dmb.c_vectors, 2, 2)
+    assert log.dim == 122
+    assert all(map(engb.ix_contains, log.rows.values()))
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["QQ", "GF32003"])
@@ -262,7 +264,6 @@ def test_ix_contains_matches_echelon_route(name):
             got = [eng.ix_contains(vec) for vec in vectors]
             assert got == [ix.contains(vec) for vec in vectors], (i, j)
             assert all(got[: len(log) + len(kernel)]) and not any(got[len(log) + len(kernel) :])
-            assert eng.ilog_contained_in_ix(dm.c_vectors, i, j)
 
 
 def test_ix_contains_refuses_an_extra_term(a3):
@@ -287,8 +288,9 @@ def test_ix_contains_refuses_an_extra_term(a3):
         for k in range(n)
         if (k, e) not in cvec
     )
-    assert eng.ilog_contained_in_ix([cvec], d, 1)
-    assert not eng.ilog_contained_in_ix([{**cvec, extra: 1}], d, 1)
+    for gens, inside in (([cvec], True), ([{**cvec, extra: 1}], False)):
+        log = eng.ilog_slice(gens, d, 1)
+        assert all(map(eng.ix_contains, log.rows.values())) == inside
 
 
 @pytest.mark.parametrize("target", ["linear-type", "derivation-param"])
@@ -304,6 +306,20 @@ def test_verify_builds_no_ix_kernel(target, monkeypatch):
     bench = Workbench(get_fixture("a3"), bound=3)
     assert bench.verify(target)["passed"]
     assert calls == []
+
+
+def test_derivation_param_builds_each_log_slice_once(monkeypatch):
+    calls = []
+    ilog_slice = GradedEngine.ilog_slice
+
+    def counted(self, gens, i, j):
+        calls.append((i, j))
+        return ilog_slice(self, gens, i, j)
+
+    monkeypatch.setattr(GradedEngine, "ilog_slice", counted)
+    bench = Workbench(get_fixture("a3"))
+    assert bench.verify("derivation-param")["passed"]
+    assert calls == [(i, 1) for i in range(bench.window)]
 
 
 def test_linear_type(u12, a3, bracelet):

@@ -88,7 +88,7 @@ def test_intersect_and_saturate(xy_ring):
 
 
 def test_radical_membership(u12):
-    I = u12.ideal()
+    I = u12.pairs.ideal_object()
     pairs = u12.pairs
     # sqrt of the pairs ideal is (x1) /\ (y1): cross products are in it
     assert I.radical_member(pairs.f[0] * pairs.g[1])
@@ -105,7 +105,7 @@ def test_krull_dimension_matches_cyclic_flats(u12, u24, a3, seven, fail_a):
         expected = max(
             pairs.n - M.rank_of(F) - dual.rank_of(full - F) for F in M.cyclic_flats()
         )
-        assert bench.ideal().quotient_dimension() == expected
+        assert bench.pairs.ideal_object().quotient_dimension() == expected
 
 
 def test_is_associated_examples(xy_ring):
@@ -120,7 +120,7 @@ def test_is_associated_examples(xy_ring):
 def test_dual_form_products_in_ideal_u24(u24):
     # products of dual forms over index pairs, times any form, via the GB
     pairs = u24.pairs
-    I = u24.ideal()
+    I = u24.pairs.ideal_object()
     for i1 in range(4):
         for i2 in range(i1, 4):
             prod = pairs.g[i1] * pairs.g[i2]
@@ -132,7 +132,7 @@ def test_membership_oracles_agree(a3, u24):
     # the Groebner route and the degreewise route agree on random elements
     for bench in (a3, u24):
         pairs = bench.pairs
-        I = bench.ideal()
+        I = bench.pairs.ideal_object()
         eng = bench.engine
         S = pairs.ring
         rng = random.Random(42)
@@ -158,7 +158,7 @@ def test_membership_oracles_agree(a3, u24):
 
 def test_standard_monomial_count_matches_hilbert(bracelet):
     # initial-ideal staircase count agrees with the degreewise dimensions
-    I = bracelet.ideal()
+    I = bracelet.pairs.ideal_object()
     eng = bracelet.engine
     for i in range(4):
         for j in range(4):

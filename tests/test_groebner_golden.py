@@ -21,7 +21,7 @@ from pairideal import groebner
 from pairideal.fixtures import get_fixture
 from pairideal.pairs import PairsIdeal
 from pairideal.matroid import biflats
-from pairideal.primes import LinearPrime, pairs_ideal_object
+from pairideal.primes import LinearPrime
 from pairideal.resolution import schreyer_quotient_betti
 from pairideal.scalars import field_from_descriptor
 
@@ -45,7 +45,7 @@ def _pairs(name, field=None):
 
 def test_reduced_bases_match_golden():
     bases = {
-        label: [str(g) for g in pairs_ideal_object(_pairs(name, field)).groebner()]
+        label: [str(g) for g in _pairs(name, field).ideal_object().groebner()]
         for label, name, field in FIXTURES
     }
     text = json.dumps(bases, indent=1) + "\n"
@@ -72,7 +72,7 @@ def _trace_stream(run):
 
 def _a3_associated_primes():
     pairs = _pairs("a3")
-    ideal = pairs_ideal_object(pairs)
+    ideal = pairs.ideal_object()
     ideal.groebner()
     for F, G in biflats(pairs.matroid):
         groebner.is_associated(ideal, LinearPrime(pairs, F, G).forms)

@@ -39,7 +39,7 @@ def test_fractional_realization_full_stack():
     dm = bench.derivations
     assert dm.pdim >= 0
     for i in range(0, 3):
-        assert eng.ix_dim(i, 1) == eng.ilog_dim(dm.c_vectors, i, 1)
+        assert eng.ix_dim(i, 1) == eng.ilog_slice(dm.c_vectors, i, 1).dim
         assert eng.ix_dim(i, 1) == eng.derivation_slice_dim(i + 1)
     k = bench.koszul_betti(target="quotient")
     r = bench.resolution_betti(target="quotient")

@@ -112,11 +112,11 @@ def test_cli_fixtures_and_der():
 
 
 def test_cli_compare_recipe():
-    out = run_cli("compare", "fail_A", "fail_PA", "--recipe", "--json")
+    out = run_cli("compare", "fail_A", "fail_PA", "--json")
     assert out.returncode == 0
     data = json.loads(out.stdout)
     assert data["certificate"]["flat"] == [1, 2, 3, 5]
-    same = run_cli("compare", "fail_A", "fail_A", "--recipe", "--json")
+    same = run_cli("compare", "fail_A", "fail_A", "--json")
     assert json.loads(same.stdout)["certificate"] is None
 
 

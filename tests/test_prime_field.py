@@ -30,7 +30,7 @@ def test_graded_and_groebner_over_prime_field():
     table = bench.koszul_betti(target="ideal")
     res = bench.resolution_betti(target="ideal")
     assert table.entries == res.entries
-    I = bench.ideal()
+    I = bench.pairs.ideal_object()
     pairs = bench.pairs
     assert I.member(pairs.generators[0] * pairs.ring.var(0))
     assert not I.member(pairs.f[0])

@@ -15,9 +15,6 @@ from pairideal.primes import (
     echelon_forms,
     minimal_primes,
     module_prime_is_associated,
-    pairs_ideal_object,
-    pairs_quotient_betti,
-    pairs_quotient_complex,
     point_on,
     ranks_rule_out,
     slice_associated_primes,
@@ -187,7 +184,7 @@ def _realization(name):
 
 def colon_oracle(pairs):
     """Keys of the biflats that the colon test finds associated, none pruned."""
-    ideal = pairs_ideal_object(pairs)
+    ideal = pairs.ideal_object()
     cands = [LinearPrime(pairs, F, G) for F, G in biflats(pairs.matroid)]
     return sorted(p.key() for p in cands if is_associated(ideal, p.forms)[0])
 
@@ -260,7 +257,7 @@ def test_origin_point_falls_back_to_colons(monkeypatch, capsys):
     pairs = PairsIdeal(_realization("a3"))
     ass, seen, colons = _counted_scan(pairs, monkeypatch)
     assert sorted(p.key() for p in ass) == colon_oracle(pairs)
-    pdim = max(p for p, _ in pairs_quotient_betti(pairs))
+    pdim = max(p for p, _ in pairs.quotient_betti())
     assert colons == sum(1 for cand in seen if cand.codim <= pdim) == 18
     _check_slices(pairs)
     assert main(["primes", "a3", "--slices", "--json"]) == 0
@@ -271,7 +268,7 @@ def test_origin_point_falls_back_to_colons(monkeypatch, capsys):
 def test_point_off_the_prime_is_refused(a3, monkeypatch):
     pairs = a3.pairs
     cand = LinearPrime(pairs, frozenset({0, 1, 3}), frozenset(range(6)) - {0, 1, 3})
-    res = pairs_quotient_complex(pairs)
+    res = pairs.quotient_complex()
     assert point_on(pairs.ring, cand.forms)[2] == 2 + 2  # a free coordinate
     ranks_rule_out(res, cand.codim, cand.forms)  # the scan's own point passes
     one = pairs.ring.field.one
@@ -289,7 +286,7 @@ def test_rank_at_matches_field_evaluation(field):
     ring, m, cols, _ = pairs.slice_columns()
     for res in (
         schreyer_resolution(ring, cols, [(0,) * ring.ngrades] * m),
-        pairs_quotient_complex(pairs),
+        pairs.quotient_complex(),
     ):
         F = res.ring.field
         point = [F.div(F.of(i + 3), F.of(2 * i + 5)) for i in range(res.ring.nvars)]

@@ -18,12 +18,7 @@ from pairideal.groebner import is_associated
 from pairideal.linalg import ExactMatrix
 from pairideal.matroid import Realization, biflats
 from pairideal.pairs import PairsIdeal
-from pairideal.primes import (
-    LinearPrime,
-    pairs_ideal_object,
-    pairs_quotient_complex,
-    ranks_rule_out,
-)
+from pairideal.primes import LinearPrime, ranks_rule_out
 from pairideal.scalars import QQ, PrimeField
 from pairideal.workbench import Workbench
 
@@ -54,8 +49,8 @@ def test_random_realization_tables(real):
     assert swapped == {(p, (j, i)): v for (p, (i, j)), v in koszul.items()}
     gfp = [[GF.of(v) for v in row] for row in real.matrix.entries]
     for pairs in (bench.pairs, PairsIdeal(Realization("random", GF, ExactMatrix(GF, gfp)))):
-        ideal = pairs_ideal_object(pairs)
-        res = pairs_quotient_complex(pairs)
+        ideal = pairs.ideal_object()
+        res = pairs.quotient_complex()
         for F, G in biflats(pairs.matroid):
             cand = LinearPrime(pairs, F, G)
             if ranks_rule_out(res, cand.codim, cand.forms):
