@@ -5,7 +5,9 @@ The `primes` files hold the colon witnesses, which depend on the exact
 Groebner runs behind the associated-prime tests; any change to those runs
 that alters a witness or a verdict shows here.  The `analyze` and `betti`
 files gate the Betti tables, derivation data and reports over QQ and
-GF(32003).  The `verify` files gate all eight verification targets on a3
+GF(32003); the Koszul table of seven, the widest window the Koszul route
+scans among them (i+j <= 12), is gated on both fields.  The `verify`
+files gate all eight verification targets on a3
 over QQ and GF(32003); syzygy-slices, derivation-param, tor-of-der and
 slice-min-primes on seven; and slice-min-primes on bracelet9 and on seven
 with a dropped zero column, whose labels pass through both the dropped
@@ -40,6 +42,11 @@ CASES = [
     (
         ["betti", str(GOLDEN / "bracelet9_gf32003.json"), "--method", "resolution", "--json"],
         "betti_bracelet9_gf32003_resolution.json",
+    ),
+    (["betti", "seven", "--method", "koszul", "--json"], "betti_seven_koszul.json"),
+    (
+        ["betti", str(GOLDEN / "seven_gf32003.json"), "--method", "koszul", "--json"],
+        "betti_seven_gf32003_koszul.json",
     ),
     (["verify", "a3", "--bound", "3", "--json"], "verify_a3_bound3.json"),
     (

@@ -1,7 +1,9 @@
 """Degreewise engine: pieces, Hilbert data, Koszul homology, slices."""
 
+from fractions import Fraction
+from itertools import combinations
 from math import comb, prod
-from operator import ge
+from operator import add, ge, le
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,8 @@ from conftest import bench_for
 from pairideal.fixtures import get_fixture
 from pairideal.graded import GradedEngine, IdealPieces, theta_from_syzygy
 from pairideal.io import InputSpec
+from pairideal.linalg import ExactMatrix
+from pairideal.matroid import Realization
 from pairideal.pairs import PairsIdeal
 from pairideal.resolution import ModulePieces
 from pairideal.ring import RingError, _compositions, pair_ring
@@ -18,6 +22,7 @@ from pairideal.spans import Echelon, grow
 from pairideal.workbench import Workbench
 
 A3_GF32003 = Path(__file__).parent / "golden" / "a3_gf32003.json"
+FRACTIONAL = [[2, 1, 3, 1], [1, 3, 1, 0], [0, 5, 0, 7]]  # pinned basis has fractions
 
 
 # the worked braid-arrangement table, pinned by two independent methods
@@ -64,6 +69,58 @@ def test_hilbert_additivity(a3, seven):
         for i in range(4):
             for j in range(4):
                 assert eng.ideal_dim((i, j)) + eng.quotient_dim((i, j)) == eng.ring.monomial_count((i, j))
+
+
+@pytest.mark.parametrize("name", ["a3", "seven", "fail_A", "u:3:5", "boolean:3", "a3_gf32003"])
+def test_cokernel_dims_equal_ideal_piece_route(name):
+    # two routes to the Hilbert function: cokernels of the Koszul relations
+    # on the lower quotient pieces, and monomials minus the ideal's pieces
+    if name == "a3_gf32003":
+        eng = Workbench(InputSpec.from_file(A3_GF32003).realization()).engine
+    else:
+        eng = GradedEngine(PairsIdeal(get_fixture(name)))
+    for i in range(7):
+        for j in range(7 - i):
+            assert eng.quotient_piece_dim((i, j)) == eng.quotient_dim((i, j)), (i, j)
+
+
+def _compose(field, first, second):
+    """second after first, as columns of field values (see `mult_map`)."""
+    out = []
+    for w, lam in first:
+        col = {}
+        for t, v in w.items():
+            w2, lam2 = second[t]
+            for c, u in w2.items():
+                col[c] = field.add(col.get(c, field.zero), field.of(Fraction(v * u, lam * lam2)))
+        out.append({c: x for c, x in col.items() if not field.is_zero(x)})
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["QQ", "GF32003"])
+@pytest.mark.parametrize("name", ["a3", "seven"])
+def test_mult_maps_commute(name, field):
+    # x_l x_k == x_k x_l from M_delta: the cokernel labels of different
+    # variables name one class exactly when the Koszul relations say so
+    eng = GradedEngine(PairsIdeal(get_fixture(name, field)))
+    grades = eng.ring.grades
+    for i in range(3):
+        for j in range(3 - i):
+            for k, l in combinations(range(eng.ring.nvars), 2):
+                via_k = tuple(map(add, (i, j), grades[k]))
+                via_l = tuple(map(add, (i, j), grades[l]))
+                kl = _compose(field, eng.mult_map((i, j), k), eng.mult_map(via_k, l))
+                lk = _compose(field, eng.mult_map((i, j), l), eng.mult_map(via_l, k))
+                assert kl == lk, ((i, j), k, l)
+                assert len(kl) == eng.quotient_piece_dim((i, j))
+
+
+def test_koszul_table_grows_no_ideal_piece():
+    # the Koszul route reads its quotient pieces off the cokernels; the
+    # ideal's pieces are the other Hilbert route and stay unbuilt
+    eng = Workbench(get_fixture("seven")).engine
+    assert eng.koszul_betti().total_by_p()[7] == 1
+    assert all(map(le, g, (1, 1)) for g in eng.ideal._pieces)
 
 
 def test_a3_koszul_table(a3):
@@ -264,6 +321,25 @@ def test_ix_contains_matches_echelon_route(name):
             got = [eng.ix_contains(vec) for vec in vectors]
             assert got == [ix.contains(vec) for vec in vectors], (i, j)
             assert all(got[: len(log) + len(kernel)]) and not any(got[len(log) + len(kernel) :])
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["QQ", "GF32003"])
+def test_ix_contains_accepts_kernel_vectors_and_refuses_perturbed_ones(field):
+    # the integerized product map: each kernel vector maps to zero, and one
+    # more unit on any key does not, as no pair product is zero; over QQ the
+    # products of this realization are integerized with scales 1, 5 and 25
+    pairs = PairsIdeal(Realization("frac", field, ExactMatrix(field, FRACTIONAL)))
+    assert not pairs.zero_generator_indices
+    eng = GradedEngine(pairs)
+    tested = 0
+    for j in (1, 2):
+        for i in range(3):
+            for vec in eng.ix_slice(i, j):
+                assert eng.ix_contains(vec)
+                for key in vec:
+                    assert not eng.ix_contains({**vec, key: vec[key] + 1})
+                tested += 1
+    assert tested
 
 
 def test_ix_contains_refuses_an_extra_term(a3):

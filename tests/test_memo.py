@@ -52,6 +52,7 @@ def test_memo_returns_the_same_object():
     M = pairs.matroid
     assert eng.syzygy_slice(2, 1) is eng.syzygy_slice(2, 1)
     assert eng.mult_map((1, 1), 0) is eng.mult_map((1, 1), 0)
+    assert eng.quotient_piece((2, 2)) is eng.quotient_piece((2, 2))
     assert eng.power_pieces(1) is eng.ideal
     assert M.flats() is M.flats()
     assert M.dual() is M.dual()

@@ -5,8 +5,9 @@ drawn by hypothesis; the monic reduced basis of `Ideal.groebner()` must
 equal `sympy.groebner(..., order="grevlex")` over QQ and over GF(32003).
 
 The fixtures' pairs ideals, and two of their squares, are checked
-degreewise: the dimensions of the grown bidegree pieces must match the
-counts of sympy's grevlex standard monomials, and degreewise membership
+degreewise: the dimensions of the grown bidegree pieces, and for the pairs
+ideals those of the cokernel quotient pieces, must match the counts of
+sympy's grevlex standard monomials, and degreewise membership
 must match sympy's `contains` on seeded random elements.
 sympy is an optional test dependency; the package itself does not use it.
 """
@@ -128,6 +129,7 @@ def test_pairs_quotient_dims_match_sympy(name):
     basis, _ = _sympy_basis(eng.ring, eng.pairs.generators)
     standard = _standard_counts(eng.ring, basis, WINDOW)
     assert eng.hilbert(WINDOW) == standard
+    assert {b: eng.quotient_piece_dim(b) for b in standard} == standard
 
 
 @pytest.mark.parametrize("name", ["a3", "seven"])
