@@ -28,6 +28,14 @@ side (`spans.Pieces.lower_span`): above the generators in x-degree by the
 x-multiples alone, which span the same piece; the others multiply by
 every variable.
 
+The Rees side of the linear-type comparison counts by rank and nullity:
+the (c,d;q) relation piece is the kernel of the product map onto
+(I^q)_(c+q,d+q), and the symmetric piece lies in it, so that rank is at
+most domain - sym.  Each piece of I^q is grown from the multiples with a
+new lead first, which need no elimination, and stops once its rank meets
+the bound (`spans.grow`; Traverso's Hilbert-driven Buchberger algorithm,
+1996), so only a degree that is not of linear type grows in full.
+
 Every kernel slice is built by one product kernel,
 `GradedEngine._product_kernel`: the kernel of the tagged vectors m * prod
 in one bidegree of S.  The syzygy slice in bidegree (c,d) takes the pair
@@ -613,13 +621,19 @@ class GradedEngine:
                 gens.append(prod)
         return IdealPieces(self.ring, gens)
 
-    def rees_kernel_dim(self, c: int, d: int, q: int) -> int:
-        """dim of the (c,d;q) piece of the full relation ideal of the generators."""
+    def rees_kernel_dim(self, c: int, d: int, q: int, sym=None) -> int:
+        """dim of the (c,d;q) piece of the full relation ideal of the generators.
+
+        That piece is the kernel of the product map S_(c,d) (x) A_q ->
+        S_(c+q,d+q), whose image is the (c+q,d+q) piece of I^q.  Given the
+        dimension sym of the symmetric piece, which lies in the kernel, the
+        image piece stops growing once its rank meets domain - sym.
+        """
         if q == 0:
             return 0
         domain = self.ring.monomial_count((c, d)) * comb(self.pairs.n + q - 1, q)
-        image = self.power_pieces(q).dim((c + q, d + q))
-        return domain - image
+        bound = None if sym is None else domain - sym
+        return domain - self.power_pieces(q).piece((c + q, d + q), bound).dim
 
     @memo
     def syzygy_slice(self, c: int, d: int):
@@ -662,15 +676,27 @@ class GradedEngine:
         Scans every multidegree with a-degree 1 <= q <= bound and x+y degree
         c+d <= bound; returns (verdict, list of per-degree records).  The
         first record with equal=False exhibits a non-linear relation degree.
+
+        Each Rees piece stops at the bound its symmetric piece gives
+        (`rees_kernel_dim`), which holds when the symmetric pieces lie in
+        the kernel of the product map: so each relation-slice vector that
+        generates them must map to zero first (`ix_contains`), or RingError
+        is raised.  Lower pieces are visited first.
         """
+        n = self.pairs.n
+        for total in range(2, bound + 3):
+            for i in range(1, total):
+                for v in self.syzygy_slice(i, total - i):
+                    if not self.ix_contains(_lt_vector(n, v)):
+                        raise RingError(f"a ({i},{total - i}) relation is not in the kernel")
         records = []
         all_equal = True
         for q in range(1, bound + 1):
             for total in range(0, bound + 1):
                 for c in range(total + 1):
                     d = total - c
-                    dj = self.rees_kernel_dim(c, d, q)
                     dl = self.symmetric_kernel_dim(c, d, q)
+                    dj = self.rees_kernel_dim(c, d, q, dl)
                     if dj or dl:
                         eq = dj == dl
                         records.append(

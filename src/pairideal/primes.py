@@ -243,7 +243,8 @@ def ranks_rule_out(res, codim, forms) -> bool:
 
     Past the length of the complex b_c = 0, and nothing is evaluated.
     False proves nothing.  Raises PointError if a form does not vanish at
-    the point.
+    the point.  As d_c d_(c+1) = 0 at the point, rank d_c is at most
+    b_c - rank d_(c+1), so d_c is eliminated only until it meets that bound.
     """
     b = res.free_rank(codim)
     if not b:
@@ -253,7 +254,8 @@ def ranks_rule_out(res, codim, forms) -> bool:
     for f in forms:
         if not F.is_zero(f.evaluate(point)):
             raise PointError(f"the form {f} does not vanish at the point {point}")
-    return res.rank_at(codim, point) + res.rank_at(codim + 1, point) == b
+    rest = b - res.rank_at(codim + 1, point)
+    return res.rank_at(codim, point, rest) == rest
 
 
 # ---------------------------------------------------------------------------

@@ -112,14 +112,15 @@ class SchreyerResolution:
             return len(self.ambient_shifts)
         return len(self.levels[p - 1]) if p <= len(self.levels) else 0
 
-    def rank_at(self, p, point):
+    def rank_at(self, p, point, bound=None):
         """Rank of the differential d_p: F_p -> F_(p-1) evaluated at a point.
 
         0 unless 1 <= p <= the length.  The monomials are evaluated in
         integers (residues over GF(p)) at den * point, where den clears the
         point's denominators; a monomial of degree k then carries a spare
         den^k, and each column is scaled by den^(its top degree) to clear
-        them, which keeps the rank.
+        them, which keeps the rank.  Given a bound on the rank that the
+        caller certifies, the columns stop once the rank meets it.
         """
         if not 1 <= p <= len(self.levels):
             return 0
@@ -128,6 +129,8 @@ class SchreyerResolution:
         values = {}  # exponent -> value of the monomial at den * point
         ech = Echelon(self.ring.field)
         for raw in self.levels[p - 1]:
+            if ech.dim == bound:
+                break
             top = max(sum(e) for _, e in raw)
             col = {}
             for (pos, e), c in raw.items():

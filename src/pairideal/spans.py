@@ -12,10 +12,11 @@ vector is dependent, the exact combination over previously inserted vectors
 is returned).
 
 Graded pieces are grown degree by degree by one function, `grow`: the span
-of the variable multiples of the lower pieces.  `Pieces` memoizes the
-pieces of a submodule grown that way, from one side where the generators'
-grades allow it (`Pieces.lower_span`); `graded.IdealPieces` and
-`resolution.ModulePieces` are its two kinds.
+of the variable multiples of the lower pieces, those with a new lead
+first, stopped at a dimension bound when the caller has one.  `Pieces`
+memoizes the pieces of a submodule grown that way, from one side where the
+generators' grades allow it (`Pieces.lower_span`); `graded.IdealPieces`
+and `resolution.ModulePieces` are its two kinds.
 
 The coefficient kernel is three primitives, used here and by `groebner`:
 
@@ -121,8 +122,9 @@ def _bump(vec, slot, i):
     return out
 
 
-def grow(field, grade, variables, lower, columns=None):
-    """The Echelon span of the variable multiples of the lower pieces.
+def grow(field, grade, variables, lower, columns=None, gens=(), bound=None):
+    """The Echelon span of the variable multiples of the lower pieces and
+    of the vectors `gens`.
 
     variables: (shift, slot, i) per variable; its multiple of a row of the
     piece at grade - shift raises exponent i of the row's keys, in key slot
@@ -135,20 +137,39 @@ def grow(field, grade, variables, lower, columns=None):
     Callers may pass a subset of the variables: the result is the same
     span whenever every monomial that carries a lower generator to `grade`
     is divisible by one of them (see `Pieces.lower_span`).
+
+    The candidates go in two passes.  The first inserts each one whose
+    lead is not yet a pivot: columns follow a monomial order, so the lead
+    of a multiple is the multiple of the row's lead, and such a candidate
+    is stored with no elimination.  The second inserts the rest in the same
+    order, and stops once the dimension reaches `bound`, an upper bound on
+    the dimension of the whole span that the caller certifies; the span is
+    then complete.  With no bound it inserts them all.
     """
-    ech = Echelon(field)
+    sources = []  # (rows, multiple): multiple(row) is the candidate of a row
     for shift, slot, i in variables:
         prev = tuple(map(sub, grade, shift))
         if min(prev) < 0 or not (rows := lower(prev)):
             continue
         if columns is None:
-            multiples = (_bump(row, slot, i) for row in rows)
+            sources.append((rows, lambda row, slot=slot, i=i: _bump(row, slot, i)))
         else:
             to = columns(grade)[1]
             col = [to[e[:i] + (e[i] + 1,) + e[i + 1 :]] for e in columns(prev)[0]]
-            multiples = ({col[c]: v for c, v in row.items()} for row in rows)
-        for vec in multiples:
-            ech.insert(vec)
+            sources.append((rows, lambda row, col=col: {col[c]: v for c, v in row.items()}))
+    sources.append((gens, dict))
+    ech = Echelon(field)
+    later = []
+    for rows, multiple in sources:
+        for row in rows:
+            if min(multiple({min(row): 0})) in ech.rows:  # the lead of the candidate
+                later.append((row, multiple))
+            else:
+                ech.insert(multiple(row))
+    for row, multiple in later:
+        if bound is not None and ech.dim >= bound:
+            break
+        ech.insert(multiple(row))
     return ech
 
 
@@ -172,35 +193,36 @@ class Pieces:
         # not a memo: `ModulePieces.register` scans the grades and drops entries
         self._pieces = {}
 
-    def lower_span(self, grade) -> Echelon:
-        """Span of the generators strictly below `grade`, times S.
+    def lower_span(self, grade, gens=(), bound=None) -> Echelon:
+        """Span of the generators strictly below `grade`, times S, and of
+        `gens`, grown up to `bound` (see `grow`).
 
         It is grown from one side: if some coordinate k has g[k] < grade[k]
         for every generator grade g strictly below, only the variables of
         positive k-th grade multiply (the first such k; all variables if
-        none).  Each monomial of S_(grade - g) is then divisible by one of
-        them, so the span, and with it the pivots and `Echelon.reduce`
-        residuals, is that of all variable multiples.
+        none; none if no generator lies below).  Each monomial of
+        S_(grade - g) is then divisible by one of them, so the span, and
+        with it the pivots and `Echelon.reduce` residuals, is that of all
+        variable multiples.
         """
         below = [g for g in self.gens if g != grade and all(map(le, g, grade))]
-        if not below:
-            return Echelon(self.field)
-        variables = self.variables
+        variables = self.variables if below else []
         for k, top in enumerate(grade):
             if all(g[k] < top for g in below):
                 variables = [v for v in variables if v[0][k] > 0]
                 break
-        return grow(
-            self.field, grade, variables, lambda g: self.piece(g).rows.values(), self.columns
-        )
 
-    def piece(self, grade) -> Echelon:
+        def rows(g):
+            return self.piece(g).rows.values()
+
+        return grow(self.field, grade, variables, rows, self.columns, gens, bound)
+
+    def piece(self, grade, bound=None) -> Echelon:
+        """The piece at `grade`, grown up to a bound on its dimension that
+        the caller certifies; it is complete either way, and kept."""
         got = self._pieces.get(grade)
         if got is None:
-            got = self.lower_span(grade)
-            for vec in self.gens.get(grade, ()):
-                got.insert(vec)
-            self._pieces[grade] = got
+            got = self._pieces[grade] = self.lower_span(grade, self.gens.get(grade, ()), bound)
         return got
 
 

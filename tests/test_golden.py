@@ -9,9 +9,11 @@ GF(32003); the Koszul table of seven, the widest window the Koszul route
 scans among them (i+j <= 12), is gated on both fields.  The `verify`
 files gate all eight verification targets on a3
 over QQ and GF(32003); syzygy-slices, derivation-param, tor-of-der and
-slice-min-primes on seven; and slice-min-primes on bracelet9 and on seven
+slice-min-primes on seven; slice-min-primes on bracelet9 and on seven
 with a dropped zero column, whose labels pass through both the dropped
-loop and the role swap.
+loop and the role swap; and linear-type at bound 3 on seven over QQ and
+GF(32003), and at bound 2 on bracelet9, which is not of linear type and
+has a strict slice at (2;2).
 """
 
 from pathlib import Path
@@ -76,6 +78,26 @@ CASES = [
     (
         ["verify", str(GOLDEN / "seven_loop.json"), "--theorem", "slice-min-primes", "--json"],
         "verify_seven_loop_slice_min_primes.json",
+    ),
+    (
+        ["verify", "seven", "--theorem", "linear-type", "--bound", "3", "--json"],
+        "verify_seven_linear_type_bound3.json",
+    ),
+    (
+        [
+            "verify",
+            str(GOLDEN / "seven_gf32003.json"),
+            "--theorem",
+            "linear-type",
+            "--bound",
+            "3",
+            "--json",
+        ],
+        "verify_seven_gf32003_linear_type_bound3.json",
+    ),
+    (
+        ["verify", "bracelet9", "--theorem", "linear-type", "--bound", "2", "--json"],
+        "verify_bracelet9_linear_type_bound2.json",
     ),
 ]
 

@@ -301,4 +301,8 @@ def test_rank_at_matches_field_evaluation(field):
                             v = F.mul(v, x)
                     col[pos] = F.add(col[pos], v)
                 matrix.append(col)
-            assert res.rank_at(p, point) == rank(ExactMatrix(F, matrix)) > 0
+            full = rank(ExactMatrix(F, matrix))
+            assert res.rank_at(p, point) == full > 0
+            # a bound on the rank stops the columns once it is met
+            for bound in range(full + 2):
+                assert res.rank_at(p, point, bound) == min(bound, full)
