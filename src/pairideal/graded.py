@@ -1,11 +1,12 @@
 """Degreewise exact linear algebra on the pair ring.
 
-Everything here is Groebner-free by design: bidegree pieces of the ideal of
-pairs (and its powers) and of its quotient, bigraded Hilbert functions,
-Koszul-complex Betti tables, syzygy slices, the slices of the critical-set
-ideal and of its logarithmic subideal, and the bounded linear-type
-comparison.  Each piece is a finite exact computation, so these routines
-double as an independent oracle for the Groebner route.
+Everything here is Groebner-free by design, save the generators of the
+symmetric ideal: bidegree pieces of the ideal of pairs (and its powers) and
+of its quotient, bigraded Hilbert functions, Koszul-complex Betti tables,
+syzygy slices, the slices of the critical-set ideal and of its logarithmic
+subideal, and the bounded linear-type comparison.  Each piece is a finite
+exact computation, so these routines double as an independent oracle for
+the Groebner route.
 
 The quotient pieces (S/I)_delta, which the Koszul table reads, are
 cokernels of the Koszul relations on the lower quotient pieces, divided by
@@ -17,24 +18,28 @@ eliminated to get S/I, and the pieces give the ranks of the first two
 Koszul differentials.
 
 Every piece that is the span of the variable multiples of lower pieces is
-grown by `spans.grow`: the bidegree pieces of the ideal and of its powers
-(`IdealPieces`), the symmetric pieces of the linear-type comparison for
-a-degree q >= 2, and the lower spans that the minimal-generator counts of
-the derivation slices and of the critical-set ideal subtract.  The ideal
-pieces serve `member`, `ideal_dim`, the Rees side, the kernel slices'
-columns and a second route to the Hilbert function (`quotient_dim`).  Only
-they know their generators' bidegrees, so only they are grown from one
-side (`spans.Pieces.lower_span`): above the generators in x-degree by the
-x-multiples alone, which span the same piece; the others multiply by
-every variable.
+grown by `spans.grow`: the pieces of the ideal, of its powers and of the
+symmetric ideal in S[a] (`IdealPieces`), and the lower spans that the
+minimal-generator counts of the derivation slices and of the critical-set
+ideal subtract.  The ideal pieces serve `member`, `ideal_dim`, the Rees
+side, the kernel slices' columns and a second route to the Hilbert function
+(`quotient_dim`).  Only they know their generators' grades, so only they
+are grown from one side (`spans.Pieces.lower_span`): above the generators
+in x-degree by the x-multiples alone, which span the same piece; the
+others multiply by every variable.
 
-The Rees side of the linear-type comparison counts by rank and nullity:
-the (c,d;q) relation piece is the kernel of the product map onto
-(I^q)_(c+q,d+q), and the symmetric piece lies in it, so that rank is at
-most domain - sym.  Each piece of I^q is grown from the multiples with a
-new lead first, which need no elimination, and stops once its rank meets
-the bound (`spans.grow`; Traverso's Hilbert-driven Buchberger algorithm,
-1996), so only a degree that is not of linear type grows in full.
+The symmetric side of the linear-type comparison is the presentation
+Sym(I) = S[a] / (sum_k c_k a_k : sum_k c_k f_k g_k = 0), whose relations
+are generated by any generating set of the syzygies of the pair generators
+(Vasconcelos, Arithmetic of Blowup Algebras, 1994): one tracked Groebner
+run gives them (`GradedEngine.symmetric_pieces`).  The Rees side counts by
+rank and nullity: the (c,d;q) relation piece is the kernel of the product
+map onto (I^q)_(c+q,d+q), and the symmetric piece lies in it, so that rank
+is at most domain - sym.  Each piece of I^q is grown from the multiples
+with a new lead first, which need no elimination, and stops once its rank
+meets the bound (`spans.grow`; Traverso's Hilbert-driven Buchberger
+algorithm, 1996), so only a degree that is not of linear type grows in
+full.
 
 Every kernel slice is built by one product kernel,
 `GradedEngine._product_kernel`: the kernel of the tagged vectors m * prod
@@ -56,14 +61,15 @@ the parameterized-point evaluations.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from math import comb, lcm
 from operator import add, le, sub
 from typing import NamedTuple
 
+from .groebner import ModuleContext, module_syzygies
 from .memo import memo
 from .pairs import PairsIdeal
-from .ring import Poly, RingError, _compositions, _unit
+from .ring import Poly, PolyRing, RingError, _compositions, _unit
 from .spans import Echelon, Pieces, grow, kernel_of_stacked_vectors, to_ints
 
 
@@ -611,15 +617,8 @@ class GradedEngine:
     def power_pieces(self, q: int) -> IdealPieces:
         if q == 1:
             return self.ideal
-        gens = []
-        nz = [g for g in self.pairs.generators if g]
-        for combo in combinations_with_replacement(range(len(nz)), q):
-            prod = self.ring.one()
-            for k in combo:
-                prod = prod * nz[k]
-            if prod:
-                gens.append(prod)
-        return IdealPieces(self.ring, gens)
+        gammas = _compositions(q, self.pairs.n)
+        return IdealPieces(self.ring, [self._pair_product(gamma) for gamma in gammas])
 
     def rees_kernel_dim(self, c: int, d: int, q: int, sym=None) -> int:
         """dim of the (c,d;q) piece of the full relation ideal of the generators.
@@ -642,33 +641,35 @@ class GradedEngine:
             return []
         return self._product_kernel(enumerate(self.pairs.generators), (c - 1, d - 1), (c, d))
 
-    def symmetric_kernel_dim(self, c: int, d: int, q: int) -> int:
-        """dim of the (c,d;q) piece of the ideal generated by a-linear relations.
-
-        Multidegrees are the true ones (the a-variables carry no S-degree),
-        matching rees_kernel_dim: the a-degree-one part in coefficient
-        S-degree (c,d) is the relation space with target degree (c+1,d+1).
-        """
-        return self._sym_piece(c, d, q).dim
-
     @memo
-    def _sym_piece(self, c, d, q):
-        """The (c,d;q) piece: the relation slice at q = 1, above it the span
-        of its variable multiples by x, y and a.
+    def symmetric_pieces(self) -> IdealPieces:
+        """The ideal of S[a] generated by sum_k c_k a_k over the syzygies c
+        of the pair generators from one tracked Groebner run; x, y and a_k
+        have grades (1,0,0), (0,1,0) and (0,0,1).
 
-        The a-multiples alone span the same piece for q >= 2 and insert
-        fewer rows, but those rows are denser (105,339 entries against
-        74,435 over the same 8,207 rows on seven at bound 3), and the peak
-        memory of the linear-type check grew by 13-14 %; so all three
-        sides multiply."""
-        if q == 1:
-            piece = Echelon(self.field)
-            for v in self.syzygy_slice(c + 1, d + 1):
-                piece.insert(_lt_vector(self.pairs.n, v))
-            return piece
-        variables = [(g + (0,), 0, t) for t, g in enumerate(self.ring.grades)]
-        variables += [((0, 0, 1), 1, k) for k in range(self.pairs.n)]
-        return grow(self.field, (c, d, q), variables, lambda g: self._sym_piece(*g).rows.values())
+        f_k g_k enters the run as `to_ints`, so c_k is multiplied back by
+        its scale; a zero generator gives a_k.  The Rees bound needs this
+        ideal in the kernel of the product map, which is an ideal: so each
+        generator must map to zero (`ix_contains`), or RingError is raised.
+        """
+        S, n = self.ring, self.pairs.n
+        names = S.names + tuple(f"a{k + 1}" for k in range(n))
+        ring = PolyRing(self.field, names, [g + (0,) for g in S.grades] + [(0, 0, 1)] * n)
+        ints = [to_ints(g.terms, self.field.char) for g in self.pairs.generators]
+        raws = [{(0, e): v for e, v in t.items()} for t, _ in ints]
+        gens = []
+        for syz in module_syzygies(ModuleContext(S), raws):
+            vec = _lt_vector(n, {(k, e): v * ints[k][1] for (k, e), v in syz.items()})
+            if not self.ix_contains(vec):
+                raise RingError("a syzygy of the pair generators is not in the kernel")
+            gens.append(ring.from_terms((e + a, v) for (e, a), v in vec.items()))
+        return IdealPieces(ring, gens)
+
+    def symmetric_kernel_dim(self, c: int, d: int, q: int) -> int:
+        """dim of the (c,d;q) piece of the symmetric ideal; (c,d) is the
+        coefficient S-degree, as in rees_kernel_dim, so at q = 1 it is the
+        relation space in target degree (c+1,d+1)."""
+        return self.symmetric_pieces().dim((c, d, q))
 
     def linear_type_check(self, bound: int):
         """Compare relation and symmetric-kernel pieces up to the bound.
@@ -679,16 +680,10 @@ class GradedEngine:
 
         Each Rees piece stops at the bound its symmetric piece gives
         (`rees_kernel_dim`), which holds when the symmetric pieces lie in
-        the kernel of the product map: so each relation-slice vector that
-        generates them must map to zero first (`ix_contains`), or RingError
-        is raised.  Lower pieces are visited first.
+        the kernel of the product map: so each syzygy generator of the
+        symmetric ideal is checked to map to zero (`symmetric_pieces`), or
+        RingError is raised.  Lower pieces are visited first.
         """
-        n = self.pairs.n
-        for total in range(2, bound + 3):
-            for i in range(1, total):
-                for v in self.syzygy_slice(i, total - i):
-                    if not self.ix_contains(_lt_vector(n, v)):
-                        raise RingError(f"a ({i},{total - i}) relation is not in the kernel")
         records = []
         all_equal = True
         for q in range(1, bound + 1):

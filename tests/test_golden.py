@@ -11,9 +11,11 @@ files gate all eight verification targets on a3
 over QQ and GF(32003); syzygy-slices, derivation-param, tor-of-der and
 slice-min-primes on seven; slice-min-primes on bracelet9 and on seven
 with a dropped zero column, whose labels pass through both the dropped
-loop and the role swap; and linear-type at bound 3 on seven over QQ and
+loop and the role swap; linear-type at bound 3 on seven over QQ and
 GF(32003), and at bound 2 on bracelet9, which is not of linear type and
-has a strict slice at (2;2).
+has a strict slice at (2;2); and linear-type at bound 3 on fail_A, whose
+coloop has a zero pair generator, and on boolean:3, where every pair
+generator is zero.
 """
 
 from pathlib import Path
@@ -98,6 +100,14 @@ CASES = [
     (
         ["verify", "bracelet9", "--theorem", "linear-type", "--bound", "2", "--json"],
         "verify_bracelet9_linear_type_bound2.json",
+    ),
+    (
+        ["verify", "fail_A", "--theorem", "linear-type", "--bound", "3", "--json"],
+        "verify_fail_A_linear_type_bound3.json",
+    ),
+    (
+        ["verify", "boolean:3", "--theorem", "linear-type", "--bound", "3", "--json"],
+        "verify_boolean_3_linear_type_bound3.json",
     ),
 ]
 

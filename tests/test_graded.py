@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from conftest import bench_for
 
+from pairideal import graded
 from pairideal.fixtures import get_fixture
 from pairideal.graded import GradedEngine, IdealPieces, theta_from_syzygy
 from pairideal.io import InputSpec
@@ -446,13 +447,59 @@ def test_bounded_rees_pieces_skip_their_zero_reductions(monkeypatch):
     assert sum(1 for ech, grew in calls if id(ech) in pieces and not grew) <= 500
 
 
-def test_linear_type_refuses_a_relation_outside_the_kernel():
-    # the Rees bound needs every relation-slice vector in the kernel of the
-    # product map; a planted vector a_0, which maps to f_0 g_0, is refused
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["QQ", "GF32003"])
+@pytest.mark.parametrize(
+    "name,bound",
+    [("a3", 3), ("seven", 3), ("bracelet9", 2), ("u:3:5", 3), ("fail_A", 3), ("boolean:3", 3)],
+)
+def test_symmetric_pieces_match_the_relation_slices(name, bound, field):
+    # the symmetric ideal comes from the Groebner syzygies of the pair
+    # generators; at a-degree 1 it must be the tracked-kernel relation slice,
+    # and above it the span of the a-multiples of the piece below (not the
+    # one side `lower_span` picks), since the ideal is generated in a-degree 1
+    eng = GradedEngine(PairsIdeal(get_fixture(name, field)))
+    sym = eng.symmetric_pieces()
+    avars = [((0, 0, 1), 0, t) for t in range(eng.ring.nvars, sym.ring.nvars)]
+
+    def rows(grade):
+        return sym.piece(grade).rows.values()
+
+    for total in range(bound + 1):
+        for c in range(total + 1):
+            d = total - c
+            assert sym.dim((c, d, 1)) == len(eng.syzygy_slice(c + 1, d + 1)), (c, d)
+            for q in range(2, bound + 1):
+                want = grow(field, (c, d, q), avars, rows, sym.columns)
+                got = sym.piece((c, d, q))
+                assert got.pivot_columns() == want.pivot_columns(), (c, d, q)
+
+
+def test_symmetric_pieces_bound_their_zero_reductions(monkeypatch):
+    # the relation-slice echelons and their x-, y- and a-multiples made
+    # 19,643 dependent inserts on seven at bound 3; the one-sided growth of
+    # the symmetric ideal from its syzygy generators makes 6,398
+    eng = Workbench(get_fixture("seven")).engine
+    calls = []
+    insert = Echelon.insert
+    monkeypatch.setattr(
+        Echelon, "insert", lambda self, vec: calls.append((self, grew := insert(self, vec))) or grew
+    )
+    eng.linear_type_check(3)
+    pieces = {id(e) for e in eng.symmetric_pieces()._pieces.values()}
+    assert sum(1 for ech, grew in calls if id(ech) in pieces and not grew) <= 8000
+
+
+def test_linear_type_refuses_a_relation_outside_the_kernel(monkeypatch):
+    # the Rees bound needs every generator of the symmetric ideal in the
+    # kernel of the product map; a planted non-syzygy a_0, which maps to
+    # f_0 g_0, is refused
     eng = GradedEngine(PairsIdeal(get_fixture("a3")))
     zero = (0,) * eng.ring.nvars
-    eng.syzygy_slice(1, 1).append({(0, zero): 1})
-    with pytest.raises(RingError, match=r"a \(1,1\) relation is not in the kernel"):
+    syzygies = graded.module_syzygies
+    monkeypatch.setattr(
+        graded, "module_syzygies", lambda ctx, inputs: [{(0, zero): 1}] + syzygies(ctx, inputs)
+    )
+    with pytest.raises(RingError, match="a syzygy of the pair generators is not in the kernel"):
         eng.linear_type_check(1)
 
 

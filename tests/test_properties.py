@@ -58,3 +58,5 @@ def test_random_realization_tables(real):
     for target in ("syzygy-slices", "slice-min-primes", "tor-of-der", "min-primes"):
         result = bench.verify(target)
         assert result["passed"], (target, result.get("first_violation"))
+    result = Workbench(real, bound=2).verify("linear-type")
+    assert result["passed"], result.get("first_violation")
