@@ -5,7 +5,7 @@ and associated-prime structure, all in exact arithmetic."""
 from .scalars import QQ, PrimeField, Rationals
 from .linalg import ExactMatrix, kernel_basis, rank, rref
 from .matroid import Matroid, Realization, biflats
-from .ring import MonomialOrder, Poly, PolyRing, pair_ring, x_ring, xa_ring
+from .ring import Poly, PolyRing, pair_ring, x_ring, xa_ring
 from .pairs import PairsIdeal
 from .graded import BettiTable, GradedEngine
 from .groebner import Ideal, is_associated
@@ -41,7 +41,6 @@ __all__ = [
     "Matroid",
     "Realization",
     "biflats",
-    "MonomialOrder",
     "Poly",
     "PolyRing",
     "pair_ring",

@@ -18,6 +18,7 @@ from .fixtures import FixtureError, fixture_names, get_fixture
 from .groebner import GroebnerError
 from .io import InputError, InputSpec, spec_for_realization
 from .matroid import MatroidError
+from .pairs import PairsIdeal
 from .primes import PointError, associated_primes, minimal_primes, slice_associated_primes
 from .resolution import ResolutionError
 from .ring import RingError
@@ -236,8 +237,6 @@ def cmd_compare(args):
     if args.slices:
         # evidence report: do the embedded slice primes depend on the
         # realization?  (open question; reported, never answered)
-        from pairideal.pairs import PairsIdeal
-
         slices = {}
         for label, re in (("a", re_a), ("b", re_b)):
             pairs = PairsIdeal(re)

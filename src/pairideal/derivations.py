@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from .graded import apply_theta, theta_from_syzygy
 from .groebner import ModuleContext, module_syzygies
+from .linalg import rref
 from .matroid import LoopError, MatroidError, Realization
 from .pairs import PairsIdeal
 from .ring import Poly, RingError, _unit, xa_ring
@@ -194,8 +195,6 @@ def recipe_check(re_a: Realization, re_b: Realization):
 
 
 def _column_span_rref(re: Realization, cols):
-    from .linalg import rref
-
     sub = re.matrix.submatrix_columns(sorted(cols))
     red, _, rank = rref(sub.transpose())
     return tuple(tuple(red.row(i)) for i in range(rank))
@@ -231,7 +230,6 @@ def _exact_div(p: Poly, q: Poly) -> Poly:
         raise RingError("division by zero polynomial")
     out = ring.zero()
     rem = p
-    key = ring.order.key
     qle = q.leading_exp()
     qlc = q.leading_coeff()
     F = ring.field

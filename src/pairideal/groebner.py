@@ -32,13 +32,17 @@ drops it when it returns, so memory stays bounded by one run.
 
 Every colon is one primitive, `colon_module`: a tracked run with the
 Groebner basis of the submodule N entering as inert blocks, restricted to
-the tracked elements.  On it rest the ideal colons and the exact
+the tracked elements.  Every ideal operation past membership runs on it:
+the colons (I : J), one copy of I per generator of J; saturation, by
+iterated colons; intersection, as the c with c * (e_1 + ... + e_k) in
+I_1 e_1 + ... + I_k e_k (Greuel-Pfister, A Singular Introduction to
+Commutative Algebra); radical membership, as I : h^infinity = (1) (Cox-
+Little-O'Shea, Ideals, Varieties, and Algorithms, ch. 4); and the exact
 associated-prime test for linear primes (`linear_prime_is_associated`),
 which serves both S/I (rank one) and the slice modules E/N.
 
-Other derived operations: reduced bases, normal forms, membership,
-saturation, intersection and radical membership via one auxiliary
-variable, and Krull dimension from the initial ideal.
+Other derived operations: reduced bases, normal forms, membership, and
+Krull dimension from the initial ideal.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from math import gcd
 from operator import add, le, sub
 
 from .memo import memo
-from .ring import MonomialOrder, Poly, PolyRing
+from .ring import Poly, PolyRing, degrevlex
 from .spans import axpy, cancel, strip, to_ints
 
 
@@ -125,17 +129,16 @@ class ModuleContext:
 
     The module order is term over position: position breaks ties."""
 
-    def __init__(self, ring: PolyRing, shifts=None, order=None, key_fn=None):
+    def __init__(self, ring: PolyRing, shifts=None, key_fn=None):
         self.ring = ring
         self.char = ring.field.char
-        self.okey = (order or ring.order).key
         self.shifts = shifts or {}
         if key_fn is not None:
             self.term_key = key_fn
 
     def term_key(self, term):
         pos, exp = term
-        return (sum(exp) + self.shifts.get(pos, 0), self.okey(exp), -pos)
+        return (sum(exp) + self.shifts.get(pos, 0), degrevlex(exp), -pos)
 
     def zero_exp(self):
         return (0,) * self.ring.nvars
@@ -355,8 +358,8 @@ def interreduce(ctx: ModuleContext, basis):
 def colon_module(ctx: ModuleContext, basis, rank, elems, copies=1):
     """Generators of {c : sum_b c_b elems[b] in N^copies} by one tracked run.
 
-    `basis` is a Groebner basis (GBElements) of a submodule N of a free
-    module of rank `rank`; it enters once per copy, in positions
+    `basis` lists the raw elements of a Groebner basis of a submodule N of a
+    free module of rank `rank`; it enters once per copy, in positions
     t*rank .. t*rank + rank - 1, each copy one inert block.  Syzygies inside
     a block have no coefficient on `elems`, so the recorded combinations,
     restricted to `elems`, generate the colon.  Returns the distinct nonzero
@@ -367,7 +370,7 @@ def colon_module(ctx: ModuleContext, basis, rank, elems, copies=1):
     groups = []
     for t in range(copies):
         for g in basis:
-            inputs.append({(t * rank + pos, e): v for (pos, e), v in g.raw.items()})
+            inputs.append({(t * rank + pos, e): v for (pos, e), v in g.items()})
             groups.append(t)
     first = len(inputs)
     inputs += elems
@@ -400,14 +403,15 @@ def linear_prime_is_associated(ctx: ModuleContext, basis, rank, forms, prime):
         {(t * rank + b, e): v for t, f in enumerate(forms_raw) for (_z, e), v in f.items()}
         for b in range(rank)
     ]
+    raws = [g.raw for g in basis]
     cands = {}
-    for w in colon_module(ctx, basis, rank, elems, copies=len(forms)):
+    for w in colon_module(ctx, raws, rank, elems, copies=len(forms)):
         w = _normal_form(ctx, w, basis)
         if w:
             cands.setdefault(frozenset(w.items()), w)
     ring = ctx.ring
     for w in sorted(cands.values(), key=lambda w: (max(sum(e) for _, e in w), len(w))):
-        ann = colon_module(ctx, basis, rank, [w])
+        ann = colon_module(ctx, raws, rank, [w])
         if all(prime.member(raw_to_poly(ring, a)) for a in ann):
             return True, w
     return False, None
@@ -429,10 +433,9 @@ def module_syzygies(ctx: ModuleContext, inputs):
 class Ideal:
     """An ideal of a PolyRing with a cached reduced Groebner basis."""
 
-    def __init__(self, ring: PolyRing, gens, order=None):
+    def __init__(self, ring: PolyRing, gens):
         self.ring = ring
         self.gens = list(gens)
-        self.order = order or ring.order
 
     def __repr__(self):
         return f"Ideal({self.ring}, {len(self.gens)} gens)"
@@ -445,7 +448,7 @@ class Ideal:
     @memo
     def _gb_elements(self):
         """(context, reduced Groebner basis as GBElements)."""
-        ctx = ModuleContext(self.ring, order=self.order)
+        ctx = ModuleContext(self.ring)
         inputs = [poly_to_raw(g) for g in self.gens if not g.is_zero()]
         basis, _ = buchberger(ctx, inputs, track=False)
         return ctx, interreduce(ctx, basis)
@@ -469,26 +472,26 @@ class Ideal:
         ctx, basis = self._gb_elements()
         return [g.lead[1] for g in basis]
 
-    # -- colon / saturation / intersection ------------------------------------
+    # -- colon / saturation / intersection, all by colon_module ----------------
+    def _colon(self, basis, rank, elem, copies=1) -> "Ideal":
+        """The ideal {c : c * elem in N^copies}, N spanned by the raw `basis`."""
+        ctx = self._gb_elements()[0]
+        out = colon_module(ctx, basis, rank, [elem], copies)
+        return Ideal(self.ring, [raw_to_poly(self.ring, w) for w in out])
+
     def colon_element(self, h: Poly) -> "Ideal":
-        """(I : h) by colon_module on the cached Groebner basis."""
-        if h.is_zero():
-            return Ideal(self.ring, [self.ring.one()], self.order)
-        ctx, gb = self._gb_elements()
-        if not gb:
-            return Ideal(self.ring, [self.ring.zero()], self.order)
-        out = [raw_to_poly(self.ring, w) for w in colon_module(ctx, gb, 1, [poly_to_raw(h)])]
-        return Ideal(self.ring, out or [self.ring.zero()], self.order)
+        """(I : h), the one-generator case of colon_ideal."""
+        return self.colon_ideal(Ideal(self.ring, [h]))
 
     def colon_ideal(self, other: "Ideal") -> "Ideal":
-        """(I : J) as the intersection of the single-element colons."""
-        hs = [h for h in other.gens if not h.is_zero()]
+        """(I : J) in one colon run: the c with c * (h_1, ..., h_m) in I^m,
+        over the nonzero generators h_t of J, one copy of I per generator."""
+        hs = [poly_to_raw(h) for h in other.gens if not h.is_zero()]
         if not hs:
-            return Ideal(self.ring, [self.ring.one()], self.order)
-        acc = self.colon_element(hs[0])
-        for h in hs[1:]:
-            acc = acc.intersect(self.colon_element(h))
-        return acc
+            return Ideal(self.ring, [self.ring.one()])
+        elem = {(t, e): v for t, h in enumerate(hs) for (_z, e), v in h.items()}
+        basis = [g.raw for g in self._gb_elements()[1]]
+        return self._colon(basis, 1, elem, copies=len(hs))
 
     def saturation(self, other: "Ideal") -> "Ideal":
         """(I : J^infinity) by iterated colon with certified stabilization."""
@@ -501,36 +504,22 @@ class Ideal:
                 return cur
             cur, cur_key = nxt, nxt_key
 
-    def intersect(self, other: "Ideal") -> "Ideal":
-        """Intersection via one auxiliary elimination variable."""
-        ring = self.ring
-        ext, lift, drop = _extend_ring(ring)
-        t = ext.var(0)
-        one_minus_t = ext.one() - t
-        gens = [t * lift(g) for g in self.gens if not g.is_zero()]
-        gens += [one_minus_t * lift(g) for g in other.gens if not g.is_zero()]
-        elim = Ideal(
-            ext,
-            gens,
-            order=MonomialOrder("block", ext.nvars, [(0,), tuple(range(1, ext.nvars))]),
-        )
-        out = []
-        for g in elim.groebner():
-            q = drop(g)
-            if q is not None:
-                out.append(q)
-        return Ideal(ring, out or [ring.zero()], self.order)
+    def intersect(self, *others: "Ideal") -> "Ideal":
+        """I_1 cap ... cap I_k in one colon run: the c with c * (e_1 + ... +
+        e_k) in I_1 e_1 + ... + I_k e_k, whose reduced bases sit side by
+        side at positions 0..k-1 as one inert block."""
+        ideals = (self,) + others
+        basis = [
+            {(t, e): v for (_z, e), v in g.raw.items()}
+            for t, I in enumerate(ideals)
+            for g in I._gb_elements()[1]
+        ]
+        zero = self.ring.zero_exp
+        return self._colon(basis, len(ideals), {(t, zero): 1 for t in range(len(ideals))})
 
     def radical_member(self, h: Poly) -> bool:
-        """h in sqrt(I) by the auxiliary-variable trick: 1 in I + (1 - t*h)."""
-        if h.is_zero():
-            return True
-        ring = self.ring
-        ext, lift, _ = _extend_ring(ring)
-        t = ext.var(0)
-        gens = [lift(g) for g in self.gens if not g.is_zero()]
-        gens.append(ext.one() - t * lift(h))
-        return Ideal(ext, gens).is_whole_ring()
+        """h in sqrt(I) exactly when I : h^infinity is the whole ring."""
+        return self.saturation(Ideal(self.ring, [h])).is_whole_ring()
 
     def standard_monomial_count(self, grade) -> int:
         """dim of (ring/I) in one multigrade, via the initial ideal."""
@@ -553,24 +542,6 @@ class Ideal:
                 if all(any(e[i] for i in range(n) if i not in Tset) for e in leads):
                     return size
         return 0
-
-
-def _extend_ring(ring: PolyRing):
-    """Ring with one fresh elimination variable t0 in front; lift/drop maps."""
-    names = ("t0",) + ring.names
-    grades = ((0,) * ring.ngrades,) + ring.grades
-    ext = PolyRing(ring.field, names, grades)
-
-    def lift(p: Poly) -> Poly:
-        return Poly(ext, {(0,) + e: c for e, c in p.terms.items()})
-
-    def drop(p: Poly):
-        for e in p.terms:
-            if e[0]:
-                return None
-        return Poly(ring, {e[1:]: c for e, c in p.terms.items()})
-
-    return ext, lift, drop
 
 
 # ---------------------------------------------------------------------------

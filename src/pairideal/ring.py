@@ -1,10 +1,14 @@
-"""Multigraded polynomial rings, monomial orders, and exact polynomials.
+"""Multigraded polynomial rings, their one monomial order, and exact
+polynomials.
 
 The pair ring S has r variables of bidegree (1,0) (coordinates on W) and
 n-r of bidegree (0,1) (coordinates on the annihilator); parameter rings
 R[a] and S[a] append variables carrying one extra grading slot, written
 last.  Monomials are dense exponent tuples; polynomials are sparse dicts
-keyed by exponent tuple with nonzero field coefficients.
+keyed by exponent tuple with nonzero field coefficients.  Every ring
+orders its monomials by one key, `degrevlex`: leading terms, printing and
+every Groebner run use it, and intersection and radical membership are
+colons (see `groebner`), so no elimination order is needed.
 """
 
 from __future__ import annotations
@@ -19,40 +23,13 @@ class RingError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# monomial orders
+# the monomial order
 
 
-class MonomialOrder:
-    """A total order on exponent tuples, largest first via key()."""
-
-    def __init__(self, kind, nvars, blocks=None):
-        self.kind = kind
-        self.nvars = nvars
-        if kind == "degrevlex":
-            self.blocks = (tuple(range(nvars)),)
-        elif kind == "block":
-            if not blocks:
-                raise RingError("block order needs blocks")
-            self.blocks = tuple(tuple(b) for b in blocks)
-            covered = sorted(i for b in self.blocks for i in b)
-            if covered != list(range(nvars)):
-                raise RingError("blocks must partition the variables")
-        else:
-            raise RingError(f"unknown order kind {kind!r}")
-
-    def key(self, exp):
-        """Sort key; max over keys = leading monomial."""
-        if self.kind == "degrevlex":
-            return (sum(exp), tuple(-e for e in reversed(exp)))
-        parts = []
-        for b in self.blocks:
-            sub = tuple(exp[i] for i in b)
-            parts.append(sum(sub))
-            parts.append(tuple(-e for e in reversed(sub)))
-        return tuple(parts)
-
-    def __repr__(self):
-        return f"MonomialOrder({self.kind}, blocks={self.blocks})"
+def degrevlex(exp):
+    """Sort key of the degree reverse lexicographic order on exponent tuples;
+    max over keys = leading monomial."""
+    return (sum(exp), tuple(-e for e in reversed(exp)))
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +39,7 @@ class MonomialOrder:
 class PolyRing:
     """A polynomial ring with named variables and per-variable grade vectors."""
 
-    def __init__(self, field, names, grades, order=None):
+    def __init__(self, field, names, grades):
         self.field = field
         self.names = tuple(names)
         self.nvars = len(self.names)
@@ -72,7 +49,6 @@ class PolyRing:
         self.ngrades = len(self.grades[0]) if self.grades else 0
         if any(len(g) != self.ngrades for g in self.grades):
             raise RingError("inconsistent grade vector lengths")
-        self.order = order or MonomialOrder("degrevlex", self.nvars)
         self.zero_exp = (0,) * self.nvars
 
     def __repr__(self):
@@ -157,7 +133,7 @@ class PolyRing:
                 for i, e in zip(groups[t], comp_part):
                     exp[i] = e
             out.append(tuple(exp))
-        out.sort(key=self.order.key, reverse=True)
+        out.sort(key=degrevlex, reverse=True)
         return out
 
     def monomial_count(self, grade):
@@ -353,7 +329,7 @@ class Poly:
     def leading_exp(self):
         if not self.terms:
             raise RingError("zero polynomial has no leading term")
-        return max(self.terms, key=self.ring.order.key)
+        return max(self.terms, key=degrevlex)
 
     def leading_coeff(self):
         return self.terms[self.leading_exp()]
@@ -372,7 +348,7 @@ class Poly:
         ring = self.ring
         F = ring.field
         parts = []
-        exps = sorted(self.terms, key=ring.order.key, reverse=True)
+        exps = sorted(self.terms, key=degrevlex, reverse=True)
         for exp in exps:
             c = self.terms[exp]
             mono = ring.exp_str(exp)
@@ -401,11 +377,11 @@ class Poly:
 # ring builders used across the package
 
 
-def pair_ring(field, r, s, order=None):
+def pair_ring(field, r, s):
     """S = k[x1..xr, y1..ys] with x of bidegree (1,0) and y of (0,1)."""
     names = [f"x{i+1}" for i in range(r)] + [f"y{j+1}" for j in range(s)]
     grades = [(1, 0)] * r + [(0, 1)] * s
-    return PolyRing(field, names, grades, order)
+    return PolyRing(field, names, grades)
 
 
 def x_ring(field, r):

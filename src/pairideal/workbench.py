@@ -42,6 +42,7 @@ from .matroid import Realization
 from .memo import memo
 from .pairs import PairsIdeal
 from .primes import (
+    _prime_ideal,
     associated_primes,
     minimal_primes,
     slice_associated_primes,
@@ -243,16 +244,14 @@ class Workbench:
         if len(mins) < 2:
             return None
         ideal = pairs.ideal_object()
-        from .primes import _intersect_all, _prime_ideal
-
+        # one Ideal per prime, so each reduced basis is computed once
+        primes = [_prime_ideal(p) for p in mins]
         results = []
-        for p in mins:
-            others = [_prime_ideal(q) for q in mins if q is not p]
-            J = _intersect_all(others, pairs.ring)
-            sat = ideal.saturation(J)
-            expect = _prime_ideal(p)
+        for p, P in zip(mins, primes):
+            first, *rest = [Q for Q in primes if Q is not P]
+            sat = ideal.saturation(first.intersect(*rest))
             got = {str(g) for g in sat.groebner()}
-            want = {str(g) for g in expect.groebner()}
+            want = {str(g) for g in P.groebner()}
             if got != want:
                 return self._fail(
                     f"saturation at {p.labels()} is not the prime itself"

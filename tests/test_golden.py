@@ -13,9 +13,10 @@ slice-min-primes on seven; slice-min-primes on bracelet9 and on seven
 with a dropped zero column, whose labels pass through both the dropped
 loop and the role swap; linear-type at bound 3 on seven over QQ and
 GF(32003), and at bound 2 on bracelet9, which is not of linear type and
-has a strict slice at (2;2); and linear-type at bound 3 on fail_A, whose
+has a strict slice at (2;2); linear-type at bound 3 on fail_A, whose
 coloop has a zero pair generator, and on boolean:3, where every pair
-generator is zero.
+generator is zero; and min-primes on bracelet9 over QQ and GF(32003),
+whose certificate intersects 17 primes into 19 generators.
 """
 
 from pathlib import Path
@@ -56,6 +57,20 @@ CASES = [
     (
         ["verify", str(GOLDEN / "a3_gf32003.json"), "--bound", "3", "--json"],
         "verify_a3_gf32003_bound3.json",
+    ),
+    (
+        ["verify", "bracelet9", "--theorem", "min-primes", "--json"],
+        "verify_bracelet9_min_primes.json",
+    ),
+    (
+        [
+            "verify",
+            str(GOLDEN / "bracelet9_gf32003.json"),
+            "--theorem",
+            "min-primes",
+            "--json",
+        ],
+        "verify_bracelet9_gf32003_min_primes.json",
     ),
     (
         ["verify", "seven", "--theorem", "derivation-param", "--json"],

@@ -83,6 +83,11 @@ def test_intersect_and_saturate(xy_ring):
     S = xy_ring
     x, y = S.var(0), S.var(1)
     assert [str(g) for g in Ideal(S, [x]).intersect(Ideal(S, [y])).groebner()] == ["x1*y1"]
+    # inhomogeneous: (x1*y1 + 1) and (x1) are coprime, so they meet in their product
+    meet = Ideal(S, [x * y + S.one()]).intersect(Ideal(S, [x]))
+    assert [str(g) for g in meet.groebner()] == ["x1^2*y1 + x1"]
+    three = Ideal(S, [x]).intersect(Ideal(S, [y]), Ideal(S, [x + y]))
+    assert [str(g) for g in three.groebner()] == ["x1^2*y1 + x1*y1^2"]
     sat = Ideal(S, [x * y]).saturation(Ideal(S, [x]))
     assert [str(g) for g in sat.groebner()] == ["y1"]
 

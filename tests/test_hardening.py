@@ -13,7 +13,12 @@ from pairideal.io import InputSpec
 from pairideal.linalg import ExactMatrix
 from pairideal.matroid import Realization
 from pairideal.pairs import PairsIdeal
-from pairideal.primes import associated_primes, minimal_primes, verify_min_primes
+from pairideal.primes import (
+    _power_membership,
+    associated_primes,
+    minimal_primes,
+    verify_min_primes,
+)
 from pairideal.resolution import schreyer_quotient_betti
 from pairideal.ring import x_ring
 from pairideal.scalars import QQ, PrimeField
@@ -184,6 +189,11 @@ def test_ideal_operations_prime_field():
     assert I.radical_member(x * y * S.const(5))
     assert not I.radical_member(x + y)
     assert I.quotient_dimension() == 1
+    # a needed power of 9, past the power bound of the min-prime certificate
+    I9 = Ideal(S, [x**9])
+    assert _power_membership(I9, x) is None
+    assert I9.radical_member(x)
+    assert not I9.radical_member(y)
 
 
 def test_package_exports_resolve():

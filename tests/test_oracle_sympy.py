@@ -3,6 +3,11 @@
 Small integer ideals (at most 3 variables, 3 generators, degree 2) are
 drawn by hypothesis; the monic reduced basis of `Ideal.groebner()` must
 equal `sympy.groebner(..., order="grevlex")` over QQ and over GF(32003).
+So must that of `Ideal.intersect`, against sympy's own intersection
+(`old_poly_ring(...).ideal(...).intersect`), on two such ideals over QQ,
+on two or three over GF(32003) (sympy needs up to 9 s for one QQ draw of
+three), and on the minimal primes of four fixtures over QQ, whose
+intersection the min-prime certificate reads.
 
 The fixtures' pairs ideals, and two of their squares, are checked
 degreewise: the dimensions of the grown bidegree pieces, and for the pairs
@@ -22,7 +27,8 @@ from hypothesis import given, settings, strategies as st
 
 from pairideal.groebner import Ideal
 from pairideal.io import InputSpec
-from pairideal.ring import PolyRing
+from pairideal.primes import _prime_ideal, minimal_primes
+from pairideal.ring import PolyRing, degrevlex
 from pairideal.scalars import QQ, PrimeField
 from pairideal.workbench import Workbench
 
@@ -36,38 +42,64 @@ polys = st.dictionaries(
     st.sampled_from(EXPS), st.integers(-5, 5).filter(bool), min_size=1, max_size=4
 )
 ideals = st.lists(polys, min_size=1, max_size=3)
+XS = sympy.symbols(f"x0:{NVARS}")
 
 
-def _monic(field, terms, key):
-    """The term set divided by its leading coefficient under `key`."""
-    inv = field.inv(terms[max(terms, key=key)])
+def _monic(field, terms):
+    """The term set divided by its degrevlex leading coefficient."""
+    inv = field.inv(terms[max(terms, key=degrevlex)])
     return frozenset((e, field.mul(c, inv)) for e, c in terms.items())
 
 
-def _ours(field, gens):
-    ring = PolyRing(field, [f"x{i}" for i in range(NVARS)], [(1,)] * NVARS)
-    ideal = Ideal(ring, [ring.from_terms(g.items()) for g in gens])
-    return {_monic(field, g.terms, ring.order.key) for g in ideal.groebner()}, ring
+def _ring(field):
+    return PolyRing(field, [f"x{i}" for i in range(NVARS)], [(1,)] * NVARS)
 
 
-def _sympys(field, gens, ring):
-    xs = sympy.symbols(f"x0:{NVARS}")
-    exprs = [
-        sum(c * sympy.Mul(*(x**k for x, k in zip(xs, e))) for e, c in g.items())
-        for g in gens
-    ]
+def _ideal(ring, gens):
+    return Ideal(ring, [ring.from_terms(g.items()) for g in gens])
+
+
+def _ours_monic(ideal):
+    field = ideal.ring.field
+    return {_monic(field, g.terms) for g in ideal.groebner()}
+
+
+def _expr(g):
+    return sum(c * sympy.Mul(*(x**k for x, k in zip(XS, e))) for e, c in g.items())
+
+
+def _sympys(field, exprs, xs=XS):
+    """sympy's monic reduced grevlex basis of the ideal of the expressions."""
     options = {"modulus": field.p} if field.char else {}
     basis = sympy.groebner(exprs, *xs, order="grevlex", **options)
     out = set()
     for g in basis.polys:
         terms = {e: field.of(str(c)) for e, c in g.terms()}
-        out.add(_monic(field, terms, ring.order.key))
+        out.add(_monic(field, terms))
     return out
 
 
 def _check(field, gens):
-    ours, ring = _ours(field, gens)
-    assert ours == _sympys(field, gens, ring)
+    ours = _ours_monic(_ideal(_ring(field), gens))
+    assert ours == _sympys(field, [_expr(g) for g in gens])
+
+
+def _sympy_intersection(field, gen_lists, xs):
+    """sympy's intersection of the ideals of the expression lists, as gens."""
+    domain = sympy.GF(field.p) if field.char else sympy.QQ
+    R = domain.old_poly_ring(*xs)
+    acc = R.ideal(*gen_lists[0])
+    for gens in gen_lists[1:]:
+        acc = acc.intersect(R.ideal(*gens))
+    return [R.to_sympy(g) for g in acc.gens]
+
+
+def _check_intersection(field, ideal_list):
+    ring = _ring(field)
+    first, *rest = [_ideal(ring, gens) for gens in ideal_list]
+    ours = _ours_monic(first.intersect(*rest))
+    exprs = [[_expr(g) for g in gens] for gens in ideal_list]
+    assert ours == _sympys(field, _sympy_intersection(field, exprs, XS))
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -80,6 +112,18 @@ def test_groebner_matches_sympy_over_qq(gens):
 @given(ideals)
 def test_groebner_matches_sympy_over_gf32003(gens):
     _check(PrimeField(PRIME), gens)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.lists(ideals, min_size=2, max_size=2))
+def test_intersect_matches_sympy_over_qq(ideal_list):
+    _check_intersection(QQ, ideal_list)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.lists(ideals, min_size=2, max_size=3))
+def test_intersect_matches_sympy_over_gf32003(ideal_list):
+    _check_intersection(PrimeField(PRIME), ideal_list)
 
 
 # -- the fixtures' pairs ideals ---------------------------------------------------
@@ -165,3 +209,15 @@ def test_pairs_membership_matches_sympy(name):
         assert ours == basis.contains(_to_sympy(elem, xs)), elem
         verdicts.append(ours)
     assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("name", ["a3", "seven", "u:3:5", "fail_A"])
+def test_min_prime_intersection_matches_sympy(name):
+    pairs = bench_for(name).pairs
+    ring = pairs.ring
+    primes = [_prime_ideal(p) for p in minimal_primes(pairs)]
+    first, *rest = primes
+    xs = sympy.symbols(ring.names)
+    exprs = [[_to_sympy(g, xs) for g in P.gens] for P in primes]
+    theirs = _sympys(ring.field, _sympy_intersection(ring.field, exprs, xs), xs)
+    assert _ours_monic(first.intersect(*rest)) == theirs

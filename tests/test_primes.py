@@ -2,9 +2,10 @@ from pathlib import Path
 
 import pytest
 
+from pairideal import primes
 from pairideal.cli import main
 from pairideal.fixtures import get_fixture
-from pairideal.groebner import ModuleContext, buchberger, interreduce, is_associated
+from pairideal.groebner import Ideal, ModuleContext, buchberger, interreduce, is_associated
 from pairideal.linalg import ExactMatrix, rank
 from pairideal.matroid import ColoopError, Realization, biflats
 from pairideal.pairs import PairsIdeal
@@ -22,6 +23,7 @@ from pairideal.primes import (
     verify_min_primes,
 )
 from pairideal.resolution import schreyer_resolution
+from pairideal.ring import pair_ring
 from pairideal.scalars import QQ, PrimeField
 
 
@@ -65,6 +67,28 @@ def test_verify_min_primes(u12, a3, seven):
         cert = bench.verify("min-primes")
         assert cert["passed"]
         assert cert["certificate"]["verified"]
+
+
+def test_verify_min_primes_by_saturation_alone(monkeypatch, a3, seven, bracelet):
+    # every fixture meets a power k <= 8 in the ideal, so the saturation
+    # fallback is forced here: each record must then be a radical one
+    monkeypatch.setattr(primes, "_power_membership", lambda ideal, h: None)
+    for bench in (a3, seven, bracelet):
+        cert = verify_min_primes(bench.pairs)
+        assert cert["verified"]
+        records = cert["radical_memberships"]
+        assert records
+        assert all(set(r) == {"element", "radical_membership"} for r in records)
+        assert {r["radical_membership"] for r in records} == {"saturation certificate"}
+
+
+def test_radical_member_needs_a_ninth_power():
+    S = pair_ring(QQ, 1, 1)
+    x, y = S.var(0), S.var(1)
+    I = Ideal(S, [x**9])
+    assert primes._power_membership(I, x) is None
+    assert I.radical_member(x)
+    assert not I.radical_member(y)
 
 
 def test_associated_primes_uniform(u24, u35):
