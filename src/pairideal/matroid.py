@@ -1,22 +1,26 @@
-"""Matroids of matrix realizations: rank oracle, flats, circuits, duality.
+"""Matroids of matrix realizations: rank table, flats, circuits, duality.
 
 A Realization is an exact matrix whose row space W <= k^[n] is the single
 source of truth; the matroid rank of a subset S of columns is the rank of
 the corresponding column submatrix.  Ground-set elements are 0-based
 internally and 1-based in every report and CLI surface.
 
-All enumeration here (circuits, flats, cyclic flats) is exhaustive by
+The rank of every subset is computed once, into a table of 2^n ints
+indexed by bitmask (`Matroid._ranks`): a depth-first walk over the sorted
+subsets inserts one column per subset below full rank into a copy of its
+parent's echelon.  Rank queries, closures, flats, circuits and cyclic
+flats are lookups in that table, so all enumeration here is exhaustive by
 design; the intended scale is n <= ~12.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-from itertools import combinations
+from functools import cached_property, reduce
+from operator import and_
 
 from .linalg import ExactMatrix, kernel_basis, rref
 from .memo import memo
-from .spans import Echelon
+from .spans import Echelon, to_ints
 
 
 class MatroidError(ValueError):
@@ -61,9 +65,6 @@ class Realization:
     def matroid(self) -> "Matroid":
         return Matroid(self)
 
-    def column(self, e: int):
-        return self.matrix.column(e)
-
     def delete_columns(self, cols) -> "Realization":
         keep = [j for j in range(self.n) if j not in set(cols)]
         sub = self.matrix.submatrix_columns(keep)
@@ -71,30 +72,48 @@ class Realization:
 
 
 class Matroid:
-    """The column matroid of a realization; rank queries are memoized."""
+    """The column matroid of a realization, read from its rank table."""
 
     def __init__(self, realization: Realization):
         self.re = realization
         self.n = realization.n
-        # not a memo: 380,967 calls in `flats boolean:12`, on sets that are
-        # normalised to a frozenset first
-        self._rank_cache = {frozenset(): 0}
-        self.rank = self.rank_of(range(self.n))
+        self.rank = realization.rank
+
+    @memo
+    def _ranks(self) -> list:
+        """The rank of every subset, indexed by its bitmask (see `_mask`).
+
+        Each child of the walk adds one element above its parent's largest
+        and inserts that column into a copy of the parent's echelon; it
+        keeps the parent's echelon when the column adds nothing, and below
+        a full-rank parent every subset has full rank with no insert.
+        """
+        n, full, field, m = self.n, self.rank, self.re.field, self.re.basis_matrix
+        root = Echelon(field)
+        cols = [to_ints(dict(enumerate(m.column(e))), root.p)[0] for e in range(n)]
+        ranks = [0] * (1 << n)
+
+        def walk(mask, ech, start):
+            if ech.dim == full:
+                for t in range(1, 1 << (n - start)):
+                    ranks[mask | t << start] = full
+                return
+            for e in range(start, n):
+                grown = Echelon(field)
+                grown.rows = dict(ech.rows)  # stored rows are never changed
+                if not grown.insert(cols[e]):
+                    grown = ech
+                ranks[mask | 1 << e] = grown.dim
+                walk(mask | 1 << e, grown, e + 1)
+
+        walk(0, root, 0)
+        if ranks[-1] != full:
+            raise MatroidError(f"rank table reads {ranks[-1]}, the realization rank is {full}")
+        return ranks
 
     # -- rank oracle ---------------------------------------------------------
     def rank_of(self, subset) -> int:
-        key = frozenset(subset)
-        got = self._rank_cache.get(key)
-        if got is not None:
-            return got
-        ech = Echelon(self.re.field)
-        m = self.re.basis_matrix
-        for e in sorted(key):
-            col = {i: c for i, c in enumerate(m.column(e))}
-            ech.insert(col)
-        r = ech.dim
-        self._rank_cache[key] = r
-        return r
+        return self._ranks()[_mask(subset)]
 
     def is_basis(self, subset) -> bool:
         s = frozenset(subset)
@@ -103,67 +122,55 @@ class Matroid:
     # -- basic structure ------------------------------------------------------
     @property
     def loops(self):
-        return frozenset(e for e in range(self.n) if self.rank_of({e}) == 0)
+        """The zero columns."""
+        m = self.re.matrix
+        return frozenset(e for e in range(self.n) if not any(m.column(e)))
 
     @property
     def coloops(self):
-        full = frozenset(range(self.n))
-        return frozenset(e for e in range(self.n) if self.rank_of(full - {e}) == self.rank - 1)
+        ranks, full = self._ranks(), (1 << self.n) - 1
+        return frozenset(e for e in range(self.n) if ranks[full ^ 1 << e] < self.rank)
 
     def closure(self, subset) -> frozenset:
-        s = frozenset(subset)
-        r = self.rank_of(s)
-        return frozenset(e for e in range(self.n) if self.rank_of(s | {e}) == r)
+        ranks, s = self._ranks(), _mask(subset)
+        return frozenset(e for e in range(self.n) if ranks[s | 1 << e] == ranks[s])
 
     @memo
     def circuits(self):
-        """Minimal dependent sets, in (size, sorted tuple) order."""
-        found = []
-        for size in range(1, self.n + 1):
-            for comb in combinations(range(self.n), size):
-                s = frozenset(comb)
-                if any(c <= s for c in found):
-                    continue
-                if self.rank_of(s) < size:
-                    found.append(s)
-        return sorted(found, key=lambda c: (len(c), sorted(c)))
+        """Minimal dependent sets, in (size, sorted tuple) order: the sets
+        of rank |S| - 1 whose one-smaller subsets are all independent."""
+        ranks, bits = self._ranks(), _bits(self.n)
+        found = [
+            _subset(s, self.n)
+            for s, r in enumerate(ranks)
+            if r == s.bit_count() - 1 and all(ranks[s ^ b] == r for b in bits if s & b)
+        ]
+        return sorted(found, key=_order)
 
     @memo
     def flats(self):
-        """All flats, grown rank by rank from the closure of the empty set."""
-        bottom = self.closure(())
-        levels = [{bottom}]
-        seen = {bottom}
-        while levels[-1]:
-            nxt = set()
-            for F in levels[-1]:
-                for e in range(self.n):
-                    if e not in F:
-                        G = self.closure(F | {e})
-                        if G not in seen:
-                            seen.add(G)
-                            nxt.add(G)
-            levels.append(nxt)
-        return sorted(seen, key=lambda f: (len(f), sorted(f)))
-
-    @memo
-    def _flat_set(self) -> frozenset:
-        return frozenset(self.flats())
+        """All flats, in (size, sorted tuple) order: the sets that every
+        outside element raises in rank."""
+        ranks, bits = self._ranks(), _bits(self.n)
+        found = [
+            _subset(s, self.n)
+            for s, r in enumerate(ranks)
+            if all(ranks[s | b] > r for b in bits if not s & b)
+        ]
+        return sorted(found, key=_order)
 
     def flats_of_rank(self, k):
         return [F for F in self.flats() if self.rank_of(F) == k]
 
     # -- cyclic flats ----------------------------------------------------------
     def cyclic_part(self, F) -> frozenset:
-        """Union of the circuits contained in the flat F."""
+        """Union of the circuits contained in the flat F: its elements that
+        are not coloops of the restriction to F."""
         F = frozenset(F)
-        if F not in self._flat_set():
+        if self.closure(F) != F:
             raise MatroidError(f"{sorted(F)} is not a flat")
-        out = set()
-        for c in self.circuits():
-            if c <= F:
-                out |= c
-        return frozenset(out)
+        ranks, f = self._ranks(), _mask(F)
+        return frozenset(e for e in F if ranks[f ^ 1 << e] == ranks[f])
 
     @memo
     def cyclic_flats(self):
@@ -197,28 +204,13 @@ class Matroid:
     # -- connectivity -------------------------------------------------------------
     @memo
     def components(self):
-        """Partition into connected components via circuit connectivity."""
-        parent = list(range(self.n))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        def union(a, b):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-
-        for c in self.circuits():
-            c = sorted(c)
-            for e in c[1:]:
-                union(c[0], e)
-        blocks = {}
-        for e in range(self.n):
-            blocks.setdefault(find(e), set()).add(e)
-        return sorted((frozenset(b) for b in blocks.values()), key=lambda b: sorted(b))
+        """The connected components: around each element, the smallest
+        separator S, rank(S) + rank(E - S) = rank(E); the separators are
+        the unions of components, so they are closed under intersection."""
+        ranks, full = self._ranks(), (1 << self.n) - 1
+        seps = [s for s, x in enumerate(ranks) if x + ranks[full ^ s] == self.rank]
+        comps = {reduce(and_, [s for s in seps if s & b]) for b in _bits(self.n)}
+        return sorted((_subset(c, self.n) for c in comps), key=sorted)
 
     @property
     def kappa(self):
@@ -227,11 +219,7 @@ class Matroid:
     # -- predicates ---------------------------------------------------------------
     def is_uniform(self) -> bool:
         r = self.rank
-        return all(
-            self.rank_of(s) == min(len(s), r)
-            for size in range(self.n + 1)
-            for s in map(frozenset, combinations(range(self.n), size))
-        )
+        return all(x == min(s.bit_count(), r) for s, x in enumerate(self._ranks()))
 
     def is_simple(self) -> bool:
         if self.loops:
@@ -239,14 +227,8 @@ class Matroid:
         return all(len(c) > 2 for c in self.circuits())
 
     def rank_function_equal(self, other: "Matroid") -> bool:
-        """Label-preserving equality of matroids via the full rank oracle."""
-        if self.n != other.n:
-            return False
-        for size in range(self.n + 1):
-            for s in combinations(range(self.n), size):
-                if self.rank_of(s) != other.rank_of(s):
-                    return False
-        return True
+        """Label-preserving equality of matroids via the full rank table."""
+        return self.n == other.n and self._ranks() == other._ranks()
 
 
 class DualMatroid:
@@ -257,12 +239,14 @@ class DualMatroid:
         self.n = matroid.n
         self.rank = self.n - matroid.rank
 
-    def rank_of(self, subset) -> int:
-        s = frozenset(subset)
-        full = frozenset(range(self.n))
-        return len(s) + self.primal.rank_of(full - s) - self.primal.rank
+    @memo
+    def _ranks(self) -> list:
+        primal, full = self.primal._ranks(), (1 << self.n) - 1
+        r = self.primal.rank
+        return [s.bit_count() + primal[full ^ s] - r for s in range(full + 1)]
 
-    # the closure and the flat enumeration only use rank_of and n
+    # the rank oracle, the closure and the flat enumeration only read _ranks
+    rank_of = Matroid.rank_of
     closure = Matroid.closure
     flats = Matroid.flats
 
@@ -274,18 +258,29 @@ def biflats(matroid: Matroid):
     """
     dual = matroid.dual()
     full = frozenset(range(matroid.n))
-    out = []
-    for F in matroid.flats():
-        comp = full - F
-        for G in dual.flats():
-            if comp <= G:
-                out.append((F, G))
+    out = [(F, G) for F in matroid.flats() for G in dual.flats() if full - F <= G]
     out.sort(key=lambda fg: (
-        matroid.rank_of(fg[0]) + matroid.dual().rank_of(fg[1]),
-        sorted(fg[0]),
-        sorted(fg[1]),
+        matroid.rank_of(fg[0]) + dual.rank_of(fg[1]), sorted(fg[0]), sorted(fg[1])
     ))
     return out
+
+
+def _mask(subset) -> int:
+    """The bitmask of a subset of the ground set: bit e for element e."""
+    return sum(1 << e for e in set(subset))
+
+
+def _bits(n) -> list:
+    return [1 << e for e in range(n)]
+
+
+def _subset(mask, n) -> frozenset:
+    return frozenset(e for e in range(n) if mask >> e & 1)
+
+
+def _order(subset):
+    """The report order of subsets: by size, then by sorted elements."""
+    return len(subset), sorted(subset)
 
 
 def labels(subset) -> list:

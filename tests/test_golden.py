@@ -1,5 +1,5 @@
-"""Byte-for-byte gate on recorded `primes`, `analyze`, `betti` and `verify`
-reports.
+"""Byte-for-byte gate on recorded `primes`, `analyze`, `betti`, `verify` and
+`flats` reports.
 
 The `primes` files hold the colon witnesses, which depend on the exact
 Groebner runs behind the associated-prime tests; any change to those runs
@@ -16,9 +16,13 @@ GF(32003), and at bound 2 on bracelet9, which is not of linear type and
 has a strict slice at (2;2); linear-type at bound 3 on fail_A, whose
 coloop has a zero pair generator, and on boolean:3, where every pair
 generator is zero; and min-primes on bracelet9 over QQ and GF(32003),
-whose certificate intersects 17 primes into 19 generators.
+whose certificate intersects 17 primes into 19 generators.  The `flats`
+files gate the matroid layer on bracelet9, on fail_A (a coloop), over
+GF(32003), and on seven with a dropped zero column; the n = 12 outputs,
+too big for golden files, are pinned by their sha256.
 """
 
+from hashlib import sha256
 from pathlib import Path
 
 import pytest
@@ -124,10 +128,29 @@ CASES = [
         ["verify", "boolean:3", "--theorem", "linear-type", "--bound", "3", "--json"],
         "verify_boolean_3_linear_type_bound3.json",
     ),
+    (["flats", "bracelet9", "--json"], "flats_bracelet9.json"),
+    (["flats", "fail_A", "--json"], "flats_fail_A.json"),
+    (["flats", str(GOLDEN / "a3_gf32003.json"), "--json"], "flats_a3_gf32003.json"),
+    (
+        ["flats", str(GOLDEN / "seven_loop.json"), "--drop-loops", "--json"],
+        "flats_seven_loop.json",
+    ),
 ]
+
+# sha256 of the `flats --json` bytes of the n = 12 fixtures (221 KB and 494 KB)
+FLATS_SHA256 = {
+    "u:6:12": "785517e5a2531938d1468df4ca4386ff95ac3bdefbf50261dd88c4e28cf029f9",
+    "boolean:12": "8280e35e0d552e5b3ffc0a7c1c36920771f25954323257b6cf14998a64c4c1fe",
+}
 
 
 @pytest.mark.parametrize("argv,name", CASES, ids=[name for _, name in CASES])
 def test_primes_report_matches_golden(argv, name, capsys):
     assert main(argv) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("fixture", sorted(FLATS_SHA256))
+def test_n12_flats_report_matches_its_hash(fixture, capsys):
+    assert main(["flats", fixture, "--json"]) == 0
+    assert sha256(capsys.readouterr().out.encode()).hexdigest() == FLATS_SHA256[fixture]

@@ -2,9 +2,11 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import pairideal
 from pairideal import cli
 from pairideal.fixtures import get_fixture
 from pairideal.groebner import GroebnerError
@@ -16,9 +18,19 @@ from pairideal.scalars import FieldError
 from pairideal.workbench import Workbench
 
 
+# the child imports the package from where this process found it, so the
+# CLI runs in a checkout that is not installed
+_ENV = dict(
+    os.environ,
+    PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(pairideal.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+    ),
+)
+
+
 def run_cli(*args):
     return subprocess.run(
-        [sys.executable, "-m", "pairideal.cli", *args], capture_output=True, text=True
+        [sys.executable, "-m", "pairideal.cli", *args], capture_output=True, text=True, env=_ENV
     )
 
 
@@ -186,6 +198,7 @@ def test_cli_closed_pipe_has_no_traceback():
         stdout=write_end,
         stderr=subprocess.PIPE,
         text=True,
+        env=_ENV,
     )
     os.close(write_end)
     line = b""

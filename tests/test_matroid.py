@@ -9,9 +9,10 @@ from pairideal.matroid import Realization, biflats, labels
 from pairideal.scalars import QQ
 
 
-def brute_rank(rows, cols):
-    """Row-reduce the chosen columns with plain Fractions: an independent oracle."""
-    mat = [[Fraction(rows[i][j]) for j in cols] for i in range(len(rows))]
+def brute_rank(rows, cols, p=0):
+    """Row-reduce the chosen columns with plain Fractions, or with residues
+    mod a prime p: an independent oracle."""
+    mat = [[Fraction(rows[i][j] % p if p else rows[i][j]) for j in cols] for i in range(len(rows))]
     r = 0
     for c in range(len(cols)):
         piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
@@ -20,18 +21,18 @@ def brute_rank(rows, cols):
         mat[r], mat[piv] = mat[piv], mat[r]
         for i in range(len(mat)):
             if i != r and mat[i][c]:
-                f = mat[i][c] / mat[r][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+                f = mat[i][c] * pow(int(mat[r][c]), -1, p) if p else mat[i][c] / mat[r][c]
+                mat[i] = [(a - f * b) % p if p else a - f * b for a, b in zip(mat[i], mat[r])]
         r += 1
     return r
 
 
-def brute_structures(rows):
+def brute_structures(rows, p=0):
     n = len(rows[0])
     ranks = {}
     for size in range(n + 1):
         for s in combinations(range(n), size):
-            ranks[frozenset(s)] = brute_rank(rows, s)
+            ranks[frozenset(s)] = brute_rank(rows, s, p)
     full = frozenset(range(n))
     circuits = []
     for size in range(1, n + 1):
