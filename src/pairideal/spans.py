@@ -13,10 +13,11 @@ is returned).
 
 Graded pieces are grown degree by degree by one function, `grow`: the span
 of the variable multiples of the lower pieces, those with a new lead
-first, stopped at a dimension bound when the caller has one.  `Pieces`
-memoizes the pieces of a submodule grown that way, from one side where the
-generators' grades allow it (`Pieces.lower_span`); `graded.IdealPieces`
-and `resolution.ModulePieces` are its two kinds.
+first, stopped at a dimension bound when the caller has one (`fill`, also
+the Koszul boundary ranks' loop).  `Pieces` memoizes the pieces of a
+submodule grown that way, from one side where the generators' grades
+allow it (`Pieces.lower_span`); `graded.IdealPieces` and
+`resolution.ModulePieces` are its two kinds.
 
 The coefficient kernel is three primitives, used here and by `groebner`:
 
@@ -43,10 +44,13 @@ from operator import le, sub
 
 def to_ints(vec, p):
     """(ints, lam): raw integer coefficients with ints == lam * vec, zeros
-    dropped.  Over QQ (p == 0) lam clears the denominators; over GF(p) the
-    entries are residues and lam == 1."""
+    dropped, in a new dict.  Over QQ (p == 0) lam clears the denominators,
+    and nonzero int entries are copied as they are; over GF(p) the entries
+    are residues and lam == 1."""
     if p:
         return {k: r for k, v in vec.items() if (r := v % p)}, 1
+    if {*map(type, vec.values())} == {int} and 0 not in vec.values():
+        return dict(vec), 1
     den = lcm(*[v.denominator for v in vec.values()])
     if den == 1:
         return {k: v.numerator for k, v in vec.items() if v}, 1
@@ -138,13 +142,9 @@ def grow(field, grade, variables, lower, columns=None, gens=(), bound=None):
     span whenever every monomial that carries a lower generator to `grade`
     is divisible by one of them (see `Pieces.lower_span`).
 
-    The candidates go in two passes.  The first inserts each one whose
-    lead is not yet a pivot: columns follow a monomial order, so the lead
-    of a multiple is the multiple of the row's lead, and such a candidate
-    is stored with no elimination.  The second inserts the rest in the same
-    order, and stops once the dimension reaches `bound`, an upper bound on
-    the dimension of the whole span that the caller certifies; the span is
-    then complete.  With no bound it inserts them all.
+    The candidates go in by `fill`: columns follow a monomial order, so the
+    lead of a multiple is the multiple of the row's lead, known before the
+    multiple is built.
     """
     sources = []  # (rows, multiple): multiple(row) is the candidate of a row
     for shift, slot, i in variables:
@@ -158,18 +158,29 @@ def grow(field, grade, variables, lower, columns=None, gens=(), bound=None):
             col = [to[e[:i] + (e[i] + 1,) + e[i + 1 :]] for e in columns(prev)[0]]
             sources.append((rows, lambda row, col=col: {col[c]: v for c, v in row.items()}))
     sources.append((gens, dict))
-    ech = Echelon(field)
+    candidates = (
+        (min(multiple({min(row): 0})), multiple, row) for rows, multiple in sources for row in rows
+    )
+    return fill(Echelon(field), candidates, bound)
+
+
+def fill(ech, candidates, bound=None):
+    """Insert build(arg) into ech for each (lead, build, arg) in candidates,
+    lead being the smallest column of build(arg), which is built only when
+    inserted: first each candidate whose lead is not yet a pivot, stored
+    with no elimination, then the rest in order, stopping once the
+    dimension reaches `bound`, an upper bound on the whole span that the
+    caller certifies (with no bound, all of them).  Returns ech."""
     later = []
-    for rows, multiple in sources:
-        for row in rows:
-            if min(multiple({min(row): 0})) in ech.rows:  # the lead of the candidate
-                later.append((row, multiple))
-            else:
-                ech.insert(multiple(row))
-    for row, multiple in later:
+    for lead, build, arg in candidates:
+        if lead in ech.rows:
+            later.append((build, arg))
+        else:
+            ech.insert(build(arg))
+    for build, arg in later:
         if bound is not None and ech.dim >= bound:
             break
-        ech.insert(multiple(row))
+        ech.insert(build(arg))
     return ech
 
 
@@ -178,7 +189,8 @@ class Pieces:
     (`grow`) from the lower pieces, and spans the generators of that grade.
 
     `variables` and `columns` are as in `grow`; `gens` maps a grade to the
-    generator vectors sitting in it.  Since the generator grades are known,
+    generators sitting in it, and `generators(grade)` their vectors (here
+    the generators themselves).  Since the generator grades are known,
     each piece is grown by the variables of one grade coordinate when that
     gives the same span (`lower_span`), which leaves out the multiples that
     would all be eliminated to zero.
@@ -222,8 +234,11 @@ class Pieces:
         the caller certifies; it is complete either way, and kept."""
         got = self._pieces.get(grade)
         if got is None:
-            got = self._pieces[grade] = self.lower_span(grade, self.gens.get(grade, ()), bound)
+            got = self._pieces[grade] = self.lower_span(grade, self.generators(grade), bound)
         return got
+
+    def generators(self, grade):
+        return self.gens.get(grade, ())
 
 
 class Echelon:

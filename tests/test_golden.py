@@ -6,7 +6,8 @@ Groebner runs behind the associated-prime tests; any change to those runs
 that alters a witness or a verdict shows here.  The `analyze` and `betti`
 files gate the Betti tables, derivation data and reports over QQ and
 GF(32003); the Koszul table of seven, the widest window the Koszul route
-scans among them (i+j <= 12), is gated on both fields.  The `verify`
+scans among them (i+j <= 12), is gated on both fields, as are both tables
+of u:3:5, and the Koszul table of fail_PA over GF(32003).  The `verify`
 files gate all eight verification targets on a3
 over QQ and GF(32003); syzygy-slices, derivation-param, tor-of-der and
 slice-min-primes on seven; slice-min-primes on bracelet9 and on seven
@@ -53,6 +54,15 @@ CASES = [
         "betti_bracelet9_gf32003_resolution.json",
     ),
     (["betti", "seven", "--method", "koszul", "--json"], "betti_seven_koszul.json"),
+    (["betti", "u:3:5", "--method", "both", "--json"], "betti_u_3_5_both.json"),
+    (
+        ["betti", str(GOLDEN / "u_3_5_gf32003.json"), "--method", "both", "--json"],
+        "betti_u_3_5_gf32003_both.json",
+    ),
+    (
+        ["betti", str(GOLDEN / "fail_PA_gf32003.json"), "--method", "koszul", "--json"],
+        "betti_fail_PA_gf32003_koszul.json",
+    ),
     (
         ["betti", str(GOLDEN / "seven_gf32003.json"), "--method", "koszul", "--json"],
         "betti_seven_gf32003_koszul.json",

@@ -177,6 +177,118 @@ def test_koszul_euler_characteristic(a3):
         assert chi_tor == chi_chain
 
 
+# (fixture, i+j bound): the default Koszul window n + 2, seven's cut to 7
+KOSZUL_WINDOWS = [("a3", 8), ("u:3:5", 7), ("fail_A", 7), ("seven", 7)]
+
+
+def _differential(eng, p, bideg):
+    """The columns of d_p in one bidegree, one per basis element of C_p,
+    rebuilt from `_chain_basis` and `mult_map` as {target: field value}."""
+    F = eng.field
+    toffset = {tu: off for tu, off, _ in eng._chain_basis(p - 1, bideg)[0]}
+    cols = []
+    for (T, U), _, qdim in eng._chain_basis(p, bideg)[0]:
+        src = (bideg[0] - len(T), bideg[1] - len(U))
+        faces = []
+        for k, t in enumerate(T + U):
+            face = (tuple(v for v in T if v != t), tuple(v for v in U if v != t))
+            if face in toffset:
+                faces.append(((-1) ** k, toffset[face], eng.mult_map(src, t)))
+        for m in range(qdim):
+            col = {}
+            for sign, off, cols_t in faces:
+                w, lam = cols_t[m]
+                col.update((off + c, F.of(Fraction(sign * v, lam))) for c, v in w.items())
+            cols.append(col)
+    return cols
+
+
+def _koszul_bidegrees(name, field, window):
+    eng = GradedEngine(PairsIdeal(get_fixture(name, field)))
+    nvars = eng.ring.nvars
+    for i in range(window + 1):
+        for j in range(window + 1 - i):
+            for p in range(nvars + 1):
+                yield eng, p, (i, j)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["QQ", "GF32003"])
+@pytest.mark.parametrize("name,window", KOSZUL_WINDOWS)
+def test_koszul_boundaries_compose_to_zero(name, window, field):
+    # the rank bound u = dim ker d_(p-1) rests on d_(p-1) d_p = 0: every
+    # built column of d_p, sent through d_(p-1) rebuilt from the mult maps,
+    # is zero
+    for eng, p, bideg in _koszul_bidegrees(name, field, window):
+        if p < 2:
+            continue
+        lower = _differential(eng, p - 1, bideg)
+        for _, parts in eng._boundary_columns(p, bideg):
+            image = {}
+            for c, v in eng._boundary_column(parts).items():
+                for r, x in lower[c].items():
+                    image[r] = field.add(image.get(r, field.zero), field.mul(field.of(v), x))
+            assert all(map(field.is_zero, image.values())), (p, bideg)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["QQ", "GF32003"])
+@pytest.mark.parametrize("name,window", KOSZUL_WINDOWS)
+def test_bounded_koszul_ranks_equal_full_elimination(name, window, field):
+    # the rank certified by its bounds, or eliminated only up to u, is the
+    # rank of every column of d_p put into one echelon
+    for eng, p, bideg in _koszul_bidegrees(name, field, window):
+        full = Echelon(field)
+        for col in _differential(eng, p, bideg):
+            full.insert(col)
+        assert eng._koszul_rank(p, bideg) == full.dim, (p, bideg)
+
+
+def test_koszul_table_builds_few_columns(monkeypatch):
+    # eliminating every boundary column, the Koszul table of seven made
+    # 84,723 inserts; the rank bounds and the lead certificate leave 37,043
+    eng = GradedEngine(PairsIdeal(get_fixture("seven")))
+    depth, calls = [0], []
+    rank, insert = GradedEngine._koszul_rank, Echelon.insert
+
+    def counted_rank(self, p, bideg):
+        depth[0] += 1
+        try:
+            return rank(self, p, bideg)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(GradedEngine, "_koszul_rank", counted_rank)
+    monkeypatch.setattr(
+        Echelon, "insert", lambda self, vec: (depth[0] and calls.append(1)) or insert(self, vec)
+    )
+    assert eng.koszul_betti().total_by_p()[7] == 1
+    assert len(calls) <= 45_000
+
+
+def test_koszul_rank_refuses_more_leads_than_its_bound(monkeypatch):
+    # with each multiplication map by x_var replaced by the selection
+    # t -> t + var (mod the target dimension), d_(p-1) d_p is no longer
+    # zero, and d_3 at (3,1) has 30 distinct leads where ker d_2 has room
+    # for 28: that must raise, never clip to u
+    eng = GradedEngine(PairsIdeal(get_fixture("a3")))
+    grades = eng.ring.grades
+    mult_map = GradedEngine.mult_map
+
+    def planted(self, bideg, var):
+        cols = mult_map(self, bideg, var)
+        dim = self.quotient_piece_dim(tuple(map(add, bideg, grades[var])))
+        return [({(t + var) % dim: 1}, 1) for t in range(len(cols))] if dim else cols
+
+    for i in range(6):
+        for j in range(6 - i):
+            eng.quotient_piece((i, j))  # the cokernels keep the true maps
+    monkeypatch.setattr(GradedEngine, "mult_map", planted)
+    with pytest.raises(RingError, match=r"d_\d+ d_\d+ != 0"):
+        for p in range(eng.ring.nvars + 1):
+            for i in range(6):
+                for j in range(6 - i):
+                    eng._koszul_rank(p, (i, j))
+
+
 def test_derivation_slices(a3, boolean3, seven):
     assert a3.engine.derivation_slice_dim(1) == 1
     assert boolean3.engine.derivation_slice_dim(1) == 3
@@ -518,7 +630,7 @@ def test_membership_degreewise(a3):
 def _all_sides(P, grade):
     """The piece at `grade` grown by every variable, over P's lower pieces."""
     ech = grow(P.field, grade, P.variables, lambda g: P.piece(g).rows.values(), P.columns)
-    for vec in P.gens.get(grade, ()):
+    for vec in P.generators(grade):
         ech.insert(vec)
     return ech
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from pairideal.fixtures import BRACELET9_MATRIX
 from pairideal.linalg import ExactMatrix, kernel_basis, rank, rref
 from pairideal.scalars import QQ
-from pairideal.spans import Echelon, kernel_of_stacked_vectors
+from pairideal.spans import Echelon, kernel_of_stacked_vectors, to_ints
 
 
 def test_rref_identity():
@@ -98,3 +98,25 @@ def test_echelon_reduce_scale_covers_denominators():
     res, lam = ech.reduce(vec)
     assert 0 not in res
     assert not ech.insert({k: lam * vec.get(k, 0) - res.get(k, 0) for k in range(3)})
+
+
+def test_to_ints_copies_and_drops_zeros():
+    # int rows (the QQ fast path), rows with a zero or a fraction, and
+    # residues over GF(p): a new dict each time, the caller's left as it was
+    for vec, p, want in [
+        ({0: 3, 2: -4}, 0, ({0: 3, 2: -4}, 1)),
+        ({0: 3, 1: 0, 2: -4}, 0, ({0: 3, 2: -4}, 1)),
+        ({0: Fraction(1, 2), 1: 0, 2: 1}, 0, ({0: 1, 2: 2}, 2)),
+        ({0: 7, 1: 14}, 7, ({}, 1)),
+        ({0: -1, 1: 0}, 7, ({0: 6}, 1)),
+    ]:
+        before = dict(vec)
+        got = to_ints(vec, p)
+        assert got == want
+        assert got[0] is not vec and vec == before
+    # an insert that eliminates works on the copy
+    ech = Echelon(QQ)
+    ech.insert({0: 1, 1: 1})
+    row = {0: 2, 1: 3}
+    assert ech.insert(row)
+    assert row == {0: 2, 1: 3}
