@@ -18,13 +18,13 @@ eliminated to get S/I, and the pieces give the ranks of the first two
 Koszul differentials.
 
 Every piece that is the span of the variable multiples of lower pieces is
-grown by `spans.grow`: the pieces of the ideal, of its powers and of the
-symmetric ideal in S[a] (`IdealPieces`), and the lower spans that the
-minimal-generator counts of the derivation slices and of the critical-set
+grown from `spans.multiples`: the pieces of the ideal, of its powers and
+of the symmetric ideal in S[a] (`IdealPieces`), and the lower spans that
+the minimal-generator counts of the derivation slices and of the critical-set
 ideal subtract.  The ideal pieces serve `member`, `ideal_dim`, the Rees
 side, the kernel slices' columns and a second route to the Hilbert function
 (`quotient_dim`).  Only they know their generators' grades, so only they
-are grown from one side (`spans.Pieces.lower_span`): above the generators
+are grown from one side (`spans.Pieces.multiples`): above the generators
 in x-degree by the x-multiples alone, which span the same piece; the
 others multiply by every variable.
 
@@ -34,12 +34,12 @@ are generated by any generating set of the syzygies of the pair generators
 (Vasconcelos, Arithmetic of Blowup Algebras, 1994): one tracked Groebner
 run gives them (`GradedEngine.symmetric_pieces`).  The Rees side counts by
 rank and nullity: the (c,d;q) relation piece is the kernel of the product
-map onto (I^q)_(c+q,d+q), and the symmetric piece lies in it, so that rank
-is at most domain - sym.  Each piece of I^q is grown from the multiples
-with a new lead first, which need no elimination, and stops once its rank
-meets the bound (`spans.grow`; Traverso's Hilbert-driven Buchberger
-algorithm, 1996), so only a degree that is not of linear type grows in
-full.
+map onto (I^q)_(c+q,d+q), and the symmetric piece lies in it, so sym +
+rank <= domain.  The symmetric piece and the piece of I^q grow together,
+from the multiples with a new lead first, which need no elimination, and
+both stop once their dimensions sum to the domain (`spans.grow_pieces`;
+Traverso's Hilbert-driven Buchberger algorithm, 1996, each side bounding
+the other), so only a degree that is not of linear type grows in full.
 
 Every kernel slice is built by one product kernel,
 `GradedEngine._product_kernel`: the kernel of the tagged vectors m * prod
@@ -70,7 +70,7 @@ from .groebner import ModuleContext, module_syzygies
 from .memo import memo
 from .pairs import PairsIdeal
 from .ring import Poly, PolyRing, RingError, _compositions, _unit
-from .spans import Echelon, Pieces, fill, grow, kernel_of_stacked_vectors, to_ints
+from .spans import Echelon, Pieces, fill, grow, grow_pieces, kernel_of_stacked_vectors, to_ints
 
 
 class IdealPieces(Pieces):
@@ -82,7 +82,7 @@ class IdealPieces(Pieces):
     has x-degree < i, the x-multiples of the (i-1,j) piece alone span the
     multiples of those generators (each monomial of S_((i,j) - g) has an
     x-factor); failing that, the y-multiples do when every such generator
-    has y-degree < j (`spans.Pieces.lower_span`).  A generator's vector is
+    has y-degree < j (`spans.Pieces.multiples`).  A generator's vector is
     built when a piece of its grade is first asked for.
     """
 
@@ -380,16 +380,17 @@ class GradedEngine:
         """The lead (smallest index) of each `mult_map` column, None if zero."""
         return [min(w, default=None) for w, _ in self.mult_map(bideg, var)]
 
-    def _boundary_columns(self, p, bideg):
-        """The nonzero columns of d_p : C_p -> C_{p-1} in this bidegree as
-        (lead, parts), unbuilt: a part is (lead, sign, offset, mult_map
-        column) of a nonzero face, and `_boundary_column` builds the dict.
+    def _boundary_faces(self, p, bideg):
+        """The source blocks of d_p : C_p -> C_{p-1} in this bidegree, as
+        (faces, leads): a face is (sign, target offset, mult_map, its
+        `_mult_leads`), and leads[m] the lead of column m, None if it is
+        zero, read off with no column or part list made.
 
         The faces of a source block land in distinct target blocks, so a
         column is the union of its signed faces, over a common scale, and
-        its lead, the least lead of a face, cannot cancel."""
+        its lead, that of its nonzero face of least offset, cannot cancel."""
         toffset = {tu: off for tu, off, _ in self._chain_basis(p - 1, bideg)[0]}
-        cols = []
+        blocks = []
         for (T, U), _, qdim in self._chain_basis(p, bideg)[0]:
             src = (bideg[0] - len(T), bideg[1] - len(U))
             faces = []
@@ -398,21 +399,29 @@ class GradedEngine:
                 if face in toffset:
                     maps = self.mult_map(src, t), self._mult_leads(src, t)
                     faces.append(((-1) ** k, toffset[face], *maps))
-            for m in range(qdim):
-                parts = [
-                    (off + leads[m], sign, off, cols_t[m])
-                    for sign, off, cols_t, leads in faces
-                    if leads[m] is not None
-                ]
-                if parts:
-                    cols.append((min(parts)[0], parts))
-        return cols
+            leads = [None] * qdim
+            for _, off, _, ls in sorted(faces, key=lambda face: -face[1]):
+                leads = [x if y is None else off + y for y, x in zip(ls, leads)]
+            blocks.append((faces, leads))
+        return blocks
+
+    @staticmethod
+    def _boundary_columns(blocks):
+        """The nonzero columns of `_boundary_faces` blocks as (lead, parts),
+        unbuilt: a part is (sign, offset, mult_map column) of a nonzero
+        face, and `_boundary_column` builds the dict."""
+        return [
+            (lead, [(sign, off, maps[m]) for sign, off, maps, ls in faces if ls[m] is not None])
+            for faces, leads in blocks
+            for m, lead in enumerate(leads)
+            if lead is not None
+        ]
 
     @staticmethod
     def _boundary_column(parts):
         L = lcm(*(lam for *_, (_, lam) in parts))
         vec = {}
-        for _, sign, off, (w, lam) in parts:
+        for sign, off, (w, lam) in parts:
             scale = sign * (L // lam)
             vec.update((off + c, scale * v) for c, v in w.items())
         return vec
@@ -442,15 +451,16 @@ class GradedEngine:
         bound = min(dim_p, below - self._koszul_rank(p - 1, bideg)) if dim_p and below else 0
         if not bound:
             return 0
-        cols = self._boundary_columns(p, bideg)
-        leads = len({lead for lead, _ in cols})
+        blocks = self._boundary_faces(p, bideg)
+        leads = len(set().union(*(leads for _, leads in blocks)) - {None})
         if leads > bound:
             raise RingError(f"d_{p - 1} d_{p} != 0 at {bideg}: {leads} leads > bound {bound}")
         if leads == bound:
             return bound
+        cols = self._boundary_columns(blocks)
         cols = sorted(reversed(cols), key=lambda col: sum(len(w) for *_, (w, _) in col[1]))
         build = self._boundary_column
-        return fill(Echelon(self.field), ((lead, build, parts) for lead, parts in cols), bound).dim
+        return fill([(Echelon(self.field), ((lead, build, parts) for lead, parts in cols))], bound)
 
     def koszul_homology_dim(self, p, bideg):
         _, dim_p = self._chain_basis(p, bideg)
@@ -656,19 +666,21 @@ class GradedEngine:
         gammas = _compositions(q, self.pairs.n)
         return IdealPieces(self.ring, [self._pair_product(gamma) for gamma in gammas])
 
-    def rees_kernel_dim(self, c: int, d: int, q: int, sym=None) -> int:
+    def _domain(self, c, d, q):
+        """dim S_(c,d) (x) A_q, the domain of the product map."""
+        return self.ring.monomial_count((c, d)) * comb(self.pairs.n + q - 1, q)
+
+    def rees_kernel_dim(self, c: int, d: int, q: int) -> int:
         """dim of the (c,d;q) piece of the full relation ideal of the generators.
 
         That piece is the kernel of the product map S_(c,d) (x) A_q ->
-        S_(c+q,d+q), whose image is the (c+q,d+q) piece of I^q.  Given the
-        dimension sym of the symmetric piece, which lies in the kernel, the
-        image piece stops growing once its rank meets domain - sym.
+        S_(c+q,d+q), whose image is the (c+q,d+q) piece of I^q: its
+        dimension is domain - rank.  `linear_type_check` grows that image
+        piece together with the symmetric piece.
         """
         if q == 0:
             return 0
-        domain = self.ring.monomial_count((c, d)) * comb(self.pairs.n + q - 1, q)
-        bound = None if sym is None else domain - sym
-        return domain - self.power_pieces(q).piece((c + q, d + q), bound).dim
+        return self._domain(c, d, q) - self.power_pieces(q).piece((c + q, d + q)).dim
 
     @memo
     def syzygy_slice(self, c: int, d: int):
@@ -684,7 +696,7 @@ class GradedEngine:
         have grades (1,0,0), (0,1,0) and (0,0,1).
 
         f_k g_k enters the run as `to_ints`, so c_k is multiplied back by
-        its scale; a zero generator gives a_k.  The Rees bound needs this
+        its scale; a zero generator gives a_k.  `linear_type_check` needs this
         ideal in the kernel of the product map, which is an ideal: so each
         generator must map to zero (`ix_contains`), or RingError is raised.
         """
@@ -714,20 +726,27 @@ class GradedEngine:
         c+d <= bound; returns (verdict, list of per-degree records).  The
         first record with equal=False exhibits a non-linear relation degree.
 
-        Each Rees piece stops at the bound its symmetric piece gives
-        (`rees_kernel_dim`), which holds when the symmetric pieces lie in
-        the kernel of the product map: so each syzygy generator of the
-        symmetric ideal is checked to map to zero (`symmetric_pieces`), or
-        RingError is raised.  Lower pieces are visited first.
+        Both pieces of a degree grow together (`spans.grow_pieces`), each
+        bounded by the other: the symmetric piece lies in the kernel of the
+        product map, so sym + rank <= domain, and once the two echelons'
+        dimensions s <= sym and r <= rank sum to the domain, both are
+        whole (s <= sym <= domain - rank <= domain - r = s).  That needs
+        each syzygy generator of the symmetric ideal to map to zero
+        (`symmetric_pieces`); more new leads than the domain holds raise
+        RingError too.  Only a degree that is not of linear type grows
+        both pieces in full.  Lower pieces are visited first.
         """
         records = []
         all_equal = True
+        sym = self.symmetric_pieces()
         for q in range(1, bound + 1):
             for total in range(0, bound + 1):
                 for c in range(total + 1):
                     d = total - c
+                    rees = (self.power_pieces(q), (c + q, d + q))
+                    grow_pieces([(sym, (c, d, q)), rees], self._domain(c, d, q))
                     dl = self.symmetric_kernel_dim(c, d, q)
-                    dj = self.rees_kernel_dim(c, d, q, dl)
+                    dj = self.rees_kernel_dim(c, d, q)
                     if dj or dl:
                         eq = dj == dl
                         records.append(

@@ -11,13 +11,15 @@ quotient bases), and tracked insertion (kernel extraction: when an inserted
 vector is dependent, the exact combination over previously inserted vectors
 is returned).
 
-Graded pieces are grown degree by degree by one function, `grow`: the span
-of the variable multiples of the lower pieces, those with a new lead
-first, stopped at a dimension bound when the caller has one (`fill`, also
-the Koszul boundary ranks' loop).  `Pieces` memoizes the pieces of a
-submodule grown that way, from one side where the generators' grades
-allow it (`Pieces.lower_span`); `graded.IdealPieces` and
-`resolution.ModulePieces` are its two kinds.
+Graded pieces are grown degree by degree from one candidate list,
+`multiples`: the variable multiples of the lower pieces.  One loop, `fill`,
+inserts them, those with a new lead first, and stops at a dimension bound
+when the caller has one; it also fills several spans against one bound on
+their sum (`grow_pieces`, the two sides of linear type), and is the Koszul
+boundary ranks' loop.  `Pieces` memoizes the pieces of a submodule grown
+that way, from one side where the generators' grades allow it
+(`Pieces.multiples`); `graded.IdealPieces` and `resolution.ModulePieces`
+are its two kinds.
 
 The coefficient kernel is three primitives, used here and by `groebner`:
 
@@ -38,8 +40,11 @@ the field once per call, not once per entry.
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from math import gcd, lcm
 from operator import le, sub
+
+from .ring import RingError
 
 
 def to_ints(vec, p):
@@ -126,9 +131,9 @@ def _bump(vec, slot, i):
     return out
 
 
-def grow(field, grade, variables, lower, columns=None, gens=(), bound=None):
-    """The Echelon span of the variable multiples of the lower pieces and
-    of the vectors `gens`.
+def multiples(grade, variables, lower, columns=None, gens=()):
+    """The `fill` candidates of the span of the variable multiples of the
+    lower pieces and of the vectors `gens`.
 
     variables: (shift, slot, i) per variable; its multiple of a row of the
     piece at grade - shift raises exponent i of the row's keys, in key slot
@@ -140,11 +145,10 @@ def grow(field, grade, variables, lower, columns=None, gens=(), bound=None):
 
     Callers may pass a subset of the variables: the result is the same
     span whenever every monomial that carries a lower generator to `grade`
-    is divisible by one of them (see `Pieces.lower_span`).
+    is divisible by one of them (see `Pieces.multiples`).
 
-    The candidates go in by `fill`: columns follow a monomial order, so the
-    lead of a multiple is the multiple of the row's lead, known before the
-    multiple is built.
+    Columns follow a monomial order, so the lead of a multiple is the
+    multiple of the row's lead, known before the multiple is built.
     """
     sources = []  # (rows, multiple): multiple(row) is the candidate of a row
     for shift, slot, i in variables:
@@ -158,42 +162,74 @@ def grow(field, grade, variables, lower, columns=None, gens=(), bound=None):
             col = [to[e[:i] + (e[i] + 1,) + e[i + 1 :]] for e in columns(prev)[0]]
             sources.append((rows, lambda row, col=col: {col[c]: v for c, v in row.items()}))
     sources.append((gens, dict))
-    candidates = (
+    return (
         (min(multiple({min(row): 0})), multiple, row) for rows, multiple in sources for row in rows
     )
-    return fill(Echelon(field), candidates, bound)
 
 
-def fill(ech, candidates, bound=None):
-    """Insert build(arg) into ech for each (lead, build, arg) in candidates,
-    lead being the smallest column of build(arg), which is built only when
-    inserted: first each candidate whose lead is not yet a pivot, stored
-    with no elimination, then the rest in order, stopping once the
-    dimension reaches `bound`, an upper bound on the whole span that the
-    caller certifies (with no bound, all of them).  Returns ech."""
-    later = []
-    for lead, build, arg in candidates:
-        if lead in ech.rows:
-            later.append((build, arg))
-        else:
-            ech.insert(build(arg))
-    for build, arg in later:
-        if bound is not None and ech.dim >= bound:
-            break
-        ech.insert(build(arg))
+def grow(field, *args):
+    """The Echelon span of `multiples(*args)`."""
+    ech = Echelon(field)
+    fill([(ech, multiples(*args))])
     return ech
+
+
+def fill(sides, bound=None):
+    """For each (ech, candidates) in sides, insert build(arg) into ech for
+    each (lead, build, arg) in candidates, lead being the smallest column of
+    build(arg), which is built only when inserted: first each candidate
+    whose lead is not yet a pivot, stored with no elimination, then the
+    rest, the sides in turn, until the dimensions sum to `bound`, which the
+    caller certifies to bound the sum of the whole spans; each span is then
+    whole (with no bound, all go in).  Returns the sum; it exceeds `bound`
+    only if the first pass did, disproving it."""
+    later = []
+    for ech, candidates in sides:
+        later.append([])
+        for lead, build, arg in candidates:
+            if lead in ech.rows:
+                later[-1].append((ech, build, arg))
+            else:
+                ech.insert(build(arg))
+    total = sum(ech.dim for ech, _ in sides)
+    for turn in zip_longest(*later):
+        for ech, build, arg in filter(None, turn):
+            if bound is not None and total >= bound:
+                return total
+            total += ech.insert(build(arg))
+    return total
+
+
+def grow_pieces(requests, bound=None):
+    """Grow the pieces P.piece(grade), (P, grade) in requests, by one `fill`
+    with that bound on their sum, and keep them; a kept piece joins as it
+    is.  Returns the sum, or raises RingError, keeping nothing, if the
+    first pass exceeds `bound`."""
+    sides = []
+    for P, g in requests:
+        if g in P._pieces:
+            sides.append((P._pieces[g], ()))
+        else:
+            sides.append((Echelon(P.field), P.multiples(g, P.generators(g))))
+    total = fill(sides, bound)
+    if bound is not None and total > bound:
+        grades = [grade for _, grade in requests]
+        raise RingError(f"the pieces at {grades} have {total} leads, past the bound {bound}")
+    for (P, grade), (ech, _) in zip(requests, sides):
+        P._pieces[grade] = ech
+    return total
 
 
 class Pieces:
     """Memoized graded pieces of a submodule: the piece at a grade is grown
-    (`grow`) from the lower pieces, and spans the generators of that grade.
+    from the lower pieces, and spans the generators of that grade.
 
-    `variables` and `columns` are as in `grow`; `gens` maps a grade to the
-    generators sitting in it, and `generators(grade)` their vectors (here
-    the generators themselves).  Since the generator grades are known,
-    each piece is grown by the variables of one grade coordinate when that
-    gives the same span (`lower_span`), which leaves out the multiples that
-    would all be eliminated to zero.
+    `variables` and `columns` are as in `multiples`; `gens` maps a grade to
+    the generators sitting in it, and `generators(grade)` their vectors
+    (here the generators themselves).  Since the generator grades are
+    known, each piece is grown by the variables of one grade coordinate
+    when that gives the same span (`multiples`), which leaves out the
+    multiples that would all be eliminated to zero.
     """
 
     columns = None
@@ -205,9 +241,9 @@ class Pieces:
         # not a memo: `ModulePieces.register` scans the grades and drops entries
         self._pieces = {}
 
-    def lower_span(self, grade, gens=(), bound=None) -> Echelon:
-        """Span of the generators strictly below `grade`, times S, and of
-        `gens`, grown up to `bound` (see `grow`).
+    def multiples(self, grade, gens=()):
+        """The `fill` candidates of the span of the generators strictly below
+        `grade`, times S, and of `gens`.
 
         It is grown from one side: if some coordinate k has g[k] < grade[k]
         for every generator grade g strictly below, only the variables of
@@ -227,15 +263,19 @@ class Pieces:
         def rows(g):
             return self.piece(g).rows.values()
 
-        return grow(self.field, grade, variables, rows, self.columns, gens, bound)
+        return multiples(grade, variables, rows, self.columns, gens)
 
-    def piece(self, grade, bound=None) -> Echelon:
-        """The piece at `grade`, grown up to a bound on its dimension that
-        the caller certifies; it is complete either way, and kept."""
-        got = self._pieces.get(grade)
-        if got is None:
-            got = self._pieces[grade] = self.lower_span(grade, self.generators(grade), bound)
-        return got
+    def lower_span(self, grade) -> Echelon:
+        """The span of the generators strictly below `grade`, times S."""
+        ech = Echelon(self.field)
+        fill([(ech, self.multiples(grade))])
+        return ech
+
+    def piece(self, grade) -> Echelon:
+        """The piece at `grade`, kept (see `grow_pieces`)."""
+        if grade not in self._pieces:
+            grow_pieces([(self, grade)])
+        return self._pieces[grade]
 
     def generators(self, grade):
         return self.gens.get(grade, ())

@@ -12,8 +12,8 @@ files gate all eight verification targets on a3
 over QQ and GF(32003); syzygy-slices, derivation-param, tor-of-der and
 slice-min-primes on seven; slice-min-primes on bracelet9 and on seven
 with a dropped zero column, whose labels pass through both the dropped
-loop and the role swap; linear-type at bound 3 on seven over QQ and
-GF(32003), and at bound 2 on bracelet9, which is not of linear type and
+loop and the role swap; linear-type at bound 3 on seven and on a3 over QQ
+and GF(32003), and at bound 2 on bracelet9, which is not of linear type and
 has a strict slice at (2;2); linear-type at bound 3 on fail_A, whose
 coloop has a zero pair generator, and on boolean:3, where every pair
 generator is zero; and min-primes on bracelet9 over QQ and GF(32003),
@@ -125,6 +125,22 @@ CASES = [
             "--json",
         ],
         "verify_seven_gf32003_linear_type_bound3.json",
+    ),
+    (
+        ["verify", "a3", "--theorem", "linear-type", "--bound", "3", "--json"],
+        "verify_a3_linear_type_bound3.json",
+    ),
+    (
+        [
+            "verify",
+            str(GOLDEN / "a3_gf32003.json"),
+            "--theorem",
+            "linear-type",
+            "--bound",
+            "3",
+            "--json",
+        ],
+        "verify_a3_gf32003_linear_type_bound3.json",
     ),
     (
         ["verify", "bracelet9", "--theorem", "linear-type", "--bound", "2", "--json"],

@@ -222,7 +222,7 @@ def test_koszul_boundaries_compose_to_zero(name, window, field):
         if p < 2:
             continue
         lower = _differential(eng, p - 1, bideg)
-        for _, parts in eng._boundary_columns(p, bideg):
+        for _, parts in eng._boundary_columns(eng._boundary_faces(p, bideg)):
             image = {}
             for c, v in eng._boundary_column(parts).items():
                 for r, x in lower[c].items():
@@ -529,19 +529,36 @@ def test_linear_type(u12, a3, bracelet):
     [("a3", 3), ("seven", 3), ("bracelet9", 2), ("u:3:5", 3), ("fail_A", 3), ("boolean:3", 3)],
 )
 def test_bounded_power_pieces_equal_full_growth(name, bound, field):
-    # the linear-type check stops each Rees piece at domain - sym; a fresh
-    # engine grows every piece in full, and the spans must agree
+    # the linear-type check grows the symmetric piece and the piece of I^q of
+    # each degree together, and stops both once they fill the domain; a
+    # fresh engine grows every piece in full, and the spans must agree
+    # (bracelet9 has degrees where the two sides never meet)
     pairs = PairsIdeal(get_fixture(name, field))
     bounded, full = GradedEngine(pairs), GradedEngine(pairs)
     _, records = bounded.linear_type_check(bound)
     assert records
-    for q in range(2, bound + 1):
+    for q in range(1, bound + 1):
         for total in range(bound + 1):
             for c in range(total + 1):
-                grade = (c + q, total - c + q)
-                got = bounded.power_pieces(q).piece(grade)
-                want = full.power_pieces(q).piece(grade)
-                assert got.pivot_columns() == want.pivot_columns(), (q, grade)
+                d = total - c
+                sides = [(e.symmetric_pieces(), e.power_pieces(q)) for e in (bounded, full)]
+                for got, want, grade in zip(*sides, [(c, d, q), (c + q, d + q)]):
+                    got, want = got.piece(grade), want.piece(grade)
+                    assert got.pivot_columns() == want.pivot_columns(), grade
+
+
+def test_squeezed_linear_type_makes_few_dependent_inserts(monkeypatch):
+    # each side grown alone, the symmetric pieces in full and the Rees pieces
+    # up to domain - sym, linear_type_check(3) on seven made 6,757 dependent
+    # inserts; grown together until they fill the domain, 1,110
+    eng = GradedEngine(PairsIdeal(get_fixture("seven")))
+    dependent = []
+    insert = Echelon.insert
+    monkeypatch.setattr(
+        Echelon, "insert", lambda self, vec: insert(self, vec) or dependent.append(1) or False
+    )
+    eng.linear_type_check(3)
+    assert len(dependent) <= 2000
 
 
 def test_bounded_rees_pieces_skip_their_zero_reductions(monkeypatch):
@@ -612,6 +629,21 @@ def test_linear_type_refuses_a_relation_outside_the_kernel(monkeypatch):
         graded, "module_syzygies", lambda ctx, inputs: [{(0, zero): 1}] + syzygies(ctx, inputs)
     )
     with pytest.raises(RingError, match="a syzygy of the pair generators is not in the kernel"):
+        eng.linear_type_check(1)
+
+
+def test_linear_type_refuses_more_new_leads_than_the_domain(monkeypatch):
+    # with the kernel check of the syzygy generators bypassed, a planted
+    # non-syzygy a_1 gives the symmetric and Rees pieces at (0,0;1) 7 new
+    # leads where the domain has room for 6: that must raise, never clip
+    eng = GradedEngine(PairsIdeal(get_fixture("a3")))
+    zero = (0,) * eng.ring.nvars
+    syzygies = graded.module_syzygies
+    monkeypatch.setattr(
+        graded, "module_syzygies", lambda ctx, inputs: [{(1, zero): 1}] + syzygies(ctx, inputs)
+    )
+    monkeypatch.setattr(GradedEngine, "ix_contains", lambda self, vec: True)
+    with pytest.raises(RingError, match="7 leads, past the bound 6"):
         eng.linear_type_check(1)
 
 
