@@ -5,17 +5,12 @@ and associated-prime structure, all in exact arithmetic."""
 from .scalars import QQ, PrimeField, Rationals
 from .linalg import ExactMatrix, kernel_basis, rank, rref
 from .matroid import Matroid, Realization, biflats
-from .ring import Poly, PolyRing, pair_ring, x_ring, xa_ring
+from .ring import Poly, PolyRing, pair_ring, x_ring
 from .pairs import PairsIdeal
 from .graded import BettiTable, GradedEngine
 from .groebner import Ideal, is_associated
-from .resolution import (
-    SchreyerResolution,
-    minimal_generators,
-    schreyer_quotient_betti,
-    schreyer_resolution,
-)
-from .derivations import DerivationModule, ilog_generators, pdim_bounds, recipe_check
+from .resolution import SchreyerResolution, minimal_generators, schreyer_resolution
+from .derivations import DerivationModule, pdim_bounds, recipe_check
 from .primes import (
     LinearPrime,
     associated_primes,
@@ -45,7 +40,6 @@ __all__ = [
     "PolyRing",
     "pair_ring",
     "x_ring",
-    "xa_ring",
     "PairsIdeal",
     "BettiTable",
     "GradedEngine",
@@ -53,10 +47,8 @@ __all__ = [
     "is_associated",
     "SchreyerResolution",
     "minimal_generators",
-    "schreyer_quotient_betti",
     "schreyer_resolution",
     "DerivationModule",
-    "ilog_generators",
     "pdim_bounds",
     "recipe_check",
     "LinearPrime",

@@ -12,12 +12,12 @@ theta(f_j) in (f_j).
 
 from __future__ import annotations
 
-from .graded import apply_theta, theta_from_syzygy
+from .graded import theta_from_syzygy
 from .groebner import ModuleContext, module_syzygies
 from .linalg import rref
 from .matroid import LoopError, MatroidError, Realization
 from .pairs import PairsIdeal
-from .ring import Poly, RingError, _unit, xa_ring
+from .ring import Poly, RingError
 from .resolution import ResolutionError, minimal_generators, raw_grade, schreyer_resolution
 
 
@@ -199,47 +199,3 @@ def _column_span_rref(re: Realization, cols):
     red, _, rank = rref(sub.transpose())
     return tuple(tuple(red.row(i)) for i in range(rank))
 
-
-# ---------------------------------------------------------------------------
-# logarithmic generators of the critical-set ideal
-
-
-def ilog_generators(pairs: PairsIdeal, dermod: DerivationModule):
-    """The elements sum_k a_k theta(f_k)/f_k in the x-a ring, one per theta.
-
-    Exact division is re-run here; a failure signals an invalid derivation.
-    """
-    RA = xa_ring(pairs.field, pairs.r, pairs.n)
-    out = []
-    for theta in dermod.thetas:
-        terms = []
-        for k in range(pairs.n):
-            fk = pairs.f[k]
-            quot = _exact_div(apply_theta(theta, fk), fk)
-            for e, c in quot.terms.items():
-                exp = e[: pairs.r] + _unit(pairs.n, k)
-                terms.append((exp, c))
-        out.append(RA.from_terms(terms))
-    return out
-
-
-def _exact_div(p: Poly, q: Poly) -> Poly:
-    """Exact polynomial division; raises RingError when not divisible."""
-    ring = p.ring
-    if q.is_zero():
-        raise RingError("division by zero polynomial")
-    out = ring.zero()
-    rem = p
-    qle = q.leading_exp()
-    qlc = q.leading_coeff()
-    F = ring.field
-    while not rem.is_zero():
-        rle = rem.leading_exp()
-        diff = tuple(a - b for a, b in zip(rle, qle))
-        if any(d < 0 for d in diff):
-            raise RingError("inexact polynomial division")
-        c = F.div(rem.terms[rle], qlc)
-        mono = ring.monomial(diff, c)
-        out = out + mono
-        rem = rem - mono * q
-    return out

@@ -103,9 +103,6 @@ class IdealPieces(Pieces):
         mons = self.ring.monomial_basis(bideg)
         return mons, {m: i for i, m in enumerate(mons)}
 
-    def monomials(self, bideg):
-        return self.columns(bideg)[0]
-
     def index(self, bideg):
         return self.columns(bideg)[1]
 
@@ -161,12 +158,6 @@ class BettiTable:
             (p - 1, b): v for (p, b), v in self.entries.items() if p >= 1
         }
         return BettiTable("ideal", self.method, shifted, self.window_description, self.certified_window)
-
-    def total_by_p(self):
-        out = {}
-        for (p, _), v in self.entries.items():
-            out[p] = out.get(p, 0) + v
-        return out
 
     def poly_grid(self):
         """Rows j descending, columns i ascending, entries as strings in t."""

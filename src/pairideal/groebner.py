@@ -140,9 +140,6 @@ class ModuleContext:
         pos, exp = term
         return (sum(exp) + self.shifts.get(pos, 0), degrevlex(exp), -pos)
 
-    def zero_exp(self):
-        return (0,) * self.ring.nvars
-
 
 class GBElement:
     __slots__ = ("raw", "lead", "lc", "track", "inert", "solo")
@@ -281,7 +278,7 @@ def buchberger(ctx: ModuleContext, inputs, track=False, inert_groups=None):
 
     for i, raw in enumerate(inputs):
         raw = dict(raw)
-        t = {(i, ctx.zero_exp()): 1} if track else None
+        t = {(i, ctx.ring.zero_exp): 1} if track else None
         group = inert_groups[i] if inert_groups else None
         if not raw:
             if track:
@@ -478,10 +475,6 @@ class Ideal:
         ctx = self._gb_elements()[0]
         out = colon_module(ctx, basis, rank, [elem], copies)
         return Ideal(self.ring, [raw_to_poly(self.ring, w) for w in out])
-
-    def colon_element(self, h: Poly) -> "Ideal":
-        """(I : h), the one-generator case of colon_ideal."""
-        return self.colon_ideal(Ideal(self.ring, [h]))
 
     def colon_ideal(self, other: "Ideal") -> "Ideal":
         """(I : J) in one colon run: the c with c * (h_1, ..., h_m) in I^m,

@@ -33,7 +33,7 @@ MAX_GROUND_SET = 12
 
 class InputSpec:
     def __init__(self, name, field_desc, matrix_rows, options=None):
-        self.name = str(name)
+        self.name = name
         self.field_desc = field_desc
         self.matrix_rows = matrix_rows
         self.options = dict(DEFAULT_OPTIONS)
@@ -50,6 +50,8 @@ class InputSpec:
         for key in ("name", "field", "matrix"):
             if key not in data:
                 raise InputError(f"missing key {key!r}")
+        if not isinstance(data["name"], str):
+            raise InputError(f"name must be a string, got {data['name']!r}")
         matrix = data["matrix"]
         if (
             not isinstance(matrix, list)
@@ -64,7 +66,7 @@ class InputSpec:
             raise InputError(f"ground set larger than the configured max {MAX_GROUND_SET}")
         for row in matrix:
             for entry in row:
-                if not isinstance(entry, (int, str)):
+                if isinstance(entry, bool) or not isinstance(entry, (int, str)):
                     raise InputError(f"matrix entries are ints or 'a/b' strings, got {entry!r}")
                 if isinstance(entry, str):
                     try:

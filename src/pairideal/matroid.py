@@ -115,10 +115,6 @@ class Matroid:
     def rank_of(self, subset) -> int:
         return self._ranks()[_mask(subset)]
 
-    def is_basis(self, subset) -> bool:
-        s = frozenset(subset)
-        return len(s) == self.rank and self.rank_of(s) == self.rank
-
     # -- basic structure ------------------------------------------------------
     @property
     def loops(self):
@@ -211,10 +207,6 @@ class Matroid:
         seps = [s for s, x in enumerate(ranks) if x + ranks[full ^ s] == self.rank]
         comps = {reduce(and_, [s for s in seps if s & b]) for b in _bits(self.n)}
         return sorted((_subset(c, self.n) for c in comps), key=sorted)
-
-    @property
-    def kappa(self):
-        return len(self.components())
 
     # -- predicates ---------------------------------------------------------------
     def is_uniform(self) -> bool:

@@ -1,11 +1,13 @@
 """The ideal of pairs of a realization.
 
 From a realization W the construction permutes the ground set so the first
-r columns are a basis, pins bases with M = [I | M'] and D = [-M'^T | I],
-and forms the linear forms f_i (in the x-variables) and g_i (in the
-y-variables) together with the generators f_i * g_i of the ideal of pairs.
-The pinned bases make every downstream number reproducible; the ground-set
-permutation is recorded and inverted in reports.
+r columns are a basis, pins the basis M = [I | M'] of W, and forms the
+linear forms f_i (in the x-variables) and g_i (in the y-variables)
+together with the generators f_i * g_i of the ideal of pairs.  The pinned
+basis D = [-M'^T | I] of the annihilator is `Realization.dual_matrix` of
+the pinned realization, the kernel basis of [I | M'].  The pinned bases
+make every downstream number reproducible; the ground-set permutation is
+recorded and inverted in reports.
 
 The objects derived from the whole ideal are memoized on it: the `Ideal`
 of S/I with its Groebner basis, the Schreyer complex of S/I and its
@@ -15,7 +17,7 @@ minimal Betti entries, and the pairs ideal of the dual realization.
 from __future__ import annotations
 
 from .groebner import Ideal
-from .linalg import ExactMatrix, rref
+from .linalg import rref
 from .matroid import ColoopError, LoopError, MatroidError, Realization, labels
 from .memo import memo
 from .resolution import SchreyerResolution, schreyer_quotient_complex
@@ -71,14 +73,8 @@ class PairsIdeal:
         self.n = n
         self.r = r
         self.s = n - r  # number of y-variables
-        # M' is r x (n-r); D = [-M'^T | I]
+        # M' is r x (n-r)
         self.mprime = [[normal[i, r + u] for u in range(self.s)] for i in range(r)]
-        dual_rows = [
-            [field.neg(self.mprime[i][u]) for i in range(r)]
-            + [field.one if v == u else field.zero for v in range(self.s)]
-            for u in range(self.s)
-        ]
-        self.dual_normal = ExactMatrix(field, dual_rows, ncols=n)
 
         self.ring = pair_ring(field, r, self.s)
         S = self.ring
@@ -198,7 +194,6 @@ class PairsIdeal:
     @memo
     def swap_roles(self) -> "PairsIdeal":
         """The pairs ideal of the dual realization (grading transposed, labels kept)."""
-        dual = Realization(self.input_realization.name + "^perp", self.field, self.dual_normal)
-        swap = PairsIdeal(dual)
+        swap = PairsIdeal(self.realization.dual())
         swap.labels = [self.labels[c] for c in swap.perm]
         return swap

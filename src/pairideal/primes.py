@@ -355,15 +355,16 @@ def module_prime_is_associated(ctx, basis, rank, prime_forms) -> bool:
 # uniform-matroid membership checks
 
 
-def uniform_checks(pairs: PairsIdeal):
-    """Degreewise membership of the products of dual forms times a form.
+def uniform_checks(engine: GradedEngine):
+    """Degreewise membership of the products of dual forms times a form,
+    decided by `engine`, the graded engine of the pairs ideal.
 
     For uniform matroids every product g_{i_1}...g_{i_r} f_a (repeats
     allowed) must lie in the ideal; for arbitrary matroids the same holds
     when the indices run over a basis.  Returns a report with any failing
     tuple (informative for non-uniform inputs, an error for uniform ones).
     """
-    engine = GradedEngine(pairs)
+    pairs = engine.pairs
     M = pairs.matroid
     r, n = pairs.r, pairs.n
     report = {"uniform": M.is_uniform(), "products_checked": 0, "failures": []}

@@ -224,7 +224,7 @@ def schreyer_resolution(ring: PolyRing, inputs, shifts) -> SchreyerResolution:
     # image under the lead, then the negated position) does, without
     # recursing.  origin[pos] = (ambient position, exponent shift, negated
     # positions) of each position of the current level.
-    origin = [(q, base_ctx.zero_exp(), ()) for q in range(len(shifts))]
+    origin = [(q, ring.zero_exp, ()) for q in range(len(shifts))]
     cur_shift_grades = list(shifts)
     while cur_elements:
         grades = [
@@ -279,8 +279,4 @@ def schreyer_quotient_complex(ring: PolyRing, ideal_gens) -> SchreyerResolution:
     raws = [poly_to_raw(g) for g in ideal_gens if not g.is_zero()]
     return schreyer_resolution(ring, raws, [(0,) * ring.ngrades])
 
-
-def schreyer_quotient_betti(ring: PolyRing, ideal_gens):
-    """Minimal Betti numbers of ring/(ideal) via the induced-order complex."""
-    return schreyer_quotient_complex(ring, ideal_gens).minimal_betti()
 

@@ -2,9 +2,8 @@
 polynomials.
 
 The pair ring S has r variables of bidegree (1,0) (coordinates on W) and
-n-r of bidegree (0,1) (coordinates on the annihilator); parameter rings
-R[a] and S[a] append variables carrying one extra grading slot, written
-last.  Monomials are dense exponent tuples; polynomials are sparse dicts
+n-r of bidegree (0,1) (coordinates on the annihilator); the parameter ring
+S[a] appends variables carrying one extra grading slot, written last.  Monomials are dense exponent tuples; polynomials are sparse dicts
 keyed by exponent tuple with nonzero field coefficients.  Every ring
 orders its monomials by one key, `degrevlex`: leading terms, printing and
 every Groebner run use it, and intersection and radical membership are
@@ -72,18 +71,8 @@ class PolyRing:
     def one(self):
         return Poly(self, {self.zero_exp: self.field.one})
 
-    def const(self, c):
-        c = self.field.of(c)
-        return Poly(self, {} if self.field.is_zero(c) else {self.zero_exp: c})
-
     def var(self, i):
         return Poly(self, {_unit(self.nvars, i): self.field.one})
-
-    def monomial(self, exp, coeff=1):
-        coeff = self.field.of(coeff)
-        if self.field.is_zero(coeff):
-            return self.zero()
-        return Poly(self, {tuple(exp): coeff})
 
     def from_terms(self, terms):
         d = {}
@@ -325,22 +314,6 @@ class Poly:
             total = F.add(total, v)
         return total
 
-    # -- leading data ------------------------------------------------------------------
-    def leading_exp(self):
-        if not self.terms:
-            raise RingError("zero polynomial has no leading term")
-        return max(self.terms, key=degrevlex)
-
-    def leading_coeff(self):
-        return self.terms[self.leading_exp()]
-
-    def monic(self):
-        if not self.terms:
-            return self
-        F = self.ring.field
-        inv = F.inv(self.leading_coeff())
-        return self.scale(inv)
-
     # -- printing -----------------------------------------------------------------------
     def __str__(self):
         if not self.terms:
@@ -388,9 +361,3 @@ def x_ring(field, r):
     """R = k[x1..xr], standard grading."""
     return PolyRing(field, [f"x{i+1}" for i in range(r)], [(1,)] * r)
 
-
-def xa_ring(field, r, n):
-    """R[a] = k[x1..xr, a1..an], bigraded with the a-degree written last."""
-    names = [f"x{i+1}" for i in range(r)] + [f"a{k+1}" for k in range(n)]
-    grades = [(1, 0)] * r + [(0, 1)] * n
-    return PolyRing(field, names, grades)

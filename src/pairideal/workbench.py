@@ -327,7 +327,7 @@ class Workbench:
         return out
 
     def _verify_uniform_products(self):
-        rep = uniform_checks(self.pairs)
+        rep = uniform_checks(self.engine)
         if rep["uniform"] and rep["failures"]:
             return self._fail(
                 f"uniform product membership failed at {rep['failures'][0]}", report=rep

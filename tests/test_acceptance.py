@@ -134,7 +134,7 @@ def test_criterion_5_uniform():
             (full, [], "minimal"),
             (full, full, "embedded"),
         ]
-        rep = uniform_checks(bench.pairs)
+        rep = uniform_checks(bench.engine)
         assert rep["uniform"] and rep["failures"] == [] and rep["products_checked"] > 0
         slices = slice_associated_primes(bench.pairs)
         assert [(d["flat"], d["tag"]) for d in slices] == [(full, "minimal")]
@@ -171,11 +171,11 @@ def test_criterion_6_properties():
         bench = benches[name]
         ent = bench.resolution_betti(target="quotient").entries
         sw = bench.pairs.swap_roles()
-        from pairideal.resolution import schreyer_quotient_betti
+        from pairideal.resolution import schreyer_quotient_complex
 
-        ent_sw = schreyer_quotient_betti(
+        ent_sw = schreyer_quotient_complex(
             sw.ring, [g for _, g in sw.nonzero_generators()]
-        )
+        ).minimal_betti()
         assert {(p, (b[1], b[0])): v for (p, b), v in ent_sw.items()} == ent, name
 
     # Koszul and resolution methods agree (full tables at small scale,

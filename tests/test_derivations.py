@@ -1,6 +1,6 @@
 import pytest
 
-from pairideal.derivations import ilog_generators, pdim_bounds, recipe_check
+from pairideal.derivations import pdim_bounds, recipe_check
 from pairideal.fixtures import get_fixture
 from pairideal.matroid import MatroidError
 
@@ -97,10 +97,13 @@ def test_recipe_matroid_mismatch():
 
 
 def test_ilog_generators(a3, boolean3, u12):
-    gens = ilog_generators(a3.pairs, a3.derivations)
-    assert str(gens[0]) == "a1 + a2 + a3 + a4 + a5 + a6"
-    assert gens[1].grade() == (1, 1)
-    bgens = ilog_generators(boolean3.pairs, boolean3.derivations)
-    assert sorted(str(g) for g in bgens) == ["a1", "a2", "a3"]
-    ugens = ilog_generators(u12.pairs, u12.derivations)
-    assert [str(g) for g in ugens] == ["a1 + a2"]
+    # c_k = theta(f_k)/f_k, so a c-vector is the generator sum_k a_k theta(f_k)/f_k
+    def constant(bench, ks):
+        return {(k, bench.pairs.ring.zero_exp): 1 for k in ks}
+
+    cvecs = a3.derivations.c_vectors
+    assert cvecs[0] == constant(a3, range(6))  # the Euler derivation
+    assert {sum(e) for _, e in cvecs[1]} == {1}
+    bvecs = sorted(boolean3.derivations.c_vectors, key=sorted)
+    assert bvecs == [constant(boolean3, [k]) for k in range(3)]
+    assert u12.derivations.c_vectors == [constant(u12, [0, 1])]

@@ -71,7 +71,7 @@ def test_colon_and_double_colon(xy_ring):
     S = xy_ring
     x, y = S.var(0), S.var(1)
     I = Ideal(S, [x * y])
-    cx = I.colon_element(x)
+    cx = I.colon_ideal(Ideal(S, [x]))
     assert [str(g) for g in cx.groebner()] == ["y1"]
     c_m = I.colon_ideal(Ideal(S, [x, y]))
     assert [str(g) for g in c_m.groebner()] == ["x1*y1"]

@@ -22,7 +22,7 @@ from pairideal.fixtures import get_fixture
 from pairideal.pairs import PairsIdeal
 from pairideal.matroid import biflats
 from pairideal.primes import LinearPrime
-from pairideal.resolution import schreyer_quotient_betti
+from pairideal.resolution import schreyer_quotient_complex
 from pairideal.scalars import field_from_descriptor
 
 GOLDEN = Path(__file__).parent / "golden" / "groebner_reduced_bases.json"
@@ -80,7 +80,8 @@ def _a3_associated_primes():
 
 def _seven_schreyer_betti():
     pairs = _pairs("seven")
-    schreyer_quotient_betti(pairs.ring, [g for _, g in pairs.nonzero_generators()])
+    gens = [g for _, g in pairs.nonzero_generators()]
+    schreyer_quotient_complex(pairs.ring, gens).minimal_betti()
 
 
 @pytest.mark.parametrize(

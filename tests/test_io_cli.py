@@ -70,6 +70,8 @@ _SILENT_BAD_INPUTS = [
         "matrix": [[1, 0, 1], [0, 1, 1]],
         "options": {"allow_small_prime": "no"},
     },
+    {"name": "x", "field": "rational", "matrix": [[1, 0, True], [0, 1, 1]]},
+    {"name": 7, "field": "rational", "matrix": [[1, 0, 1], [0, 1, 1]]},
 ]
 
 

@@ -204,7 +204,7 @@ def test_pairs_membership_matches_sympy(name):
         if trial % 2:
             # a stray term, outside the ideal whenever it lies on an axis
             mons = ring.monomial_basis((rng.randint(0, 2), rng.randint(0, 2)))
-            elem = elem + ring.monomial(rng.choice(mons), rng.randint(1, 3))
+            elem = elem + ring.from_terms([(rng.choice(mons), rng.randint(1, 3))])
         ours = eng.member(elem)
         assert ours == basis.contains(_to_sympy(elem, xs)), elem
         verdicts.append(ours)

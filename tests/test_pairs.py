@@ -1,9 +1,10 @@
 import pytest
 
+from pairideal.fixtures import get_fixture
 from pairideal.linalg import ExactMatrix
 from pairideal.matroid import LoopError, Realization
 from pairideal.pairs import PairsIdeal
-from pairideal.scalars import QQ
+from pairideal.scalars import QQ, PrimeField
 
 
 def test_u12_pinned_forms(u12):
@@ -45,8 +46,26 @@ def test_orthogonality_invariant(a3, seven):
     for bench in (a3, seven):
         pairs = bench.pairs
         m = pairs.realization.basis_matrix
-        d = ExactMatrix(pairs.field, list(pairs.dual_normal.entries), ncols=pairs.n)
+        d = pairs.realization.dual_matrix
         assert m.matmul(d.transpose()).is_zero()
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["QQ", "GF32003"])
+@pytest.mark.parametrize(
+    "name",
+    ["a3", "bracelet9", "fail_A", "fail_PA", "seven", "boolean:3", "u:1:2", "u:2:4", "u:3:5"],
+)
+def test_dual_matrix_is_the_pinned_dual(name, field):
+    # the hand builder of D = [-M'^T | I] from the pinned [I | M'] is the oracle
+    # for the kernel basis; boolean:3 has s = 0 and a D with no rows
+    pairs = PairsIdeal(get_fixture(name, field))
+    r, s = pairs.r, pairs.s
+    rows = [
+        [field.neg(pairs.mprime[i][u]) for i in range(r)]
+        + [field.one if v == u else field.zero for v in range(s)]
+        for u in range(s)
+    ]
+    assert pairs.realization.dual_matrix == ExactMatrix(field, rows, ncols=pairs.n)
 
 
 def test_swap_roles_u12(u12):

@@ -173,11 +173,11 @@ def test_slice_consistency_with_quotient(seven, u24):
 
 def test_uniform_checks(u24, u35, a3):
     for bench in (u24, u35):
-        rep = uniform_checks(bench.pairs)
+        rep = uniform_checks(bench.engine)
         assert rep["uniform"]
         assert rep["failures"] == []
         assert rep["basis_product_failures"] == []
-    rep = uniform_checks(a3.pairs)
+    rep = uniform_checks(a3.engine)
     assert not rep["uniform"]
     assert rep["basis_product_failures"] == []
 

@@ -8,7 +8,7 @@ from pairideal.resolution import (
     ResolutionError,
     SchreyerResolution,
     minimal_generators,
-    schreyer_quotient_betti,
+    schreyer_quotient_complex,
     schreyer_resolution,
 )
 from pairideal.derivations import DerivationModule
@@ -51,7 +51,7 @@ def test_module_pieces_grow_and_keep_degree_order():
 
 def test_a3_schreyer_agrees(a3):
     gens = [g for _, g in a3.pairs.nonzero_generators()]
-    ent = schreyer_quotient_betti(a3.pairs.ring, gens)
+    ent = schreyer_quotient_complex(a3.pairs.ring, gens).minimal_betti()
     shifted = {(p - 1, g): v for (p, g), v in ent.items() if p >= 1}
     assert shifted == A3_IDEAL_BETTI
 
@@ -59,7 +59,7 @@ def test_a3_schreyer_agrees(a3):
 def test_resolution_hilbert_alternation(a3):
     # alternating free-module Hilbert sums reproduce the quotient dimensions
     gens = [g for _, g in a3.pairs.nonzero_generators()]
-    ent = schreyer_quotient_betti(a3.pairs.ring, gens)
+    ent = schreyer_quotient_complex(a3.pairs.ring, gens).minimal_betti()
     eng = a3.engine
 
     def free_dim(shift, bideg):
@@ -95,10 +95,11 @@ def test_der_module_resolution_free_a3(a3):
 
 def test_bracelet_resolution_and_transpose(bracelet):
     gens = [g for _, g in bracelet.pairs.nonzero_generators()]
-    ent = schreyer_quotient_betti(bracelet.pairs.ring, gens)
+    ent = schreyer_quotient_complex(bracelet.pairs.ring, gens).minimal_betti()
     assert max(p for p, _ in ent) == 6
     sw = bracelet.pairs.swap_roles()
-    ent_sw = schreyer_quotient_betti(sw.ring, [g for _, g in sw.nonzero_generators()])
+    gens_sw = [g for _, g in sw.nonzero_generators()]
+    ent_sw = schreyer_quotient_complex(sw.ring, gens_sw).minimal_betti()
     assert {(p, (g[1], g[0])): v for (p, g), v in ent_sw.items()} == ent
 
 
