@@ -451,7 +451,7 @@ class GradedEngine:
         cols = self._boundary_columns(blocks)
         cols = sorted(reversed(cols), key=lambda col: sum(len(w) for *_, (w, _) in col[1]))
         build = self._boundary_column
-        return fill([(Echelon(self.field), ((lead, build, parts) for lead, parts in cols))], bound)
+        return fill([(Echelon(self.field), ((lead, build, parts, False) for lead, parts in cols))], bound)
 
     def koszul_homology_dim(self, p, bideg):
         _, dim_p = self._chain_basis(p, bideg)

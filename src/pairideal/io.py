@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .linalg import ExactMatrix
 from .matroid import Realization
-from .scalars import FieldError, PrimeField, field_descriptor, field_from_descriptor
+from .scalars import FieldError, PrimeField, field_descriptor, field_from_descriptor, parse_scalar
 
 
 class InputError(ValueError):
@@ -70,9 +70,9 @@ class InputSpec:
                     raise InputError(f"matrix entries are ints or 'a/b' strings, got {entry!r}")
                 if isinstance(entry, str):
                     try:
-                        Fraction(entry)
-                    except (ValueError, ZeroDivisionError):
-                        raise InputError(f"cannot parse scalar {entry!r}")
+                        parse_scalar(entry)
+                    except FieldError as exc:
+                        raise InputError(str(exc)) from exc
         options = data.get("options", {})
         if not isinstance(options, dict):
             raise InputError("options must be an object")

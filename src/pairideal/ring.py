@@ -112,17 +112,14 @@ class PolyRing:
             groups.setdefault(gv.index(1), []).append(i)
         if any(grade[t] and t not in groups for t in range(self.ngrades)):
             return []
-        per_group = []
-        for t in sorted(groups):
-            per_group.append(_compositions(grade[t], len(groups[t])))
-        out = []
-        for pick in iproduct(*per_group):
-            exp = [0] * self.nvars
-            for t, comp_part in zip(sorted(groups), pick):
-                for i, e in zip(groups[t], comp_part):
-                    exp[i] = e
-            out.append(tuple(exp))
-        out.sort(key=degrevlex, reverse=True)
+        picks = iproduct(*[_compositions(grade[t], len(groups[t])) for t in sorted(groups)])
+        out = [sum(pick, ()) for pick in picks]  # exponents in block order
+        order = sum((groups[t] for t in sorted(groups)), [])
+        if order != list(range(self.nvars)):  # blocks not of consecutive variables
+            at = sorted(range(self.nvars), key=order.__getitem__)
+            out = [tuple(e[j] for j in at) for e in out]
+        # one total degree: descending degrevlex is ascending reversed exponents
+        out.sort(key=lambda e: e[::-1])
         return out
 
     def monomial_count(self, grade):

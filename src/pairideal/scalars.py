@@ -8,11 +8,24 @@ field-generic.  Field objects are immutable and hashable.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 
 class FieldError(ValueError):
     pass
+
+
+def parse_scalar(text):
+    """(numerator, denominator) of a scalar written as a string: an optional
+    sign, ASCII digits, then optionally '/' and ASCII digits, no spaces.  The
+    one grammar of both fields; a zero denominator is refused."""
+    if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", text):
+        raise FieldError(f"cannot parse scalar {text!r}: write an int or 'a/b'")
+    num, _, den = text.partition("/")
+    if den and not int(den):
+        raise FieldError(f"scalar {text!r} has a zero denominator")
+    return int(num), int(den or 1)
 
 
 class Rationals:
@@ -38,10 +51,7 @@ class Rationals:
         if isinstance(value, int):
             return Fraction(value)
         if isinstance(value, str):
-            try:
-                return Fraction(value)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise FieldError(f"cannot parse scalar {value!r}") from exc
+            return Fraction(*parse_scalar(value))
         raise FieldError(f"cannot coerce {value!r} into QQ")
 
     zero = Fraction(0)
@@ -134,10 +144,10 @@ class PrimeField:
         if isinstance(value, int):
             return value % self.p
         if isinstance(value, str):
-            if "/" in value:
-                num, den = value.split("/", 1)
-                return self.div(self.of(int(num)), self.of(int(den)))
-            return int(value) % self.p
+            num, den = parse_scalar(value)
+            if den % self.p == 0:
+                raise FieldError(f"scalar {value!r} has a denominator divisible by {self.p}")
+            return self.div(num, den)
         if isinstance(value, Fraction):
             return self.div(value.numerator % self.p, value.denominator % self.p)
         raise FieldError(f"cannot coerce {value!r} into {self.name}")

@@ -13,8 +13,11 @@ is returned).
 
 Graded pieces are grown degree by degree from one candidate list,
 `multiples`: the variable multiples of the lower pieces.  One loop, `fill`,
-inserts them, those with a new lead first, and stops at a dimension bound
-when the caller has one; it also fills several spans against one bound on
+adds them, those with a new lead first, and stops at a dimension bound
+when the caller has one.  A multiple of a kept piece's row with a new lead
+is stored as it is: re-indexing a row by a monomial gives a row (primitive
+with a positive pivot, or pivot 1) led by the image of its lead; every
+other candidate is inserted.  `fill` also fills spans against one bound on
 their sum (`grow_pieces`, the two sides of linear type), and is the Koszul
 boundary ranks' loop.  `Pieces` memoizes the pieces of a submodule grown
 that way, from one side where the generators' grades allow it
@@ -32,10 +35,13 @@ The coefficient kernel is three primitives, used here and by `groebner`:
   over GF(p) the pivot is scaled by a * b^-1.
 
 The per-field arithmetic is fixed: over QQ a forward elimination strips the
-content after every step and a full reduction strips once, jointly with its
-scale; over GF(p) eliminations never strip, and stored rows are scaled to
-pivot 1.  `axpy(dst, items, beta, p)` applies one step's update; it tests
-the field once per call, not once per entry.
+content after a step that scaled the vector (every step, if a tag is
+tracked); in between it differs from the stripped vector by a positive
+factor, so the pivots visited and the stored row are the same.  A full
+reduction strips once, jointly with its scale.  Over GF(p) eliminations
+never strip, and stored rows are scaled to pivot 1.  `axpy(dst, items,
+beta, p)` applies one step's update; it tests the field once per call,
+not once per entry.
 """
 
 from __future__ import annotations
@@ -113,22 +119,13 @@ def axpy(dst, items, beta, p):
                 dst.pop(k, None)
 
 
-def _bump(vec, slot, i):
-    """vec with exponent i of key slot `slot` raised by one, for sparse
-    vectors keyed by pairs whose slot 0 or 1 is an exponent tuple (the
-    variable multiple of a row); key order is kept."""
-    out = {}
-    if slot:
-        for (a, e), v in vec.items():
-            e = list(e)
-            e[i] += 1
-            out[(a, tuple(e))] = v
-    else:
-        for (e, b), v in vec.items():
-            e = list(e)
-            e[i] += 1
-            out[(tuple(e), b)] = v
-    return out
+def _bump(key, slot, i):
+    """key with exponent i of its slot `slot` (0 or 1) raised by one, for
+    keys that are pairs with an exponent tuple in that slot: the key of a
+    variable multiple (key order is a monomial order, so it is kept)."""
+    e = key[slot]
+    e = (*e[:i], e[i] + 1, *e[i + 1 :])
+    return (key[0], e) if slot else (e, key[1])
 
 
 def multiples(grade, variables, lower, columns=None, gens=()):
@@ -137,33 +134,39 @@ def multiples(grade, variables, lower, columns=None, gens=()):
 
     variables: (shift, slot, i) per variable; its multiple of a row of the
     piece at grade - shift raises exponent i of the row's keys, in key slot
-    `slot` (see `_bump`).  lower(prev) gives the rows of the piece at prev,
-    and is asked only when prev >= 0 entrywise.  With columns, a function
-    grade -> (monomials, {monomial: position}), rows are keyed by positions
-    in those lists instead: the multiple re-indexes each monomial of prev
-    once for all its rows, and the column order stays that of the lists.
+    `slot` (see `_bump`).  lower(prev) gives the piece at prev, and is asked
+    only when prev >= 0 entrywise: an `Echelon`'s rows {pivot: row}, or a
+    list of vectors.  With columns, a function grade -> (monomials,
+    {monomial: position}), rows are keyed by positions in those lists
+    instead: the multiple re-indexes each monomial of prev once for all its
+    rows, and the column order stays that of the lists.
 
     Callers may pass a subset of the variables: the result is the same
     span whenever every monomial that carries a lower generator to `grade`
     is divisible by one of them (see `Pieces.multiples`).
 
     Columns follow a monomial order, so the lead of a multiple is the
-    multiple of the row's lead, known before the multiple is built.
+    multiple of the row's lead (an echelon row's pivot key), known before
+    the multiple is built; the multiples of an echelon's rows are rows.
     """
-    sources = []  # (rows, multiple): multiple(row) is the candidate of a row
+    sources = []  # (rows, lead of a key, multiple, are the rows echelon rows)
     for shift, slot, i in variables:
         prev = tuple(map(sub, grade, shift))
         if min(prev) < 0 or not (rows := lower(prev)):
             continue
         if columns is None:
-            sources.append((rows, lambda row, slot=slot, i=i: _bump(row, slot, i)))
+            lead = lambda key, slot=slot, i=i: _bump(key, slot, i)
+            build = lambda row, lead=lead: {lead(k): v for k, v in row.items()}
         else:
             to = columns(grade)[1]
             col = [to[e[:i] + (e[i] + 1,) + e[i + 1 :]] for e in columns(prev)[0]]
-            sources.append((rows, lambda row, col=col: {col[c]: v for c, v in row.items()}))
-    sources.append((gens, dict))
+            lead, build = col.__getitem__, lambda row, col=col: {col[c]: v for c, v in row.items()}
+        sources.append((rows, lead, build, isinstance(rows, dict)))
+    sources.append((gens, lambda key: key, dict, False))
     return (
-        (min(multiple({min(row): 0})), multiple, row) for rows, multiple in sources for row in rows
+        (lead(key), build, row, is_row)
+        for rows, lead, build, is_row in sources
+        for key, row in (rows.items() if is_row else zip(map(min, rows), rows))
     )
 
 
@@ -175,20 +178,23 @@ def grow(field, *args):
 
 
 def fill(sides, bound=None):
-    """For each (ech, candidates) in sides, insert build(arg) into ech for
-    each (lead, build, arg) in candidates, lead being the smallest column of
-    build(arg), which is built only when inserted: first each candidate
-    whose lead is not yet a pivot, stored with no elimination, then the
-    rest, the sides in turn, until the dimensions sum to `bound`, which the
-    caller certifies to bound the sum of the whole spans; each span is then
+    """For each (ech, candidates) in sides, add build(arg) to ech for each
+    (lead, build, arg, is_row) in candidates, lead being the smallest
+    column of build(arg), which is built only when it goes in: first each
+    candidate whose lead is not yet a pivot, with no elimination (stored as
+    it is if `is_row` says it is a row already), then the rest, the sides in
+    turn, until the dimensions sum to `bound`, which the caller certifies
+    to bound the sum of the whole (untracked) spans; each span is then
     whole (with no bound, all go in).  Returns the sum; it exceeds `bound`
     only if the first pass did, disproving it."""
     later = []
     for ech, candidates in sides:
         later.append([])
-        for lead, build, arg in candidates:
+        for lead, build, arg, is_row in candidates:
             if lead in ech.rows:
                 later[-1].append((ech, build, arg))
+            elif is_row:
+                ech.rows[lead] = build(arg)
             else:
                 ech.insert(build(arg))
     total = sum(ech.dim for ech, _ in sides)
@@ -259,11 +265,7 @@ class Pieces:
             if all(g[k] < top for g in below):
                 variables = [v for v in variables if v[0][k] > 0]
                 break
-
-        def rows(g):
-            return self.piece(g).rows.values()
-
-        return multiples(grade, variables, rows, self.columns, gens)
+        return multiples(grade, variables, lambda g: self.piece(g).rows, self.columns, gens)
 
     def lower_span(self, grade) -> Echelon:
         """The span of the generators strictly below `grade`, times S."""
@@ -390,7 +392,7 @@ class Echelon:
             axpy(vec, row.items(), beta, p)
             if tag is not None:
                 axpy(tag, self.tags[c].items(), beta, p)
-            if not (p or full):
+            if not (p or full) and (alpha != 1 or tag is not None):
                 strip(vec, tag)
         g = gcd(lam, *out.values())
         if g > 1:

@@ -168,6 +168,21 @@ def test_cli_error_exit_code(tmp_path):
     assert missing.returncode == 1
 
 
+@pytest.mark.parametrize("field", ["rational", {"prime": 32003}], ids=["QQ", "GF32003"])
+@pytest.mark.parametrize("entry", [" 1 ", "1e0", "1_000", "\u0663", "1.5", "1/0", "1/32003"])
+def test_cli_refuses_entries_outside_the_scalar_grammar(entry, field, tmp_path, capsys):
+    # an entry is a sign, ASCII digits and an optional '/digits', with a
+    # denominator that is a unit of the field: QQ and GF(p) read one grammar
+    path = tmp_path / "m.json"
+    matrix = [[1, 0, entry], [0, 1, 1]]
+    path.write_text(json.dumps({"name": "x", "field": field, "matrix": matrix}))
+    if entry == "1/32003" and field == "rational":
+        assert cli.main(["flats", str(path)]) == 0
+        return
+    assert cli.main(["flats", str(path)]) == 1
+    assert repr(entry) in _one_error_line(capsys)
+
+
 def test_cli_loop_error(tmp_path):
     loopy = tmp_path / "loopy.json"
     loopy.write_text(

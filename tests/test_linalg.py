@@ -1,10 +1,11 @@
 from fractions import Fraction
+from math import gcd, lcm
 
 from hypothesis import given, settings, strategies as st
 
 from pairideal.fixtures import BRACELET9_MATRIX
 from pairideal.linalg import ExactMatrix, kernel_basis, rank, rref
-from pairideal.scalars import QQ
+from pairideal.scalars import QQ, PrimeField
 from pairideal.spans import Echelon, kernel_of_stacked_vectors, to_ints
 
 
@@ -120,3 +121,54 @@ def test_to_ints_copies_and_drops_zeros():
     row = {0: 2, 1: 3}
     assert ech.insert(row)
     assert row == {0: 2, 1: 3}
+
+
+def _reference_row(rows, vec, p):
+    """The row that vec adds to the echelon `rows` (None if it adds none),
+    by field arithmetic, reducing at every step, then made primitive with
+    a positive pivot (QQ) or scaled to pivot 1 (GF(p))."""
+    vec = {k: Fraction(v) if not p else v % p for k, v in vec.items()}
+    vec = {k: v for k, v in vec.items() if v}
+    while vec and min(vec) in rows:
+        row = rows[min(vec)]
+        f = vec[min(vec)] / row[min(vec)] if not p else vec[min(vec)] * pow(row[min(vec)], -1, p)
+        new = {k: vec.get(k, 0) - f * row.get(k, 0) for k in vec.keys() | row.keys()}
+        vec = {k: v % p if p else v for k, v in new.items() if (v % p if p else v)}
+    if not vec:
+        return None
+    lead = vec[min(vec)]
+    if p:
+        return {k: v * pow(lead, -1, p) % p for k, v in vec.items()}
+    den = lcm(*(v.denominator for v in vec.values()))
+    ints = {k: int(v * den) for k, v in vec.items()}
+    g = gcd(*ints.values()) * (1 if lead > 0 else -1)
+    return {k: v // g for k, v in ints.items()}
+
+
+sparse_vectors = st.lists(
+    st.dictionaries(st.integers(0, 7), st.integers(-40, 40).filter(bool), min_size=1, max_size=6),
+    max_size=14,
+)
+
+
+@given(sparse_vectors, st.sampled_from([0, 7, 32003]))
+@settings(max_examples=150, derandomize=True, deadline=None)
+def test_echelon_rows_are_the_reference_rows(vectors, p):
+    # over QQ the working vector is stripped only after a step that scaled
+    # it; the rows must be those of eliminating by field arithmetic, and
+    # stay primitive with a positive pivot (QQ) or have pivot 1 (GF(p)),
+    # which is what lets a re-indexed row be stored with no elimination
+    ech = Echelon(PrimeField(p) if p else QQ)
+    rows = {}
+    for vec in vectors:
+        want = _reference_row(rows, vec, p)
+        assert ech.insert(vec) == (want is not None)
+        if want is not None:
+            rows[min(want)] = want
+        assert ech.rows == rows
+        for c, row in ech.rows.items():
+            assert c == min(row) and all(type(v) is int and v for v in row.values())
+            if p:
+                assert row[c] == 1 and all(0 < v < p for v in row.values())
+            else:
+                assert row[c] > 0 and gcd(*row.values()) == 1

@@ -4,7 +4,10 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pairideal.ring import Poly, RingError, degrevlex, pair_ring, x_ring
+from pairideal.fixtures import get_fixture
+from pairideal.graded import GradedEngine
+from pairideal.pairs import PairsIdeal
+from pairideal.ring import Poly, PolyRing, RingError, degrevlex, pair_ring, x_ring
 from pairideal.scalars import QQ
 
 
@@ -110,3 +113,23 @@ def test_printing_deterministic():
     S = pair_ring(QQ, 2, 1)
     p = S.from_terms([((1, 0, 1), Fraction(5)), ((0, 1, 0), -1)])
     assert str(p) == "5*x1*y1 - x2"
+
+
+@pytest.mark.parametrize("name", ["a3", "seven", "bracelet9"])
+def test_monomial_basis_is_in_descending_degrevlex(name):
+    # within one multigrade every monomial has the same total degree, so the
+    # basis is built in the order of its reversed exponents, with no
+    # degrevlex key; S and S[a] have blocks of consecutive variables, and
+    # the reversed pair ring does not
+    eng = GradedEngine(PairsIdeal(get_fixture(name)))
+    S, Sa = eng.ring, eng.symmetric_pieces().ring
+    swapped = PolyRing(QQ, S.names[::-1], S.grades[::-1])
+    for ring, grades in [
+        (S, [(0, 0), (1, 0), (0, 2), (2, 1), (3, 3)]),
+        (swapped, [(1, 0), (2, 1), (2, 3)]),
+        (Sa, [(0, 0, 1), (1, 0, 2), (0, 2, 1), (2, 2, 2)]),
+    ]:
+        for grade in grades:
+            basis = ring.monomial_basis(grade)
+            assert len(basis) == ring.monomial_count(grade), grade
+            assert basis == sorted(basis, key=degrevlex, reverse=True), grade
