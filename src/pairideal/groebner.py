@@ -8,11 +8,21 @@ Coefficients come from the kernel in `spans`: `to_ints` turns a Poly into
 raw integers, `cancel` gives the multipliers of each reduction step (the
 gcd-reduced cross multipliers over QQ, a * b^-1 over GF(p)), and `strip`
 divides by the joint content.  The per-field arithmetic is fixed, because
-GF(p) colon witnesses depend on scale: over QQ `_reduce` strips after every
-step, S-pairs cross-multiply the gcd-reduced leading coefficients, and
-syzygies are made primitive; over GF(p) S-pairs cross-multiply the leading
-residues, and only new basis elements and normal forms are stripped (by the
-integer gcd of their residues).
+GF(p) colon witnesses depend on scale: over QQ `_reduce` strips after a
+step that scaled the vector (in between it differs from the stripped one
+by a positive factor), S-pairs cross-multiply the gcd-reduced leading
+coefficients, and new basis elements, normal forms and syzygies are made
+primitive; over GF(p) S-pairs cross-multiply the leading residues, and only
+new basis elements and normal forms are stripped (by the integer gcd of
+their residues).
+
+In a run, elements are dicts over int term keys (`ModuleContext.term_key`),
+which sort as the term order and add under monomial shifts: the keys of x^m
+g are g's plus delta(m), the key of the lead it cancels less g's lead key,
+and each term is built once per run.  `_reduce` pops leads off a heap of
+negated keys (Monagan-Pearce, JSC 2011) and takes the first divisor from
+per-lead-position lists in basis order.  Ideals of linear forms get their
+reduced bases by row echelon form, with no Buchberger run.
 
 The engine optionally tracks each basis element as a combination of the
 input generators; in tracked runs the zero-reduction combinations form a
@@ -26,9 +36,7 @@ j), is computed once when the pair is made, since leads never change; the
 heap pops the pair of smallest key, which fixes the selection order.  The
 chain criterion drops pairs from a dict of live pairs (each with its
 stored lcm) and leaves their heap entries behind; a popped entry whose
-pair is no longer live is skipped.  Term keys are memoized per run: each
-`buchberger`, `interreduce` and normal-form call holds its own memo and
-drops it when it returns, so memory stays bounded by one run.
+pair is no longer live is skipped.
 
 Every colon is one primitive, `colon_module`: a tracked run with the
 Groebner basis of the submodule N entering as inert blocks, restricted to
@@ -47,14 +55,14 @@ Krull dimension from the initial ideal.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import gcd
 from operator import add, le, sub
 
 from .memo import memo
-from .ring import Poly, PolyRing, degrevlex
-from .spans import axpy, cancel, strip, to_ints
+from .ring import Poly, PolyRing, _unit
+from .spans import Echelon, axpy, cancel, strip, to_ints
 
 
 class GroebnerError(ValueError):
@@ -105,23 +113,15 @@ def _addexp(e1, e2):
     return tuple(map(add, e1, e2))
 
 
-class _Memo(dict):
-    """A dict that fills each missing entry from fn, once.  Not a `memo`:
-    it lives for one run by design (see the module docstring)."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __missing__(self, term):
-        value = self[term] = self.fn(term)
-        return value
+WIDTH = 32  # bits of each fixed-width field of a term key
+_TOP = (1 << WIDTH) - 1
 
 
-def _term_keys(ctx):
-    """ctx.term_key, each value computed once while the result lives."""
-    return _Memo(ctx.term_key).__getitem__
+def complement(value):
+    """The key field of a value that sorts in reverse: _TOP - value."""
+    if not 0 <= value <= _TOP:
+        raise GroebnerError(f"{value} does not fit a {WIDTH}-bit term key field")
+    return _TOP - value
 
 
 class ModuleContext:
@@ -133,68 +133,118 @@ class ModuleContext:
         self.ring = ring
         self.char = ring.field.char
         self.shifts = shifts or {}
+        self.low = min([0, *self.shifts.values()])
         if key_fn is not None:
             self.term_key = key_fn
 
     def term_key(self, term):
+        """The int that sorts as (degree + shift, degrevlex(exp), -pos): degree
+        + shift on top, then WIDTH-bit fields for the degree, the complemented
+        exponents (last variable first) and position.  Every term a run
+        derives from this one has degree at most degree + shift - low."""
         pos, exp = term
-        return (sum(exp) + self.shifts.get(pos, 0), degrevlex(exp), -pos)
+        deg = sum(exp)
+        top = deg + self.shifts.get(pos, 0)
+        complement(top - self.low)
+        key = top << WIDTH | deg
+        for e in reversed(exp):
+            key = key << WIDTH | _TOP - e
+        return key << WIDTH | complement(pos)
+
+
+def _keyed(ctx, raw, terms):
+    """raw as {term key: coeff}, each key's term recorded in `terms`."""
+    vec = {}
+    for t, c in raw.items():
+        k = ctx.term_key(t)
+        terms[k] = t
+        vec[k] = c
+    return vec
 
 
 class GBElement:
-    __slots__ = ("raw", "lead", "lc", "track", "inert", "solo")
+    """A basis element: `raw` {term: coeff}, `items` [(key, term, coeff)]."""
 
-    def __init__(self, key, raw, track=None, inert=None):
-        self.raw = raw
-        self.lead = max(raw, key=key)
-        self.lc = raw[self.lead]
+    __slots__ = ("raw", "items", "lead", "lead_key", "lc", "track", "inert", "solo")
+
+    def __init__(self, vec, terms, track=None, inert=None):
+        self.items = [(k, terms[k], c) for k, c in vec.items()]
+        self.raw = {t: c for _k, t, c in self.items}
+        self.lead_key = max(vec)
+        self.lead = terms[self.lead_key]
+        self.lc = vec[self.lead_key]
         self.track = track
         self.inert = inert
         # single-component elements behave like ring elements: only for
         # these is the coprime-lead pair criterion valid
         pos = self.lead[0]
-        self.solo = pos if all(q == pos for (q, _e) in raw) else None
+        self.solo = pos if all(q == pos for (q, _e) in self.raw) else None
 
 
-def _reduce(ctx, raw, track, basis, full=True, key=None):
-    """Normal form of raw against basis (list of GBElement), destructive.
-
-    Each step cancels the lead against a reducer through `cancel`.  Over QQ
-    the result equals a positive multiple of the input modulo the span
-    (exact for membership, span and syzygy purposes), and the joint content
-    of raw, the result so far and track is stripped after every step.
-    `key` is the run's memoized term key; without one, the call memoizes
-    its own.
-    """
-    p = ctx.char
-    key = key or _term_keys(ctx)
+def _by_position(basis):
+    """The reducers of `_reduce`: {lead position: [(lead exponent, g)]}."""
     out = {}
-    while raw:
-        lt = max(raw, key=key)
-        pos, exp = lt
-        red = None
-        for g in basis:
-            gp, ge = g.lead
-            if gp == pos and _divides(ge, exp):
-                red = g
-                break
-        if red is None:
-            if not full:
-                return raw, track
-            out[lt] = raw.pop(lt)
+    for g in basis:
+        out.setdefault(g.lead[0], []).append((g.lead[1], g))
+    return out
+
+
+def _sub_multiple(vec, terms, g, d, m, beta, p, heap=None):
+    """vec -= beta * x^m * g on keyed vectors, in place: each key of g moves
+    by d, the key of x^m * lead(g) less g's lead key.  A key new to vec is
+    pushed (negated) on `heap`, and its term is built once per run."""
+    for k, t, v in g.items:
+        k += d
+        c = vec.get(k)
+        if c is None:
+            vec[k] = -beta * v % p if p else -beta * v
+            if heap is not None:
+                heappush(heap, -k)
+            if k not in terms:
+                terms[k] = (t[0], _addexp(t[1], m))
+        elif c := (c - beta * v) % p if p else c - beta * v:
+            vec[k] = c
+        else:
+            del vec[k]
+
+
+def _reduce(ctx, vec, terms, track, reducers, full=True):
+    """Normal form of the keyed vector vec against `reducers`, destructive;
+    `terms` maps each key of vec to its term.  Not full: stop at the first
+    irreducible lead and return the rest.  Every term a step adds lies below
+    the lead it cancels, so leads come off a heap of negated keys, skipping
+    keys that have left vec.  Over QQ the result is a positive multiple of
+    the input modulo the span, for the caller to strip."""
+    p = ctx.char
+    heap = [-k for k in vec]
+    heapify(heap)
+    out = {}
+    while heap:
+        lk = -heappop(heap)
+        a = vec.get(lk)
+        if a is None:
             continue
-        m = _sub(exp, red.lead[1])
-        alpha, beta = cancel(raw[lt], red.lc, p)
+        pos, exp = terms[lk]
+        for ge, g in reducers.get(pos, ()):
+            if all(map(le, ge, exp)):
+                break
+        else:
+            if not full:
+                break
+            out[lk] = vec.pop(lk)
+            continue
+        m = _sub(exp, ge)
+        alpha, beta = cancel(a, g.lc, p)
         if alpha != 1:
-            for d in (raw, out, track or {}):
+            for d in (vec, out, track or {}):
                 for k in d:
                     d[k] *= alpha
-        axpy(raw, _shifted(red.raw, m), beta, p)
-        if track is not None and red.track is not None:
-            axpy(track, _shifted(red.track, m), beta, p)
-        if not p:
-            strip(raw, out, track)
-    return out, track
+        _sub_multiple(vec, terms, g, lk - g.lead_key, m, beta, p, heap)
+        if track is not None and g.track is not None:
+            axpy(track, _shifted(g.track, m), beta, p)
+        if alpha != 1:
+            strip(vec, out, track)
+    return (out if full else vec), track
 
 
 def _scaled_combination(ctx, gi, gj):
@@ -226,18 +276,20 @@ def buchberger(ctx: ModuleContext, inputs, track=False, inert_groups=None):
     the lcm, i, j), from the heap described in the module docstring.
     """
     p = ctx.char
-    key = _term_keys(ctx)
+    terms = {}  # term key -> term, for every key the run has met
     basis = []
+    by_pos = {}  # the reducers, see `_by_position`
     syzygies = []
     pairs = {}  # live pair (i, j) -> lcm of the lead exponents
     queue = []  # (selection key..., i, j), stale once (i, j) leaves pairs
 
-    def add_element(raw, t, inert=None):
-        strip(raw, t)
-        gnew = GBElement(key, raw, t, inert)
+    def add_element(vec, t, inert=None):
+        strip(vec, t)
+        gnew = GBElement(vec, terms, t, inert)
         new = len(basis)
         basis.append(gnew)
         pos, lexp = gnew.lead
+        by_pos.setdefault(pos, []).append((lexp, gnew))
         shift = ctx.shifts.get(pos, 0)
         lcms = {}  # i -> lcm of the leads of basis[i] and gnew, same position
         for i in range(new):
@@ -269,29 +321,29 @@ def buchberger(ctx: ModuleContext, inputs, track=False, inert_groups=None):
         for ab in drop:
             del pairs[ab]
 
-    def reduce_and_add(raw, t):
-        res, t = _reduce(ctx, raw, t, basis, full=False, key=key)
+    def reduce_and_add(vec, t):
+        res, t = _reduce(ctx, vec, terms, t, by_pos, full=False)
         if res:
             add_element(res, t)
         elif track and t:
             syzygies.append(t if p else strip(t))
 
     for i, raw in enumerate(inputs):
-        raw = dict(raw)
+        vec = _keyed(ctx, raw, terms)
         t = {(i, ctx.ring.zero_exp): 1} if track else None
         group = inert_groups[i] if inert_groups else None
-        if not raw:
+        if not vec:
             if track:
                 syzygies.append(t)
         elif group is not None:
             # trusted Groebner elements enter unreduced to stay inert
-            add_element(raw, t, inert=group)
+            add_element(vec, t, inert=group)
         else:
-            reduce_and_add(raw, t)
+            reduce_and_add(vec, t)
 
     processed = 0
     while queue:
-        _, _, i, j = heappop(queue)
+        _, lk, i, j = heappop(queue)
         if pairs.pop((i, j), None) is None:
             continue  # dropped by the chain criterion
         processed += 1
@@ -299,33 +351,35 @@ def buchberger(ctx: ModuleContext, inputs, track=False, inert_groups=None):
             TRACE(processed, len(pairs), basis)
         gi, gj = basis[i], basis[j]
         _, mi, mj, ci, cj = _scaled_combination(ctx, gi, gj)
-        raw = {}
-        axpy(raw, _shifted(gi.raw, mi), -ci, p)
-        axpy(raw, _shifted(gj.raw, mj), cj, p)
+        vec = {}
+        _sub_multiple(vec, terms, gi, lk - gi.lead_key, mi, -ci, p)
+        _sub_multiple(vec, terms, gj, lk - gj.lead_key, mj, cj, p)
         t = None
         if track:
             t = {}
             axpy(t, _shifted(gi.track or {}, mi), -ci, p)
             axpy(t, _shifted(gj.track or {}, mj), cj, p)
-        reduce_and_add(raw, t)
+        reduce_and_add(vec, t)
     return basis, syzygies
 
 
-def _normal_form(ctx, raw, basis, key=None):
+def _normal_form(ctx, raw, basis):
     """Canonical normal form: fully reduced, primitive, positive lead over QQ."""
-    key = key or _term_keys(ctx)
-    raw, _ = _reduce(ctx, dict(raw), None, basis, full=True, key=key)
-    raw = strip(raw)
-    if raw and ctx.char == 0:
-        lt = max(raw, key=key)
-        if raw[lt] < 0:
-            raw = {k: -v for k, v in raw.items()}
-    return raw
+    terms = {}
+    out, _ = _reduce(ctx, _keyed(ctx, raw, terms), terms, None, _by_position(basis))
+    strip(out)
+    if out and ctx.char == 0 and out[max(out)] < 0:
+        out = {k: -v for k, v in out.items()}
+    return {terms[k]: v for k, v in out.items()}
+
+
+def _element(ctx, raw):
+    terms = {}
+    return GBElement(_keyed(ctx, raw, terms), terms)
 
 
 def interreduce(ctx: ModuleContext, basis):
     """Reduced basis: minimal leads, tails fully reduced, canonical scaling."""
-    key = _term_keys(ctx)
     keep = []
     for i, g in enumerate(basis):
         lt = g.lead
@@ -340,15 +394,39 @@ def interreduce(ctx: ModuleContext, basis):
             keep.append(g)
     out = []
     for g in keep:
-        raw = _normal_form(ctx, g.raw, [h for h in keep if h is not g], key)
-        if not raw:
-            continue
-        if ctx.char:
-            inv = pow(raw[max(raw, key=key)], ctx.char - 2, ctx.char)
-            if inv != 1:
-                raw = {k: (v * inv) % ctx.char for k, v in raw.items()}
-        out.append(GBElement(key, raw))
-    out.sort(key=lambda g: key(g.lead))
+        raw = _normal_form(ctx, g.raw, [h for h in keep if h is not g])
+        if raw and ctx.char:
+            inv = pow(raw[g.lead], ctx.char - 2, ctx.char)  # the lead is irreducible
+            raw = {k: (v * inv) % ctx.char for k, v in raw.items()}
+        if raw:
+            out.append(_element(ctx, raw))
+    out.sort(key=lambda g: g.lead_key)
+    return out
+
+
+def linear_coords(form):
+    """{variable index: coefficient} of a linear form."""
+    return {e.index(1): c for e, c in form.terms.items()}
+
+
+def linear_span(ring, forms):
+    """The `Echelon` span of linear forms, column i for variable i."""
+    ech = Echelon(ring.field)
+    for f in forms:
+        ech.insert(linear_coords(f))
+    return ech
+
+
+def _linear_basis(ctx, gens):
+    """The reduced Groebner basis of linear forms: their reduced row echelon
+    form (pivot = smallest variable = lead), scaled and ordered as by `interreduce`."""
+    ring = ctx.ring
+    ech = linear_span(ring, gens)
+    out = []
+    for piv, row in sorted(ech.rows.items(), reverse=True):
+        res, lam = ech.reduce({c: v for c, v in row.items() if c != piv})
+        res[piv] = lam * row[piv]
+        out.append(_element(ctx, {(0, _unit(ring.nvars, c)): v for c, v in strip(res).items()}))
     return out
 
 
@@ -444,10 +522,13 @@ class Ideal:
 
     @memo
     def _gb_elements(self):
-        """(context, reduced Groebner basis as GBElements)."""
+        """(context, reduced Groebner basis as GBElements); an ideal of
+        linear forms gets it by linear algebra, with no Buchberger run."""
         ctx = ModuleContext(self.ring)
-        inputs = [poly_to_raw(g) for g in self.gens if not g.is_zero()]
-        basis, _ = buchberger(ctx, inputs, track=False)
+        gens = [g for g in self.gens if not g.is_zero()]
+        if all(sum(e) == 1 for g in gens for e in g.terms):
+            return ctx, _linear_basis(ctx, gens)
+        basis, _ = buchberger(ctx, [poly_to_raw(g) for g in gens], track=False)
         return ctx, interreduce(ctx, basis)
 
     def normal_form(self, p: Poly) -> Poly:

@@ -5,8 +5,9 @@ and the uniform-matroid membership checks.
 Every candidate is a linear prime P of codimension c, and the scans of S/I
 and of the slices E/N decide each one by two rules, in this order:
 
-- containment: P contains the ideal (`prime_containing`, on every
-  candidate of S/I);
+- containment: P contains the ideal, on every candidate of S/I; P is prime,
+  so it holds f_i g_i exactly when its span holds f_i or g_i
+  (`LinearPrime.check_contains_ideal`, no normal form);
 - the rank at a point: over the regular local ring S_P, P in Ass(M) means
   depth M_P = 0, so by Auslander-Buchsbaum pdim M_P = c and
   Tor_c(M_P, k(P)) != 0 (Eisenbud-Huneke-Vasconcelos, "Direct methods for
@@ -37,19 +38,20 @@ from itertools import combinations_with_replacement
 
 from .graded import GradedEngine
 from .groebner import (
+    GroebnerError,
     Ideal,
     ModuleContext,
     buchberger,
     interreduce,
     is_associated,
+    linear_coords,
     linear_prime_is_associated,
-    prime_containing,
+    linear_span,
 )
 from .matroid import MatroidError, biflats
 from .pairs import PairsIdeal
 from .resolution import schreyer_resolution
 from .ring import _unit
-from .spans import Echelon
 
 
 class LinearPrime:
@@ -67,13 +69,20 @@ class LinearPrime:
         self.tag = tag
         M = pairs.matroid
         self.codim = M.rank_of(self.I) + M.dual().rank_of(self.J)
+        forms = [pairs.f[i] for i in sorted(self.I)] + [pairs.g[j] for j in sorted(self.J)]
+        self.span = linear_span(pairs.ring, forms)
         # an independent generating set (echelon rows) of the prime
-        self.forms = echelon_forms(
-            pairs.ring,
-            [pairs.f[i] for i in sorted(self.I)] + [pairs.g[j] for j in sorted(self.J)],
-        )
+        self.forms = echelon_forms(pairs.ring, forms)
         if len(self.forms) != self.codim:
             raise ValueError("codimension mismatch against exact linear algebra")
+
+    def check_contains_ideal(self):
+        """Raise GroebnerError unless the prime contains the pairs ideal.  It
+        is prime, so it holds f_i g_i exactly when its span holds f_i or g_i."""
+        pairs = self.pairs
+        for i, _ in pairs.nonzero_generators():
+            if not any(self.span.contains(linear_coords(h)) for h in (pairs.f[i], pairs.g[i])):
+                raise GroebnerError("candidate prime does not contain the ideal")
 
     def key(self):
         return (self.codim, tuple(sorted(self.I)), tuple(sorted(self.J)))
@@ -111,12 +120,9 @@ class LinearPrime:
 
 def echelon_forms(ring, forms):
     """An echelon basis (rows sorted by pivot) of the span of linear forms."""
-    ech = Echelon(ring.field)
-    for f in forms:
-        ech.insert({e.index(1): c for e, c in f.terms.items()})
     return [
         ring.from_terms((_unit(ring.nvars, i), c) for i, c in row.items())
-        for _piv, row in sorted(ech.rows.items())
+        for _piv, row in sorted(linear_span(ring, forms).rows.items())
     ]
 
 
@@ -255,10 +261,10 @@ def associated_primes(pairs: PairsIdeal, progress=None):
     """The full associated-prime list of S/pairs-ideal, each tagged.
 
     Candidates are the biflats (complete by the structure theory).  Each is
-    checked to contain the ideal, then ruled out when the ranks of the
-    Schreyer complex at one point of V(P) add up to b_c (`ranks_rule_out`),
-    which holds with no evaluation when codim P exceeds the complex's
-    length.  The colon test runs
+    checked to contain the ideal by its factors, then ruled out when the
+    ranks of the Schreyer complex at one point of V(P) add up to b_c
+    (`ranks_rule_out`), which holds with no evaluation when codim P exceeds
+    the complex's length.  The colon test runs
     only on the candidates left, and decides them.  Minimal primes are
     recognized combinatorially and re-certified like every other
     candidate.  `progress(candidate, verdict)` fires once per candidate.
@@ -276,8 +282,8 @@ def associated_primes(pairs: PairsIdeal, progress=None):
     out = []
     for F, G in biflats(M):
         cand = LinearPrime(pairs, F, G)
+        cand.check_contains_ideal()
         if ranks_rule_out(res, cand.codim, cand.forms):
-            prime_containing(ideal, cand.forms)  # the check is_associated makes
             verdict = False
         else:
             verdict, witness = is_associated(ideal, cand.forms)

@@ -5,6 +5,9 @@ over a submodule N of a shifted free module F0 from induced-order syzygy
 bases (tracked Buchberger: exact, no window).  The minimal Betti numbers of
 F0/N are read gradewise off its scalar parts (La Scala-Stillman, JSC 1998);
 index 0 is F0, and Tor_p(N) = Tor_{p+1}(F0/N) for p >= 1 because F0 is free.
+Each level's induced order is an int key (`induced_key`): the ambient int
+term key of a term's image, then its chain of positions, so it stays
+additive under monomial shifts as the Buchberger kernel needs.
 `SchreyerResolution.rank_at` evaluates a differential at a point and takes
 its rank, for the rank test of `primes.ranks_rule_out`.
 `minimal_generators` extracts a minimal generating subset degreewise.
@@ -15,7 +18,8 @@ from __future__ import annotations
 from math import prod
 from operator import add
 
-from .groebner import ModuleContext, _shifted, buchberger, interreduce, poly_to_raw
+from .groebner import WIDTH, ModuleContext, _shifted, buchberger, complement, interreduce
+from .groebner import poly_to_raw
 from .ring import PolyRing
 from .spans import Echelon, Pieces, axpy, to_ints
 
@@ -203,6 +207,26 @@ class SchreyerResolution:
         return True
 
 
+def induced_key(base_key, origin, leads, bits):
+    """(key, origin) of the induced order on the next level, whose positions
+    are the elements with the given leads: base_key of a term's image, `bits`
+    up, then the complemented positions on the way down, WIDTH bits each.  It
+    sorts as the nested key (the previous level's key of the image under the
+    lead, then -position).  origin[pos] = (ambient position, exponent shift,
+    packed positions)."""
+    origin = [
+        (amb, tuple(map(add, shift, le)), chain << WIDTH | complement(i))
+        for i, (lp, le) in enumerate(leads)
+        for amb, shift, chain in [origin[lp]]
+    ]
+
+    def key(term):
+        amb, shift, chain = origin[term[0]]
+        return base_key((amb, tuple(map(add, shift, term[1])))) << bits | chain
+
+    return key, origin
+
+
 def schreyer_resolution(ring: PolyRing, inputs, shifts) -> SchreyerResolution:
     """Exact free complex over the input module via induced-order syzygies.
 
@@ -217,14 +241,9 @@ def schreyer_resolution(ring: PolyRing, inputs, shifts) -> SchreyerResolution:
     levels = []
     level_grades = []
     cur_elements = [g.raw for g in red0]
+    leads = [g.lead for g in red0]
     cur_key = base_key = base_ctx.term_key
-    # Induced keys are kept flat: the ambient key of a term's image in the
-    # ambient module, then the negated positions passed on the way down.
-    # This orders terms as the nested key (the previous level's key of the
-    # image under the lead, then the negated position) does, without
-    # recursing.  origin[pos] = (ambient position, exponent shift, negated
-    # positions) of each position of the current level.
-    origin = [(q, ring.zero_exp, ()) for q in range(len(shifts))]
+    origin = [(q, ring.zero_exp, 0) for q in range(len(shifts))]
     cur_shift_grades = list(shifts)
     while cur_elements:
         grades = [
@@ -233,17 +252,7 @@ def schreyer_resolution(ring: PolyRing, inputs, shifts) -> SchreyerResolution:
         ]
         levels.append(cur_elements)
         level_grades.append(grades)
-        leads = [max(raw, key=cur_key) for raw in cur_elements]
-        origin = [
-            (origin[lp][0], tuple(map(add, origin[lp][1], le)), origin[lp][2] + (-i,))
-            for i, (lp, le) in enumerate(leads)
-        ]
-
-        def next_key(term, _origin=origin):
-            pos, exp = term
-            amb, shift, chain = _origin[pos]
-            return base_key((amb, tuple(map(add, shift, exp)))) + chain
-
+        next_key, origin = induced_key(base_key, origin, leads, WIDTH * len(levels))
         ctx = ModuleContext(
             ring,
             shifts={i: sum(g) for i, g in enumerate(grades)},
@@ -258,18 +267,17 @@ def schreyer_resolution(ring: PolyRing, inputs, shifts) -> SchreyerResolution:
         with_leads = [(max(s, key=next_key), s) for s in syz]
         # ascending degree so divisors are kept before their multiples
         with_leads.sort(key=lambda t: (sum(t[0][1]), next_key(t[0])))
-        kept = []
-        kept_leads = []
+        cur_elements = []
+        leads = []
         for lt, s in with_leads:
             pos, exp = lt
             redundant = any(
                 p2 == pos and all(a <= b for a, b in zip(e2, exp))
-                for (p2, e2) in kept_leads
+                for (p2, e2) in leads
             )
             if not redundant:
-                kept.append(s)
-                kept_leads.append(lt)
-        cur_elements = kept
+                cur_elements.append(s)
+                leads.append(lt)
         cur_key = next_key
     return SchreyerResolution(ring, list(shifts), levels, level_grades)
 

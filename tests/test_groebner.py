@@ -1,16 +1,27 @@
 import random
+from operator import add
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pairideal.fixtures import get_fixture
 from pairideal.groebner import (
+    WIDTH,
+    GroebnerError,
     Ideal,
     ModuleContext,
+    _linear_basis,
     buchberger,
+    complement,
+    interreduce,
     is_associated,
     poly_to_raw,
 )
-from pairideal.ring import pair_ring
-from pairideal.scalars import QQ
+from pairideal.matroid import biflats
+from pairideal.pairs import PairsIdeal
+from pairideal.resolution import induced_key
+from pairideal.ring import degrevlex, pair_ring
+from pairideal.scalars import QQ, PrimeField
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +56,7 @@ def test_buchberger_criterion_post_hoc(a3):
     # every S-pair of the returned reduced basis reduces to zero
     I = Ideal(a3.pairs.ring, [g for _, g in a3.pairs.nonzero_generators()])
     ctx, basis = I._gb_elements()
-    from pairideal.groebner import _reduce, _scaled_combination, _addexp
+    from pairideal.groebner import _addexp, _normal_form, _scaled_combination
 
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
@@ -63,8 +74,7 @@ def test_buchberger_criterion_post_hoc(a3):
                     raw[key] = acc
                 else:
                     raw.pop(key, None)
-            res, _ = _reduce(ctx, raw, None, basis, full=True)
-            assert not res
+            assert not _normal_form(ctx, raw, basis)
 
 
 def test_colon_and_double_colon(xy_ring):
@@ -185,3 +195,98 @@ def test_module_syzygies_are_relations(a3):
                 key = (pos, tuple(a + b for a, b in zip(e, e2)))
                 acc[key] = acc.get(key, 0) + v * v2
         assert all(v == 0 for v in acc.values())
+
+
+# -- term keys --------------------------------------------------------------------
+
+
+def _tuple_key(shifts):
+    """The term order as a tuple: (degree + shift, degrevlex(exp), -pos)."""
+    return lambda term: (sum(term[1]) + shifts.get(term[0], 0), degrevlex(term[1]), -term[0])
+
+
+NVARS = 4
+exps = st.tuples(*[st.integers(0, 6)] * NVARS)
+terms = st.tuples(st.integers(0, 5), exps)
+shift_maps = st.dictionaries(st.integers(0, 5), st.integers(0, 4))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(terms, min_size=2, max_size=12, unique=True), shift_maps, exps)
+def test_int_keys_sort_as_tuple_keys_and_add(sample, shifts, m):
+    ring = pair_ring(QQ, 2, 2)
+    key = ModuleContext(ring, shifts).term_key
+    assert sorted(sample, key=key) == sorted(sample, key=_tuple_key(shifts))
+    # additive: the key of x^m * term is the term's key plus one delta for m
+    deltas = {key((q, tuple(map(add, e, m)))) - key((q, e)) for q, e in sample}
+    assert len(deltas) == 1
+
+
+@pytest.mark.parametrize("name", ["seven", "a3"])
+def test_induced_keys_sort_as_tuple_chain_keys(name):
+    pairs = PairsIdeal(get_fixture(name))
+    res = pairs.quotient_complex()
+    zero = pairs.ring.zero_exp
+    base_key = int_key = ModuleContext(pairs.ring, {0: 0}).term_key
+    base_tuple = tuple_key = _tuple_key({0: 0})
+    origin, tuple_origin = [(0, zero, 0)], [(0, zero, ())]
+    for p, level in enumerate(res.levels):
+        level_terms = sorted({t for raw in level for t in raw}, key=tuple_key)
+        assert sorted(level_terms, key=int_key) == level_terms
+        leads = [max(raw, key=tuple_key) for raw in level]
+        assert leads == [max(raw, key=int_key) for raw in level]
+        int_key, origin = induced_key(base_key, origin, leads, WIDTH * (p + 1))
+        # the nested key flattened: the image's tuple key, then the negated positions
+        tuple_origin = [
+            (amb, tuple(map(add, shift, le)), chain + (-i,))
+            for i, (lp, le) in enumerate(leads)
+            for amb, shift, chain in [tuple_origin[lp]]
+        ]
+        tuple_key = lambda t, o=tuple_origin: base_tuple(
+            (o[t[0]][0], tuple(map(add, o[t[0]][1], t[1])))
+        ) + o[t[0]][2]
+    assert len(res.levels) >= 3
+
+
+def test_key_fields_that_overflow_raise(xy_ring):
+    S = xy_ring
+    big = S.from_terms([((2**32, 0), 1)])
+    with pytest.raises(GroebnerError):
+        Ideal(S, [big, S.var(1) ** 2]).groebner()
+    edge = S.from_terms([((2**32 - 1, 0), 1)])
+    assert Ideal(S, [edge]).groebner() == [edge]
+    ctx = ModuleContext(S)
+    with pytest.raises(GroebnerError):
+        ctx.term_key((2**WIDTH, (1, 0)))
+    with pytest.raises(GroebnerError):
+        ctx.term_key((-1, (1, 0)))
+    with pytest.raises(GroebnerError):
+        ModuleContext(S, {0: 2**WIDTH}).term_key((0, (0, 0)))
+    with pytest.raises(GroebnerError):
+        buchberger(ModuleContext(S, {0: 2**WIDTH - 1, 1: -1}), [{(0, (0, 0)): 1}])
+    with pytest.raises(GroebnerError):
+        complement(2**WIDTH)
+
+
+# -- ideals of linear forms ----------------------------------------------------------
+
+
+LINEAR_FIXTURES = ["a3", "seven", "fail_A", "bracelet9", "u:3:5"]
+
+
+def test_linear_bases_equal_buchberger_bases():
+    checked = 0
+    for name in LINEAR_FIXTURES:
+        for field in (QQ, PrimeField(32003)):
+            pairs = PairsIdeal(get_fixture(name, field=field))
+            for F, G in biflats(pairs.matroid):
+                forms = [pairs.f[i] for i in sorted(F)] + [pairs.g[j] for j in sorted(G)]
+                ctx = ModuleContext(pairs.ring)
+                ours = _linear_basis(ctx, forms)
+                theirs = interreduce(ctx, buchberger(ctx, [poly_to_raw(f) for f in forms])[0])
+                assert [g.raw for g in ours] == [g.raw for g in theirs], (name, F, G)
+                assert [g.raw for g in Ideal(pairs.ring, forms)._gb_elements()[1]] == [
+                    g.raw for g in theirs
+                ]
+                checked += 1
+    assert checked == 746

@@ -1,5 +1,5 @@
 """Derived objects are cached by `memo.memo` (or `functools.cached_property`),
-so the package holds no hand-rolled cache outside the two kept on purpose."""
+so the package holds no hand-rolled cache outside the one kept on purpose."""
 
 import ast
 from pathlib import Path
@@ -11,7 +11,6 @@ PACKAGE = Path(pairideal.__file__).parent
 # (file, name) of the hand-rolled caches kept, each with its reason
 ALLOWED = {
     ("spans.py", "_pieces"),  # a data structure: ModulePieces.register drops entries
-    ("groebner.py", "_Memo"),  # term keys live for one Buchberger run by design
 }
 
 

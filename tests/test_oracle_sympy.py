@@ -1,8 +1,9 @@
 """Differential oracles against sympy.
 
-Small integer ideals (at most 3 variables, 3 generators, degree 2) are
-drawn by hypothesis; the monic reduced basis of `Ideal.groebner()` must
-equal `sympy.groebner(..., order="grevlex")` over QQ and over GF(32003).
+Small integer ideals (at most 3 variables, 3 generators, degree 2), and
+ideals of up to 4 linear forms, are drawn by hypothesis; the monic reduced
+basis of `Ideal.groebner()` must equal `sympy.groebner(...,
+order="grevlex")` over QQ and over GF(32003).
 So must that of `Ideal.intersect`, against sympy's own intersection
 (`old_poly_ring(...).ideal(...).intersect`), on two such ideals over QQ,
 on two or three over GF(32003) (sympy needs up to 9 s for one QQ draw of
@@ -42,6 +43,16 @@ polys = st.dictionaries(
     st.sampled_from(EXPS), st.integers(-5, 5).filter(bool), min_size=1, max_size=4
 )
 ideals = st.lists(polys, min_size=1, max_size=3)
+# ideals of linear forms, whose bases come from row echelon forms
+linear_ideals = st.lists(
+    st.dictionaries(
+        st.sampled_from([e for e in EXPS if sum(e) == 1]),
+        st.integers(-5, 5).filter(bool),
+        min_size=1,
+    ),
+    min_size=1,
+    max_size=4,
+)
 XS = sympy.symbols(f"x0:{NVARS}")
 
 
@@ -111,6 +122,18 @@ def test_groebner_matches_sympy_over_qq(gens):
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(ideals)
 def test_groebner_matches_sympy_over_gf32003(gens):
+    _check(PrimeField(PRIME), gens)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(linear_ideals)
+def test_linear_groebner_matches_sympy_over_qq(gens):
+    _check(QQ, gens)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(linear_ideals)
+def test_linear_groebner_matches_sympy_over_gf32003(gens):
     _check(PrimeField(PRIME), gens)
 
 

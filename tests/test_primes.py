@@ -2,10 +2,18 @@ from pathlib import Path
 
 import pytest
 
-from pairideal import primes
+from pairideal import groebner, primes, resolution
 from pairideal.cli import main
 from pairideal.fixtures import get_fixture
-from pairideal.groebner import Ideal, ModuleContext, buchberger, interreduce, is_associated
+from pairideal.groebner import (
+    GroebnerError,
+    Ideal,
+    ModuleContext,
+    buchberger,
+    interreduce,
+    is_associated,
+    prime_containing,
+)
 from pairideal.linalg import ExactMatrix, rank
 from pairideal.matroid import ColoopError, Realization, biflats
 from pairideal.pairs import PairsIdeal
@@ -330,3 +338,46 @@ def test_rank_at_matches_field_evaluation(field):
             # a bound on the rank stops the columns once it is met
             for bound in range(full + 2):
                 assert res.rank_at(p, point, bound) == min(bound, full)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["QQ", "GF32003"])
+@pytest.mark.parametrize("name", ["a3", "seven", "fail_A", "bracelet9", "u:3:5"])
+def test_containment_by_factors_agrees_with_prime_containing(name, field):
+    pairs = PairsIdeal(get_fixture(name, field=field))
+    ideal = pairs.ideal_object()
+    planted = 0
+    for F, G in biflats(pairs.matroid):
+        cand = LinearPrime(pairs, F, G)
+        cand.check_contains_ideal()
+        assert prime_containing(ideal, cand.forms) is not None
+        # keep only G inside F: the f_j with j outside F are not in the span;
+        # prime_containing passes the zero prime unchecked
+        short = LinearPrime(pairs, F, G & F)
+        if not short.forms:
+            continue
+        verdicts = []
+        for check in (short.check_contains_ideal, lambda: prime_containing(ideal, short.forms)):
+            try:
+                check()
+                verdicts.append(True)
+            except GroebnerError:
+                verdicts.append(False)
+        assert verdicts[0] == verdicts[1], (F, G)
+        planted += not verdicts[0]
+    assert planted
+
+
+def test_primes_seven_slices_buchberger_runs(monkeypatch, capsys):
+    # ideals of linear forms get their bases by linear algebra
+    runs = 0
+
+    def counted(*args, **kw):
+        nonlocal runs
+        runs += 1
+        return buchberger(*args, **kw)
+
+    for module in (groebner, primes, resolution):
+        monkeypatch.setattr(module, "buchberger", counted)
+    assert main(["primes", "seven", "--slices"]) == 0
+    capsys.readouterr()
+    assert 0 < runs <= 60

@@ -1,11 +1,11 @@
 """Properties of the ideal of pairs on random small integer realizations.
 
 Loopless, coloopless realizations of rank 2 or 3 on at most five elements:
-the Koszul and Schreyer routes give one Betti table, swapping the roles of
-the realization and its dual transposes it, no biflat that the ranks of
-the Schreyer complex at a point of V(P) rule out passes the colon test,
-over QQ and over GF(32003), and the syzygy-slice, slice-min-primes,
-tor-of-der and min-primes targets verify.
+over QQ and over GF(32003), the Koszul and Schreyer routes give one Betti
+table, swapping the roles of the realization and its dual transposes it,
+and no biflat that the ranks of the Schreyer complex at a point of V(P)
+rule out passes the colon test; over QQ the syzygy-slice,
+slice-min-primes, tor-of-der and min-primes targets verify.
 """
 
 import pytest
@@ -17,7 +17,6 @@ from hypothesis import assume, given, settings, strategies as st
 from pairideal.groebner import is_associated
 from pairideal.linalg import ExactMatrix
 from pairideal.matroid import Realization, biflats
-from pairideal.pairs import PairsIdeal
 from pairideal.primes import LinearPrime, ranks_rule_out
 from pairideal.scalars import QQ, PrimeField
 from pairideal.workbench import Workbench
@@ -42,13 +41,14 @@ def realizations(draw):
 @settings(max_examples=15, derandomize=True, deadline=None)
 def test_random_realization_tables(real):
     bench = Workbench(real)
-    koszul = bench.koszul_betti(target="quotient").entries
-    resolution = bench.resolution_betti(target="quotient")
-    assert koszul == resolution.entries
-    swapped = bench.swap_engine().koszul_betti(target="quotient").entries
-    assert swapped == {(p, (j, i)): v for (p, (i, j)), v in koszul.items()}
     gfp = [[GF.of(v) for v in row] for row in real.matrix.entries]
-    for pairs in (bench.pairs, PairsIdeal(Realization("random", GF, ExactMatrix(GF, gfp)))):
+    gf_bench = Workbench(Realization("random", GF, ExactMatrix(GF, gfp)))
+    for b in (bench, gf_bench):
+        koszul = b.koszul_betti(target="quotient").entries
+        assert koszul == b.resolution_betti(target="quotient").entries
+        swapped = b.swap_engine().koszul_betti(target="quotient").entries
+        assert swapped == {(p, (j, i)): v for (p, (i, j)), v in koszul.items()}
+    for pairs in (bench.pairs, gf_bench.pairs):
         ideal = pairs.ideal_object()
         res = pairs.quotient_complex()
         for F, G in biflats(pairs.matroid):
