@@ -7,14 +7,15 @@ tuple) and an element is a dict of such terms with integer coefficients
 Coefficients come from the kernel in `spans`: `to_ints` turns a Poly into
 raw integers, `cancel` gives the multipliers of each reduction step (the
 gcd-reduced cross multipliers over QQ, a * b^-1 over GF(p)), and `strip`
-divides by the joint content.  The per-field arithmetic is fixed, because
-GF(p) colon witnesses depend on scale: over QQ `_reduce` strips after a
-step that scaled the vector (in between it differs from the stripped one
-by a positive factor), S-pairs cross-multiply the gcd-reduced leading
-coefficients, and new basis elements, normal forms and syzygies are made
-primitive; over GF(p) S-pairs cross-multiply the leading residues, and only
-new basis elements and normal forms are stripped (by the integer gcd of
-their residues).
+divides by the joint content.  Over QQ `_reduce` strips after a step that
+scaled the vector (in between it differs from the stripped one by a
+positive factor), S-pairs cross-multiply the gcd-reduced leading
+coefficients, and new basis elements and syzygies are made primitive; over
+GF(p) S-pairs cross-multiply the leading residues, and only new basis
+elements are stripped (by the integer gcd of their residues).  Normal forms
+are canonical in both fields: primitive with a positive lead over QQ,
+monic over GF(p).  So colon witnesses, which are normal forms, do not
+depend on how a run scales its elements.
 
 In a run, elements are dicts over int term keys (`ModuleContext.term_key`),
 which sort as the term order and add under monomial shifts: the keys of x^m
@@ -28,7 +29,9 @@ The engine optionally tracks each basis element as a combination of the
 input generators; in tracked runs the zero-reduction combinations form a
 generating set of the syzygy module of the inputs (the coprime-lead pair
 skip is disabled there, and chain-skipped pairs are covered by retained
-ones).
+ones).  Inputs in an inert group enter untracked: tracking is linear, so
+the combinations are then the projections onto the other inputs, and
+reductions by inert elements cost nothing on the combination side.
 
 Pending S-pairs wait in a heap (the pair queue of Gebauer and Moeller).
 A pair's selection key, (degree of the lcm term, term key of the lcm, i,
@@ -261,16 +264,18 @@ def buchberger(ctx: ModuleContext, inputs, track=False, inert_groups=None):
     """Groebner basis of the module generated by `inputs` (raw dicts).
 
     Returns (basis, syzygies): basis is a list of GBElement; when track is
-    set, each carries its combination over the input indices ({(i, exp):
-    coeff}) and `syzygies` is a generating set of the syzygy module of the
-    inputs.
+    set, each carries its combination over the non-inert input indices
+    ({(i, exp): coeff}), and `syzygies` generates the syzygy module of the
+    inputs restricted to the non-inert ones (all of it without inert
+    groups).
 
     inert_groups (parallel to inputs) marks inputs that are known Groebner
     bases of their spans: pairs within one group are skipped.  Their
     S-polynomials reduce to zero by assumption, and in tracked runs the
     skipped syzygies have zero coefficients on all inputs outside the
-    group, so any projection of the syzygy module away from a group is
-    still generated by the recorded combinations.
+    group.  Inert inputs enter untracked, so the recorded combinations are
+    the projections of the tracked ones away from every group, and they
+    still generate the projection of the syzygy module.
 
     Pairs are processed in increasing (degree of the lcm term, term key of
     the lcm, i, j), from the heap described in the module docstring.
@@ -330,10 +335,10 @@ def buchberger(ctx: ModuleContext, inputs, track=False, inert_groups=None):
 
     for i, raw in enumerate(inputs):
         vec = _keyed(ctx, raw, terms)
-        t = {(i, ctx.ring.zero_exp): 1} if track else None
         group = inert_groups[i] if inert_groups else None
+        t = {(i, ctx.ring.zero_exp): 1} if track and group is None else None
         if not vec:
-            if track:
+            if t:
                 syzygies.append(t)
         elif group is not None:
             # trusted Groebner elements enter unreduced to stay inert
@@ -364,11 +369,15 @@ def buchberger(ctx: ModuleContext, inputs, track=False, inert_groups=None):
 
 
 def _normal_form(ctx, raw, basis):
-    """Canonical normal form: fully reduced, primitive, positive lead over QQ."""
+    """Canonical normal form: fully reduced, then primitive with a positive
+    lead over QQ, monic over GF(p)."""
     terms = {}
     out, _ = _reduce(ctx, _keyed(ctx, raw, terms), terms, None, _by_position(basis))
-    strip(out)
-    if out and ctx.char == 0 and out[max(out)] < 0:
+    p = ctx.char
+    if out and p:
+        inv = pow(out[max(out)], p - 2, p)
+        out = {k: v * inv % p for k, v in out.items()}
+    elif strip(out) and out[max(out)] < 0:
         out = {k: -v for k, v in out.items()}
     return {terms[k]: v for k, v in out.items()}
 
@@ -395,9 +404,6 @@ def interreduce(ctx: ModuleContext, basis):
     out = []
     for g in keep:
         raw = _normal_form(ctx, g.raw, [h for h in keep if h is not g])
-        if raw and ctx.char:
-            inv = pow(raw[g.lead], ctx.char - 2, ctx.char)  # the lead is irreducible
-            raw = {k: (v * inv) % ctx.char for k, v in raw.items()}
         if raw:
             out.append(_element(ctx, raw))
     out.sort(key=lambda g: g.lead_key)
@@ -435,11 +441,10 @@ def colon_module(ctx: ModuleContext, basis, rank, elems, copies=1):
 
     `basis` lists the raw elements of a Groebner basis of a submodule N of a
     free module of rank `rank`; it enters once per copy, in positions
-    t*rank .. t*rank + rank - 1, each copy one inert block.  Syzygies inside
-    a block have no coefficient on `elems`, so the recorded combinations,
-    restricted to `elems`, generate the colon.  Returns the distinct nonzero
-    restrictions as raw vectors {(b, exp): coeff} over the indices b of
-    `elems`.
+    t*rank .. t*rank + rank - 1, each copy one inert block.  The blocks
+    enter untracked, so the recorded syzygies are already restricted to
+    `elems`, and they generate the colon.  Returns the distinct ones as raw
+    vectors {(b, exp): coeff} over the indices b of `elems`.
     """
     inputs = []
     groups = []
@@ -454,9 +459,9 @@ def colon_module(ctx: ModuleContext, basis, rank, elems, copies=1):
     out = []
     seen = set()
     for s in syz:
-        w = {(i - first, e): v for (i, e), v in s.items() if i >= first}
+        w = {(i - first, e): v for (i, e), v in s.items()}
         key = frozenset(w.items())
-        if w and key not in seen:
+        if key not in seen:
             seen.add(key)
             out.append(w)
     return out
@@ -625,16 +630,15 @@ class Ideal:
 def prime_containing(I: Ideal, prime_gens):
     """The Ideal of the nonzero linear forms, checked to contain I.
 
-    Returns None when every form is zero (the zero ideal).  Raises
-    GroebnerError when some generator of I lies outside the prime: a scan
-    that offers such a candidate has the wrong candidate set.
+    Returns None when every form is zero (the zero ideal), which contains
+    only the zero ideal.  Raises GroebnerError when some generator of I lies
+    outside the prime: a scan that offers such a candidate has the wrong
+    candidate set.
     """
     forms = [f for f in prime_gens if not f.is_zero()]
-    if not forms:
-        return None
-    prime = Ideal(I.ring, forms)
+    prime = Ideal(I.ring, forms) if forms else None
     for g in I.gens:
-        if not g.is_zero() and not prime.member(g):
+        if not g.is_zero() and (prime is None or not prime.member(g)):
             raise GroebnerError("candidate prime does not contain the ideal")
     return prime
 
@@ -648,8 +652,7 @@ def is_associated(I: Ideal, prime_gens):
     """
     prime = prime_containing(I, prime_gens)
     if prime is None:
-        # the zero ideal: associated exactly to the zero ideal
-        return (I.is_zero_ideal(), None)
+        return (True, None)  # the zero prime, and I is zero
     ctx, gb = I._gb_elements()
     verdict, w = linear_prime_is_associated(ctx, gb, 1, prime.gens, prime)
     return (verdict, raw_to_poly(I.ring, w) if verdict else None)

@@ -72,7 +72,7 @@ class LinearPrime:
         forms = [pairs.f[i] for i in sorted(self.I)] + [pairs.g[j] for j in sorted(self.J)]
         self.span = linear_span(pairs.ring, forms)
         # an independent generating set (echelon rows) of the prime
-        self.forms = echelon_forms(pairs.ring, forms)
+        self.forms = span_forms(pairs.ring, self.span)
         if len(self.forms) != self.codim:
             raise ValueError("codimension mismatch against exact linear algebra")
 
@@ -120,9 +120,14 @@ class LinearPrime:
 
 def echelon_forms(ring, forms):
     """An echelon basis (rows sorted by pivot) of the span of linear forms."""
+    return span_forms(ring, linear_span(ring, forms))
+
+
+def span_forms(ring, span):
+    """The rows of a `linear_span`, sorted by pivot, as linear forms."""
     return [
         ring.from_terms((_unit(ring.nvars, i), c) for i, c in row.items())
-        for _piv, row in sorted(linear_span(ring, forms).rows.items())
+        for _piv, row in sorted(span.rows.items())
     ]
 
 

@@ -20,6 +20,7 @@ from operator import add
 
 from .groebner import WIDTH, ModuleContext, _shifted, buchberger, complement, interreduce
 from .groebner import poly_to_raw
+from .memo import memo
 from .ring import PolyRing
 from .spans import Echelon, Pieces, axpy, to_ints
 
@@ -116,6 +117,25 @@ class SchreyerResolution:
             return len(self.ambient_shifts)
         return len(self.levels[p - 1]) if p <= len(self.levels) else 0
 
+    @memo
+    def _evaluation_table(self, p):
+        """(monomials, columns, top) of differential p: its distinct exponents
+        as sparse [(variable, power)], each column as [(pos, coeff, monomial
+        index, top degree of the column - degree)], and the largest of those
+        degree gaps."""
+        index = {}
+        columns = []
+        for raw in self.levels[p - 1]:
+            top = max(sum(e) for _, e in raw)
+            columns.append(
+                [
+                    (pos, c, index.setdefault(e, len(index)), top - sum(e))
+                    for (pos, e), c in raw.items()
+                ]
+            )
+        monomials = [[(i, k) for i, k in enumerate(e) if k] for e in index]
+        return monomials, columns, max((t[3] for col in columns for t in col), default=0)
+
     def rank_at(self, p, point, bound=None):
         """Rank of the differential d_p: F_p -> F_(p-1) evaluated at a point.
 
@@ -123,26 +143,28 @@ class SchreyerResolution:
         integers (residues over GF(p)) at den * point, where den clears the
         point's denominators; a monomial of degree k then carries a spare
         den^k, and each column is scaled by den^(its top degree) to clear
-        them, which keeps the rank.  Given a bound on the rank that the
+        them, which keeps the rank.  The level's distinct monomials and
+        column layout are tabulated once (`_evaluation_table`); per point
+        each monomial and each power of den is computed once, and the
+        columns are built by lookups.  Given a bound on the rank that the
         caller certifies, the columns stop once the rank meets it.
         """
         if not 1 <= p <= len(self.levels):
             return 0
         char = self.ring.field.char
         x, den = to_ints(dict(enumerate(point)), char)
-        values = {}  # exponent -> value of the monomial at den * point
+        monomials, columns, gap = self._evaluation_table(p)
+        values = [prod(x.get(i, 0) ** k for i, k in m) for m in monomials]
+        if char:
+            values = [v % char for v in values]
+        powers = [den**k for k in range(gap + 1)]
         ech = Echelon(self.ring.field)
-        for raw in self.levels[p - 1]:
+        for terms in columns:
             if ech.dim == bound:
                 break
-            top = max(sum(e) for _, e in raw)
             col = {}
-            for (pos, e), c in raw.items():
-                v = values.get(e)
-                if v is None:
-                    v = prod(x.get(i, 0) ** k for i, k in enumerate(e) if k)
-                    v = values[e] = v % char if char else v
-                col[pos] = col.get(pos, 0) + c * v * den ** (top - sum(e))
+            for pos, c, j, k in terms:
+                col[pos] = col.get(pos, 0) + c * values[j] * powers[k]
             ech.insert(col)
         return ech.dim
 

@@ -1,3 +1,4 @@
+import math
 import random
 from operator import add
 
@@ -11,14 +12,18 @@ from pairideal.groebner import (
     Ideal,
     ModuleContext,
     _linear_basis,
+    _normal_form,
     buchberger,
+    colon_module,
     complement,
     interreduce,
     is_associated,
     poly_to_raw,
+    raw_to_poly,
 )
 from pairideal.matroid import biflats
 from pairideal.pairs import PairsIdeal
+from pairideal.primes import LinearPrime
 from pairideal.resolution import induced_key
 from pairideal.ring import degrevlex, pair_ring
 from pairideal.scalars import QQ, PrimeField
@@ -290,3 +295,64 @@ def test_linear_bases_equal_buchberger_bases():
                 ]
                 checked += 1
     assert checked == 746
+
+
+# -- colons with untracked inert blocks --------------------------------------------
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["QQ", "GF32003"])
+@pytest.mark.parametrize("name", ["a3", "seven", "fail_A"])
+def test_colon_module_equals_fully_tracked_restriction(name, field):
+    # the first colon (I : P) of the associated-prime test, whose copies of
+    # I's basis enter inert and untracked, against a run that tracks every
+    # input and keeps no inert group, restricted to the colon's element
+    pairs = PairsIdeal(get_fixture(name, field=field))
+    ring = pairs.ring
+    ctx, gb = pairs.ideal_object()._gb_elements()
+    raws = [g.raw for g in gb]
+    checked = 0
+    for F, G in biflats(pairs.matroid):
+        forms = [poly_to_raw(f) for f in LinearPrime(pairs, F, G).forms]
+        elem = {(t, e): v for t, f in enumerate(forms) for (_z, e), v in f.items()}
+        ours = colon_module(ctx, raws, 1, [elem], copies=len(forms))
+        inputs = [{(t, e): v for (_z, e), v in g.items()} for t in range(len(forms)) for g in raws]
+        first = len(inputs)
+        _, syz = buchberger(ctx, inputs + [elem], track=True)
+        theirs = [{(0, e): v for (i, e), v in s.items() if i == first} for s in syz]
+        assert all(w and {b for b, _e in w} == {0} for w in ours)
+        assert (
+            Ideal(ring, [raw_to_poly(ring, w) for w in ours]).groebner()
+            == Ideal(ring, [raw_to_poly(ring, w) for w in theirs]).groebner()
+        ), (F, G)
+        checked += 1
+    assert checked == len(biflats(pairs.matroid)) > 0
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["QQ", "GF32003"])
+def test_normal_forms_are_canonical_up_to_scale(field):
+    # monic over GF(p), primitive with a positive lead over QQ, and the same
+    # for every nonzero multiple of the input
+    pairs = PairsIdeal(get_fixture("a3", field=field))
+    ctx, gb = pairs.ideal_object()._gb_elements()
+    p = field.char
+    n = pairs.ring.nvars
+    rng = random.Random(24)
+    nonzero = 0
+    for _ in range(60):
+        raw = {}
+        for _t in range(rng.randint(1, 6)):
+            i, j = rng.randrange(n), rng.randrange(n)
+            e = tuple((k == i) + (k == j) for k in range(n))
+            raw[(0, e)] = rng.choice([-1, 1]) * rng.randint(1, 9)
+        nf = _normal_form(ctx, raw, gb)
+        if nf:
+            nonzero += 1
+            lead = nf[max(nf, key=ctx.term_key)]
+            if p:
+                assert lead == 1
+            else:
+                assert lead > 0 and math.gcd(*nf.values()) == 1
+        for c in (2, -3, 12, p - 1 if p else -45):
+            scaled = {k: c * v % p if p else c * v for k, v in raw.items()}
+            assert _normal_form(ctx, scaled, gb) == nf
+    assert nonzero > 30

@@ -33,6 +33,7 @@ from pairideal.primes import (
 from pairideal.resolution import schreyer_resolution
 from pairideal.ring import pair_ring
 from pairideal.scalars import QQ, PrimeField
+from pairideal.spans import Echelon, axpy
 
 
 def prime_sets(primes):
@@ -350,11 +351,9 @@ def test_containment_by_factors_agrees_with_prime_containing(name, field):
         cand = LinearPrime(pairs, F, G)
         cand.check_contains_ideal()
         assert prime_containing(ideal, cand.forms) is not None
-        # keep only G inside F: the f_j with j outside F are not in the span;
-        # prime_containing passes the zero prime unchecked
+        # keep only G inside F: the f_j with j outside F are not in the span,
+        # and with F empty the planted prime is zero
         short = LinearPrime(pairs, F, G & F)
-        if not short.forms:
-            continue
         verdicts = []
         for check in (short.check_contains_ideal, lambda: prime_containing(ideal, short.forms)):
             try:
@@ -365,6 +364,71 @@ def test_containment_by_factors_agrees_with_prime_containing(name, field):
         assert verdicts[0] == verdicts[1], (F, G)
         planted += not verdicts[0]
     assert planted
+
+
+@pytest.mark.parametrize("name", ["a3", "seven"])
+def test_linear_prime_forms_are_the_echelon_forms(name):
+    # the forms are read off the prime's own span
+    pairs = PairsIdeal(get_fixture(name))
+    for F, G in biflats(pairs.matroid):
+        forms = [pairs.f[i] for i in sorted(F)] + [pairs.g[j] for j in sorted(G)]
+        assert LinearPrime(pairs, F, G).forms == echelon_forms(pairs.ring, forms)
+
+
+def _rank_by_evaluation(res, p, point):
+    """rank of d_p at the point, each entry a Poly put through `Poly.evaluate`
+    (the field scalars go into an `Echelon`, as they are)."""
+    ring = res.ring
+    ech = Echelon(ring.field)
+    for raw in res.levels[p - 1]:
+        entries = {}
+        for (pos, e), c in raw.items():
+            entries.setdefault(pos, []).append((e, ring.field.of(c)))
+        ech.insert({pos: ring.from_terms(terms).evaluate(point) for pos, terms in entries.items()})
+    return ech.dim
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["QQ", "GF32003"])
+@pytest.mark.parametrize("name", ["a3", "seven"])
+def test_rank_at_equals_term_by_term_evaluation(name, field):
+    # the ranks the rank test reads, d_c and d_(c+1) at a point of V(P) for
+    # P of codimension c: the biflat primes on the complex of S/I, the flat
+    # primes on the complex of the (.,1) slice
+    pairs = PairsIdeal(get_fixture(name, field=field))
+    ring, m, cols, _ = pairs.slice_columns()
+    slices = schreyer_resolution(ring, cols, [(0,) * ring.ngrades] * m)
+    quotient = pairs.quotient_complex()
+    cases = [(quotient, LinearPrime(pairs, F, G).forms) for F, G in biflats(pairs.matroid)]
+    cases += [
+        (slices, echelon_forms(ring, [pairs.f[i] for i in sorted(F)]))
+        for F in pairs.matroid.flats()
+    ]
+    ranks = 0
+    for res, forms in cases:
+        point = point_on(res.ring, forms)
+        for p in (len(forms), len(forms) + 1):
+            if 1 <= p <= len(res.levels):
+                assert res.rank_at(p, point) == _rank_by_evaluation(res, p, point), (forms, p)
+                ranks += 1
+    assert ranks
+
+
+def test_primes_seven_slices_tracked_entries(monkeypatch, capsys):
+    # the copies of N's basis in a colon run enter untracked, so tracked
+    # combinations carry only the coordinates the colon reads: 5,844 entries
+    # pass through `axpy` (21,989 when every input was tracked)
+    entries = 0
+
+    def counted(dst, items, beta, p):
+        nonlocal entries
+        items = list(items)
+        entries += len(items)
+        axpy(dst, items, beta, p)
+
+    monkeypatch.setattr(groebner, "axpy", counted)
+    assert main(["primes", "seven", "--slices"]) == 0
+    capsys.readouterr()
+    assert 0 < entries <= 6_430
 
 
 def test_primes_seven_slices_buchberger_runs(monkeypatch, capsys):
