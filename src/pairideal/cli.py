@@ -16,7 +16,7 @@ import sys
 from .derivations import recipe_check
 from .fixtures import FixtureError, fixture_names, get_fixture
 from .groebner import GroebnerError
-from .io import InputError, InputSpec, spec_for_realization
+from .io import InputError, InputSpec, count_option, spec_for_realization
 from .matroid import MatroidError
 from .pairs import PairsIdeal
 from .primes import PointError, associated_primes, minimal_primes, slice_associated_primes
@@ -29,8 +29,6 @@ from .workbench import VERIFY_TARGETS, Workbench, full_report
 def _load_realization(source, args):
     if os.path.exists(source):
         spec = InputSpec.from_file(source)
-        if getattr(args, "drop_loops", False):
-            spec.options["drop_loops"] = True
         re = spec.realization()
         for w in spec.warnings:
             print(f"warning: {w}", file=sys.stderr)
@@ -40,15 +38,12 @@ def _load_realization(source, args):
 
 
 def _count_option(args, options, name, default):
-    """The CLI value, else the input file's option, else the default (>= 1)."""
-    value = getattr(args, name, None)
+    """The CLI value, else the input file's option (checked when the file
+    was read), else the default; each is >= 1."""
+    value = count_option(name, getattr(args, name, None))
     if value is None:
         value = options.get(name)
-    if value is None:
-        return default
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise InputError(f"{name} must be an integer >= 1, got {value!r}")
-    return value
+    return default if value is None else value
 
 
 def _bench(source, args):
@@ -73,6 +68,8 @@ def cmd_fixtures(args):
         for name in fixture_names():
             print(name)
         return 0
+    if args.name is None:
+        raise InputError("fixtures show needs a fixture name (see `fixtures list`)")
     re = get_fixture(args.name)
     print(spec_for_realization(re).render())
     return 0
@@ -276,11 +273,12 @@ def build_parser():
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, bound=True):
+    def common(p, *counts):
+        """--json, --drop-loops and the count options `counts` the command reads."""
+        helps = {"window": "bidegree scan window", "bound": "linear-type degree bound"}
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--window", type=int, default=None, help="bidegree scan window")
-        if bound:
-            p.add_argument("--bound", type=int, default=None, help="linear-type degree bound")
+        for name in counts:
+            p.add_argument(f"--{name}", type=int, default=None, help=helps[name])
         p.add_argument("--drop-loops", action="store_true", help="delete loop columns")
 
     p = sub.add_parser("fixtures", help="list or show built-in realizations")
@@ -292,14 +290,14 @@ def build_parser():
     p.add_argument("source")
     p.add_argument("--no-primes", action="store_true")
     p.add_argument("--no-betti", action="store_true")
-    common(p)
+    common(p, "window", "bound")
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("betti", help="bigraded Betti tables")
     p.add_argument("source")
     p.add_argument("--target", choices=["ideal", "quotient"], default="ideal")
     p.add_argument("--method", choices=["koszul", "resolution", "both"], default="both")
-    common(p)
+    common(p, "window")
     p.set_defaults(fn=cmd_betti)
 
     p = sub.add_parser("flats", help="matroid structure")
@@ -326,7 +324,7 @@ def build_parser():
         choices=list(VERIFY_TARGETS) + ["all"],
         help="verification target",
     )
-    common(p)
+    common(p, "window", "bound")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("compare", help="compare two realizations of one matroid")
@@ -337,7 +335,7 @@ def build_parser():
         action="store_true",
         help="report embedded slice primes of both realizations (evidence only)",
     )
-    common(p, bound=False)
+    p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(fn=cmd_compare)
     return ap
 

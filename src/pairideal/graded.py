@@ -41,12 +41,11 @@ both stop once their dimensions sum to the domain (`spans.grow_pieces`;
 Traverso's Hilbert-driven Buchberger algorithm, 1996, each side bounding
 the other), so only a degree that is not of linear type grows in full.
 
-Every kernel slice is built by one product kernel,
-`GradedEngine._product_kernel`: the kernel of the tagged vectors m * prod
-in one bidegree of S.  The syzygy slice in bidegree (c,d) takes the pair
-generators f_k g_k as products; the derivation slice in degree d is the
-(d,1) syzygy slice; the critical-set slice takes the products
-prod_k (f_k g_k)^gamma_k.
+Every kernel slice is one product kernel, `GradedEngine._product_kernel`:
+the kernel of the vectors m * prod in one bidegree of S, keyed by its
+caller.  The syzygy slice in bidegree (c,d) takes the pair generators
+f_k g_k as products; the derivation slice in degree d is the (d,1) syzygy
+slice; the critical-set slice takes the products prod_k (f_k g_k)^gamma_k.
 
 The critical-set slices are counted and tested without that kernel.  The
 (i;j) slice is the kernel of R_i (x) A_j -> S_(i+j,j), whose image is the
@@ -513,24 +512,20 @@ class GradedEngine:
             return table.ideal_view()
         return table
 
-    # -- kernels of tagged products ----------------------------------------------
-    def _product_kernel(self, products, bideg, target):
-        """Kernel of the vectors m * prod in the ideal's index of `target`,
-        for (tag, prod) in products and m over the monomials of `bideg`.
-
-        The one degreewise kernel slice: vectors are stacked tag by tag and
-        monomial by monomial, and kernel vectors are dicts {(tag, m): int}.
-        """
+    # -- kernels of products ---------------------------------------------------
+    def _product_kernel(self, products, target):
+        """The one degreewise kernel slice: the kernel of the products m * prod
+        in the ideal's index of `target`, for (key, m * prod) in `products`
+        (an iterable, consumed once), as dicts {key: int}."""
         idx = self.ideal.index(target)
-        mons = self.ring.monomial_basis(bideg)
-        vectors, tags = [], []
-        for tag, prod in products:
-            for m in mons:
-                vectors.append(
-                    {idx[e]: c for e, c in prod.mul_monomial(m).terms.items()} if prod else {}
-                )
-                tags.append({(tag, m): 1})
-        return kernel_of_stacked_vectors(self.field, vectors, tags)[1]
+        keys, vectors = [], []
+        for key, poly in products:
+            keys.append(key)
+            vectors.append({idx[e]: c for e, c in poly.terms.items()})
+        kernel = kernel_of_stacked_vectors(self.field, vectors)
+        for n, vec in enumerate(kernel):  # in place: one copy of the kernel at a time
+            kernel[n] = {keys[i]: c for i, c in vec.items()}
+        return kernel
 
     # -- syzygy slices in y-degree one (derivations) ---------------------------------
     def derivation_slice(self, d: int):
@@ -570,17 +565,15 @@ class GradedEngine:
         """Basis of the (i;j) piece of the critical-set ideal.
 
         The piece is the kernel of R_i (x) A_j -> S_(i+j,j) sending an
-        a-monomial to the product of the pair generators.  Vectors are dicts
-        over (x-exponent, a-exponent) pairs.
+        a-monomial to the product of the pair generators, keyed (m, gamma):
+        vectors are dicts over (x-exponent, a-exponent) pairs.
         """
         if j == 0 or i < 0:
             return []
-        products = [(gamma, self._pair_product(gamma)) for gamma in _compositions(j, self.pairs.n)]
-        kernel = self._product_kernel(products, (i, 0), (i + j, j))
-        # keys (gamma, m) become (m, gamma), one tuple per key shared by all
-        # kernel vectors, as the echelon's tag keys are
-        flip = {}
-        return [{flip.setdefault(k, (k[1], k[0])): v for k, v in vec.items()} for vec in kernel]
+        mons = self.ring.monomial_basis((i, 0))
+        prods = [(ga, self._pair_product(ga)) for ga in _compositions(j, self.pairs.n)]
+        products = (((m, ga), prod.mul_monomial(m)) for ga, prod in prods for m in mons)
+        return self._product_kernel(products, (i + j, j))
 
     def ix_dim(self, i, j):
         """dim I_X(i;j) = rees_kernel_dim(i, 0, j), with no kernel built
@@ -678,7 +671,10 @@ class GradedEngine:
         """All a-linear relations in bidegree (c,d): kernel of +S_(c-1,d-1)^n -> S_(c,d)."""
         if c < 1 or d < 1:
             return []
-        return self._product_kernel(enumerate(self.pairs.generators), (c - 1, d - 1), (c, d))
+        mons = self.ring.monomial_basis((c - 1, d - 1))
+        gens = enumerate(self.pairs.generators)
+        products = (((k, m), g.mul_monomial(m)) for k, g in gens for m in mons)
+        return self._product_kernel(products, (c, d))
 
     @memo
     def symmetric_pieces(self) -> IdealPieces:

@@ -31,6 +31,13 @@ DEFAULT_OPTIONS = {"drop_loops": False, "window": None, "bound": 4}
 MAX_GROUND_SET = 12
 
 
+def count_option(name, value):
+    """value, if it is None or an integer >= 1; else InputError."""
+    if value is not None and (isinstance(value, bool) or not isinstance(value, int) or value < 1):
+        raise InputError(f"{name} must be an integer >= 1, got {value!r}")
+    return value
+
+
 class InputSpec:
     def __init__(self, name, field_desc, matrix_rows, options=None):
         self.name = name
@@ -82,6 +89,8 @@ class InputSpec:
         for key in ("drop_loops", "allow_small_prime"):
             if key in options and not isinstance(options[key], bool):
                 raise InputError(f"{key} must be true or false, got {options[key]!r}")
+        for key in ("window", "bound"):
+            count_option(key, options.get(key))
         return cls(data["name"], data["field"], matrix, options)
 
     @classmethod

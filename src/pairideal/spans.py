@@ -6,10 +6,13 @@ of Bareiss, exact); over GF(p) as residues with pivot 1.  The pivot of a row
 is its smallest column index, so callers index columns so that "leading"
 means "smallest index".
 
-Supports plain rank/span growth, canonical reduction against the span (for
-quotient bases), and tracked insertion (kernel extraction: when an inserted
-vector is dependent, the exact combination over previously inserted vectors
-is returned).
+Supports rank/span growth and canonical reduction against the span (for
+quotient bases); `insert` is the one way into an echelon.  The kernel of
+vectors v_i is read off the echelon of the rows (v_i | e_i)
+(`kernel_of_stacked_vectors`).  The tag columns e_i lie after every vector
+column and run in reverse, so a dependent row is led by its own tag, which
+no earlier row holds, and no later row reaches it: it is a kernel vector as
+it stands, and leaves the echelon at once.
 
 Graded pieces are grown degree by degree from one candidate list,
 `multiples`: the variable multiples of the lower pieces.  One loop, `fill`,
@@ -35,13 +38,12 @@ The coefficient kernel is three primitives, used here and by `groebner`:
   over GF(p) the pivot is scaled by a * b^-1.
 
 The per-field arithmetic is fixed: over QQ a forward elimination strips the
-content after a step that scaled the vector (every step, if a tag is
-tracked); in between it differs from the stripped vector by a positive
-factor, so the pivots visited and the stored row are the same.  A full
-reduction strips once, jointly with its scale.  Over GF(p) eliminations
-never strip, and stored rows are scaled to pivot 1.  `axpy(dst, items,
-beta, p)` applies one step's update; it tests the field once per call,
-not once per entry.
+content after a step that scaled the vector; in between it differs from the
+stripped vector by a positive factor, so the pivots visited and the stored
+row are the same.  A full reduction strips once, jointly with its scale.
+Over GF(p) eliminations never strip, and stored rows are scaled to pivot
+1.  `axpy(dst, items, beta, p)` applies one step's update; it tests the
+field once per call, not once per entry.
 """
 
 from __future__ import annotations
@@ -184,9 +186,9 @@ def fill(sides, bound=None):
     candidate whose lead is not yet a pivot, with no elimination (stored as
     it is if `is_row` says it is a row already), then the rest, the sides in
     turn, until the dimensions sum to `bound`, which the caller certifies
-    to bound the sum of the whole (untracked) spans; each span is then
-    whole (with no bound, all go in).  Returns the sum; it exceeds `bound`
-    only if the first pass did, disproving it."""
+    to bound the sum of the whole spans; each span is then whole (with no
+    bound, all go in).  Returns the sum; it exceeds `bound` only if the
+    first pass did, disproving it."""
     later = []
     for ech, candidates in sides:
         later.append([])
@@ -286,14 +288,12 @@ class Pieces:
 class Echelon:
     """A growing row space in echelon form over QQ (int rows) or GF(p)."""
 
-    __slots__ = ("field", "p", "rows", "tags", "tracked")
+    __slots__ = ("field", "p", "rows")
 
-    def __init__(self, field, tracked=False):
+    def __init__(self, field):
         self.field = field
         self.p = getattr(field, "char", 0)
         self.rows = {}  # pivot column -> row dict
-        self.tags = {} if tracked else None  # pivot column -> tag dict
-        self.tracked = tracked
 
     @property
     def dim(self):
@@ -303,31 +303,20 @@ class Echelon:
         return set(self.rows)
 
     def insert(self, vec) -> bool:
-        """Add vec to the span; True if the dimension grew."""
-        res, _ = self._eliminate(to_ints(vec, self.p)[0], None, False)
+        """Add vec to the span, stored primitive with a positive pivot (QQ)
+        or with pivot 1 (GF(p)); True if the dimension grew."""
+        res, _ = self._eliminate(to_ints(vec, self.p)[0], False)
         if not res:
             return False
-        self._store(strip(res), None)
+        piv = min(strip(res))
+        if self.p:
+            inv = pow(res[piv], self.p - 2, self.p)
+            if inv != 1:
+                res = {k: (v * inv) % self.p for k, v in res.items()}
+        elif res[piv] < 0:
+            res = {k: -v for k, v in res.items()}
+        self.rows[piv] = res
         return True
-
-    def insert_tracked(self, vec, tag):
-        """Insert with tag bookkeeping.
-
-        Maintains vec == sum(tag[k] * original_k), so callers must pass
-        integer vectors (use `to_ints` and compensate the kernel).
-        Returns None if the vector was independent (it is stored);
-        otherwise returns the combination dict proving dependence, the new
-        vector's tag included.
-        """
-        vec, den = to_ints(vec, self.p)
-        if den != 1:
-            raise ValueError("tracked insertion requires integer coordinates")
-        t = dict(tag)
-        res, _ = self._eliminate(vec, t, False)
-        if not res:
-            return t if self.p else strip(t)
-        self._store(res, t)
-        return None
 
     def reduce(self, vec):
         """Canonical residual of vec against the span (no insertion).
@@ -338,7 +327,7 @@ class Echelon:
         may ignore lam.
         """
         ints, den = to_ints(vec, self.p)
-        res, lam = self._eliminate(ints, None, True)
+        res, lam = self._eliminate(ints, True)
         return res, lam * den
 
     def contains(self, vec) -> bool:
@@ -346,25 +335,8 @@ class Echelon:
         return not res
 
     # -- internals ----------------------------------------------------------
-    def _store(self, res, tag):
-        piv = min(res)
-        if self.p:
-            inv = pow(res[piv], self.p - 2, self.p)
-            if inv != 1:
-                res = {k: (v * inv) % self.p for k, v in res.items()}
-                if tag is not None:
-                    tag = {k: (v * inv) % self.p for k, v in tag.items()}
-        elif res[piv] < 0:
-            res = {k: -v for k, v in res.items()}
-            if tag is not None:
-                tag = {k: -v for k, v in tag.items()}
-        self.rows[piv] = res
-        if self.tracked:
-            self.tags[piv] = tag if tag is not None else {}
-
-    def _eliminate(self, vec, tag, full):
-        """Clear the pivoted columns of vec, smallest first; vec and tag are
-        updated in place.
+    def _eliminate(self, vec, full):
+        """Clear the pivoted columns of vec, smallest first, in place.
 
         Not full: stop at the first free column and return (vec, 1).  Full:
         move free columns aside and return (residual, lam) with residual ==
@@ -386,14 +358,12 @@ class Echelon:
             alpha, beta = (1, a) if b == 1 else cancel(a, b, p)
             if alpha != 1:
                 lam *= alpha
-                for d in (vec, out, tag or {}):
+                for d in (vec, out):
                     for k in d:
                         d[k] *= alpha
             axpy(vec, row.items(), beta, p)
-            if tag is not None:
-                axpy(tag, self.tags[c].items(), beta, p)
-            if not (p or full) and (alpha != 1 or tag is not None):
-                strip(vec, tag)
+            if alpha != 1 and not (p or full):
+                strip(vec)
         g = gcd(lam, *out.values())
         if g > 1:
             lam //= g
@@ -402,23 +372,16 @@ class Echelon:
         return out, lam
 
 
-def kernel_of_stacked_vectors(field, vectors, tags=None):
-    """Kernel combinations among `vectors` (list of sparse dicts).
-
-    Vectors may have rational entries: they are integerized internally and
-    the returned combinations are compensated back to the original
-    coordinates (then made primitive).  Returns (echelon, kernel) with
-    kernel a list of sparse combination dicts over vector indices (or over
-    the supplied single-key tags).
-    """
-    ech = Echelon(field, tracked=True)
-    kernel = []
-    scales = {}
-    for i, v in enumerate(vectors):
-        tag = {i: 1} if tags is None else tags[i]
-        iv, scales[next(iter(tag))] = to_ints(v, ech.p)
-        dep = ech.insert_tracked(iv, tag)
-        if dep is not None:
-            fixed = {k: c * scales[k] for k, c in dep.items()}
-            kernel.append(fixed if ech.p else strip(fixed))
-    return ech, kernel
+def kernel_of_stacked_vectors(field, vectors):
+    """The combinations {vector index: coefficient} that vanish on `vectors`
+    (sparse dicts over int columns), one per vector that depends on those
+    before it, primitive over QQ: the augmented echelon's rows led by a tag
+    (module docstring; Cohen, Computational Algebraic Number Theory, 2.3)."""
+    ids = list(range(len(vectors)))  # one int per index, shared by the kernel
+    top = max((c for v in vectors for c in v), default=-1) + len(ids)
+    ech, kernel = Echelon(field), []
+    for i, v in zip(ids, vectors):
+        ech.insert({**v, top - i: 1})
+        if (row := ech.rows.pop(top - i, None)) is not None:
+            kernel.append({ids[top - c]: x for c, x in row.items()})
+    return kernel

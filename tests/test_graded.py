@@ -400,7 +400,8 @@ def test_ilog_slices(a3, bracelet):
 @pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["QQ", "GF32003"])
 @pytest.mark.parametrize("name", ["a3", "u:3:5", "fail_A", "boolean:3"])
 def test_ix_dim_equals_tracked_kernel(name, field):
-    # the tracked kernel stays as the oracle of the Rees-side count
+    # the product kernel of `ix_slice` stays as the oracle of the Rees-side
+    # count
     pairs = PairsIdeal(get_fixture(name, field))
     zeros = {"fail_A": 1, "boolean:3": pairs.n}.get(name, 0)
     assert len(pairs.zero_generator_indices) == zeros
@@ -585,7 +586,7 @@ def test_bounded_rees_pieces_skip_their_zero_reductions(monkeypatch):
 )
 def test_symmetric_pieces_match_the_relation_slices(name, bound, field):
     # the symmetric ideal comes from the Groebner syzygies of the pair
-    # generators; at a-degree 1 it must be the tracked-kernel relation slice,
+    # generators; at a-degree 1 it must be the product-kernel relation slice,
     # and above it the span of the a-multiples of the piece below (not the
     # one side `lower_span` picks), since the ideal is generated in a-degree 1
     eng = GradedEngine(PairsIdeal(get_fixture(name, field)))

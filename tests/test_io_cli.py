@@ -266,12 +266,39 @@ def test_cli_rejects_counts_below_one(argv, capsys):
         (["betti", "{path}"], {"window": 0}),
         (["betti", "{path}"], {"window": -3}),
         (["betti", "{path}"], {"window": "4"}),
+        # compare reads no option, but still checks the file's
+        (["compare", "{path}", "{path}"], {"window": -3, "bound": "abc"}),
+        (["flats", "{path}"], {"bound": "abc"}),
     ],
 )
 def test_cli_rejects_bad_file_options(tmp_path, argv, options, capsys):
     path = tmp_path / "in.json"
     path.write_text(json.dumps(_spec(options)))
     assert cli.main([a.format(path=path) for a in argv]) == 1
+    _one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "a3", "a3", "--window", "3"],
+        ["compare", "a3", "a3", "--bound", "3"],
+        ["compare", "a3", "a3", "--drop-loops"],
+        ["flats", "a3", "--window", "3"],
+        ["primes", "a3", "--bound", "3"],
+        ["der", "a3", "--window", "3"],
+        ["betti", "a3", "--bound", "3"],
+    ],
+)
+def test_cli_refuses_options_the_command_does_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_cli_fixtures_show_needs_a_name(capsys):
+    assert cli.main(["fixtures", "show"]) == 1
     _one_error_line(capsys)
 
 

@@ -71,17 +71,42 @@ def test_rank_nullity(rows):
     assert rank(m) + kernel_basis(m).nrows == m.ncols
 
 
-def test_echelon_tracked_kernel():
-    vectors = [{0: 1, 1: 2}, {0: 2, 1: 4}, {1: 1}]
-    _, kernel = kernel_of_stacked_vectors(QQ, vectors)
-    assert len(kernel) == 1
-    combo = kernel[0]
-    # combination annihilates the stacked vectors exactly
-    acc = {}
-    for idx, c in combo.items():
-        for col, v in vectors[idx].items():
-            acc[col] = acc.get(col, 0) + c * v
-    assert all(v == 0 for v in acc.values())
+GF = PrimeField(32003)
+
+
+@st.composite
+def stacked_vectors(draw):
+    """(field, vectors): sparse vectors over int columns, with zero entries,
+    empty vectors and repeated vectors; Fraction entries over QQ."""
+    field = draw(st.sampled_from([QQ, GF]))
+    if field is QQ:
+        entry = st.fractions(-3, 3, max_denominator=4)
+    else:
+        entry = st.integers(0, GF.p - 1)
+    vec = st.dictionaries(st.integers(0, 6), entry, max_size=4)
+    vectors = draw(st.lists(vec, max_size=7))
+    for i in draw(st.lists(st.integers(0, 6), max_size=3)):
+        if i < len(vectors):
+            vectors.append(dict(vectors[i]))
+    return field, vectors
+
+
+@given(stacked_vectors())
+@settings(max_examples=120, derandomize=True, deadline=None)
+def test_kernel_of_stacked_vectors_matches_dense_oracle(case):
+    field, vectors = case
+    kernel = kernel_of_stacked_vectors(field, vectors)
+    # dense oracle: the combinations c with sum_i c_i v_i = 0 are the right
+    # null space of the matrix whose column i is v_i
+    cols = sorted({c for v in vectors for c in v})
+    dense = ExactMatrix(field, [[v.get(c, 0) for v in vectors] for c in cols], len(vectors))
+    assert len(kernel) == kernel_basis(dense).nrows
+    for combo in kernel:
+        for c in cols:
+            total = sum(field.of(x) * field.of(vectors[i].get(c, 0)) for i, x in combo.items())
+            assert field.of(total) == 0, (combo, c)
+    combos = [[combo.get(i, 0) for i in range(len(vectors))] for combo in kernel]
+    assert rank(ExactMatrix(field, combos, len(vectors))) == len(kernel)
 
 
 def test_echelon_fraction_inputs():

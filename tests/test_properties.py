@@ -4,8 +4,10 @@ Loopless, coloopless realizations of rank 2 or 3 on at most five elements:
 over QQ and over GF(32003), the Koszul and Schreyer routes give one Betti
 table, swapping the roles of the realization and its dual transposes it,
 and no biflat that the ranks of the Schreyer complex at a point of V(P)
-rule out passes the colon test; over QQ the syzygy-slice,
-slice-min-primes, tor-of-der and min-primes targets verify.
+rule out passes the colon test; over both fields the targets that read
+product kernels (syzygy-slices, derivation-param, parameterization-points)
+verify, and over QQ the slice-min-primes, tor-of-der and min-primes
+targets.
 """
 
 import pytest
@@ -55,7 +57,12 @@ def test_random_realization_tables(real):
             cand = LinearPrime(pairs, F, G)
             if ranks_rule_out(res, cand.codim, cand.forms):
                 assert not is_associated(ideal, cand.forms)[0], cand
-    for target in ("syzygy-slices", "slice-min-primes", "tor-of-der", "min-primes"):
+    # the targets that read product kernels, over both fields
+    for b in (bench, gf_bench):
+        for target in ("syzygy-slices", "derivation-param", "parameterization-points"):
+            result = b.verify(target)
+            assert result["passed"], (b.pairs.field, target, result.get("first_violation"))
+    for target in ("slice-min-primes", "tor-of-der", "min-primes"):
         result = bench.verify(target)
         assert result["passed"], (target, result.get("first_violation"))
     result = Workbench(real, bound=2).verify("linear-type")
