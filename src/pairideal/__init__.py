@@ -3,7 +3,7 @@ realization: cyclic flats, bigraded Betti tables, logarithmic derivations,
 and associated-prime structure, all in exact arithmetic."""
 
 from .scalars import QQ, PrimeField, Rationals
-from .linalg import ExactMatrix, kernel_basis, rank, rref
+from .linalg import ExactMatrix
 from .matroid import Matroid, Realization, biflats
 from .ring import Poly, PolyRing, pair_ring, x_ring
 from .pairs import PairsIdeal
@@ -30,9 +30,6 @@ __all__ = [
     "PrimeField",
     "Rationals",
     "ExactMatrix",
-    "rref",
-    "rank",
-    "kernel_basis",
     "Matroid",
     "Realization",
     "biflats",

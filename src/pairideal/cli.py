@@ -266,8 +266,16 @@ def cmd_compare(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise InputError (one `error:` line, exit 1), not
+    argparse's usage text and exit 2; subparsers share the class."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="pairideal",
         description="Exact workbench for the ideal of pairs of a matroid realization.",
     )
@@ -341,9 +349,8 @@ def build_parser():
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code = args.fn(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .graded import theta_from_syzygy
 from .groebner import ModuleContext, module_syzygies
-from .linalg import rref
+from .linalg import ExactMatrix
 from .matroid import LoopError, MatroidError, Realization
 from .pairs import PairsIdeal
 from .ring import Poly, RingError
@@ -195,7 +195,7 @@ def recipe_check(re_a: Realization, re_b: Realization):
 
 
 def _column_span_rref(re: Realization, cols):
-    sub = re.matrix.submatrix_columns(sorted(cols))
-    red, _, rank = rref(sub.transpose())
-    return tuple(tuple(red.row(i)) for i in range(rank))
+    """The reduced echelon rows of the span of the columns `cols`."""
+    sub = ExactMatrix(re.field, [re.matrix.column(j) for j in sorted(cols)])
+    return Realization(re.name, re.field, sub).basis_matrix.entries
 

@@ -23,7 +23,8 @@ g are g's plus delta(m), the key of the lead it cancels less g's lead key,
 and each term is built once per run.  `_reduce` pops leads off a heap of
 negated keys (Monagan-Pearce, JSC 2011) and takes the first divisor from
 per-lead-position lists in basis order.  Ideals of linear forms get their
-reduced bases by row echelon form, with no Buchberger run.
+reduced bases from the reduced echelon form of their coefficient rows
+(`Echelon.reduced`), with no Buchberger run.
 
 The engine optionally tracks each basis element as a combination of the
 input generators; in tracked runs the zero-reduction combinations form a
@@ -425,15 +426,14 @@ def linear_span(ring, forms):
 
 def _linear_basis(ctx, gens):
     """The reduced Groebner basis of linear forms: their reduced row echelon
-    form (pivot = smallest variable = lead), scaled and ordered as by `interreduce`."""
+    form (`Echelon.reduced`; pivot = smallest variable = lead), ordered as
+    by `interreduce`."""
     ring = ctx.ring
-    ech = linear_span(ring, gens)
-    out = []
-    for piv, row in sorted(ech.rows.items(), reverse=True):
-        res, lam = ech.reduce({c: v for c, v in row.items() if c != piv})
-        res[piv] = lam * row[piv]
-        out.append(_element(ctx, {(0, _unit(ring.nvars, c)): v for c, v in strip(res).items()}))
-    return out
+    rows = linear_span(ring, gens).reduced()
+    return [
+        _element(ctx, {(0, _unit(ring.nvars, c)): v for c, v in rows[piv].items()})
+        for piv in sorted(rows, reverse=True)
+    ]
 
 
 def colon_module(ctx: ModuleContext, basis, rank, elems, copies=1):

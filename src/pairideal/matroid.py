@@ -2,8 +2,9 @@
 
 A Realization is an exact matrix whose row space W <= k^[n] is the single
 source of truth; the matroid rank of a subset S of columns is the rank of
-the corresponding column submatrix.  Ground-set elements are 0-based
-internally and 1-based in every report and CLI surface.
+the corresponding column submatrix.  Its reduced rows, their pivots and
+the dual basis are read off one `spans.Echelon`.  Ground-set elements are
+0-based internally and 1-based in every report and CLI surface.
 
 The rank of every subset is computed once, into a table of 2^n ints
 indexed by bitmask (`Matroid._ranks`): a depth-first walk over the sorted
@@ -18,7 +19,7 @@ from __future__ import annotations
 from functools import cached_property, reduce
 from operator import and_
 
-from .linalg import ExactMatrix, kernel_basis, rref
+from .linalg import ExactMatrix
 from .memo import memo
 from .spans import Echelon, to_ints
 
@@ -44,19 +45,37 @@ class Realization:
         self.name = name
         self.field = field
         self.matrix = matrix
-        self.n = matrix.ncols
-        red, pivots, r = rref(matrix)
-        self.rank = r
-        # canonical row-space basis: the nonzero RREF rows
-        self.basis_matrix = ExactMatrix(field, [red.row(i) for i in range(r)])
+        self.n = n = matrix.ncols
+        ech = Echelon(field)
+        for row in matrix.entries:
+            ech.insert(dict(enumerate(row)))
+        reduced = ech.reduced()
+        self.pivots = list(reduced)
+        self.rank = len(reduced)
+        # canonical row-space basis: the reduced echelon rows, scaled to pivot 1
+        self.basis_matrix = ExactMatrix(
+            field,
+            [[field.div(field.of(r.get(j, 0)), r[p]) for j in range(n)] for p, r in reduced.items()],
+            n,
+        )
 
     def __repr__(self):
         return f"Realization({self.name!r}, n={self.n}, rank={self.rank}, {self.field})"
 
     @cached_property
     def dual_matrix(self) -> ExactMatrix:
-        """A basis matrix D for the annihilator subspace, M . D^T = 0."""
-        return kernel_basis(self.basis_matrix)
+        """A basis D of the annihilator subspace, M . D^T = 0: one row per
+        free column c, with 1 at c and minus column c of M at the pivots."""
+        F, M = self.field, self.basis_matrix
+        rows = []
+        for c in range(self.n):
+            if c not in self.pivots:
+                v = [F.zero] * self.n
+                v[c] = F.one
+                for i, piv in enumerate(self.pivots):
+                    v[piv] = F.neg(M[i, c])
+                rows.append(v)
+        return ExactMatrix(F, rows, self.n)
 
     def dual(self) -> "Realization":
         return Realization(self.name + "^perp", self.field, self.dual_matrix)

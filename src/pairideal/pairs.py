@@ -3,11 +3,13 @@
 From a realization W the construction permutes the ground set so the first
 r columns are a basis, pins the basis M = [I | M'] of W, and forms the
 linear forms f_i (in the x-variables) and g_i (in the y-variables)
-together with the generators f_i * g_i of the ideal of pairs.  The pinned
-basis D = [-M'^T | I] of the annihilator is `Realization.dual_matrix` of
-the pinned realization, the kernel basis of [I | M'].  The pinned bases
-make every downstream number reproducible; the ground-set permutation is
-recorded and inverted in reports.
+together with the generators f_i * g_i of the ideal of pairs.  Both pinned
+bases are read off the realization's reduced echelon rows, with no
+elimination here: the pivots are the leftmost basis, moved to the front
+they make the reduced rows [I | M'], and the pinned basis D = [-M'^T | I]
+of the annihilator is `Realization.dual_matrix` of the pinned
+realization.  The pinned bases make every downstream number reproducible;
+the ground-set permutation is recorded and inverted in reports.
 
 The objects derived from the whole ideal are memoized on it: the `Ideal`
 of S/I with its Groebner basis, the Schreyer complex of S/I and its
@@ -17,12 +19,11 @@ minimal Betti entries, and the pairs ideal of the dual realization.
 from __future__ import annotations
 
 from .groebner import Ideal
-from .linalg import rref
 from .matroid import ColoopError, LoopError, MatroidError, Realization, labels
 from .memo import memo
 from .resolution import SchreyerResolution, schreyer_quotient_complex
 from .ring import _unit, pair_ring, x_ring
-from .spans import Echelon, to_ints
+from .spans import to_ints
 
 
 class PairsIdeal:
@@ -52,22 +53,15 @@ class PairsIdeal:
         n = base.n
         r = base.rank
 
-        # greedy leftmost basis among the columns
-        ech = Echelon(field)
-        basis_cols = []
-        for e in range(n):
-            col = {i: c for i, c in enumerate(base.basis_matrix.column(e))}
-            if ech.insert(col):
-                basis_cols.append(e)
-        nonbasis = [e for e in range(n) if e not in set(basis_cols)]
-        self.perm = basis_cols + nonbasis  # internal position -> base column
+        # internal position -> base column; the pivots are the leftmost basis
+        self.perm = base.pivots + [e for e in range(n) if e not in base.pivots]
         kept = [j for j in range(realization.n) if j not in dropped]
         self.labels = [kept[c] + 1 for c in self.perm]
-        permuted_matrix = base.basis_matrix.submatrix_columns(self.perm)
-        normal, pivots, rk = rref(permuted_matrix)
-        if pivots != list(range(r)):
-            raise MatroidError("pinned basis normalization failed")
+        # the permuted reduced rows are [I | M'] as they stand
+        normal = base.basis_matrix.submatrix_columns(self.perm)
         self.realization = Realization(realization.name, field, normal)
+        if self.realization.pivots != list(range(r)):
+            raise MatroidError("pinned basis normalization failed")
         self.matroid = self.realization.matroid()
 
         self.n = n

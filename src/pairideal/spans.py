@@ -6,9 +6,11 @@ of Bareiss, exact); over GF(p) as residues with pivot 1.  The pivot of a row
 is its smallest column index, so callers index columns so that "leading"
 means "smallest index".
 
-Supports rank/span growth and canonical reduction against the span (for
-quotient bases); `insert` is the one way into an echelon.  The kernel of
-vectors v_i is read off the echelon of the rows (v_i | e_i)
+Supports rank/span growth, canonical reduction against the span (for
+quotient bases) and the reduced echelon form (`Echelon.reduced`, which
+gives the pinned bases of a realization and the reduced bases of linear
+ideals); `insert` is the one way into an echelon.  The kernel of vectors
+v_i is read off the echelon of the rows (v_i | e_i)
 (`kernel_of_stacked_vectors`).  The tag columns e_i lie after every vector
 column and run in reverse, so a dependent row is led by its own tag, which
 no earlier row holds, and no later row reaches it: it is a kernel vector as
@@ -333,6 +335,17 @@ class Echelon:
     def contains(self, vec) -> bool:
         res, _ = self.reduce(vec)
         return not res
+
+    def reduced(self):
+        """The reduced echelon form {pivot: row}, pivots ascending: each row
+        cleared on the other pivots, primitive with a positive pivot (QQ) or
+        with pivot 1 (GF(p))."""
+        out = {}
+        for piv, row in sorted(self.rows.items()):
+            res, lam = self.reduce({c: v for c, v in row.items() if c != piv})
+            res[piv] = lam * row[piv]
+            out[piv] = strip(res)
+        return out
 
     # -- internals ----------------------------------------------------------
     def _eliminate(self, vec, full):

@@ -16,9 +16,8 @@ KEPT = {
     "ix_new_generators": "GradedEngine: acceptance criterion 4, the new (2;2) relation",
     "standard_monomial_count": "Ideal: standard monomials against GradedEngine.quotient_dim",
     "quotient_dimension": "Ideal: the dimension formula from cyclic flats",
-    "identity": "ExactMatrix: the kernel and rref oracles of test_linalg",
-    "matmul": "ExactMatrix: M . D^T = 0 for kernel bases and the pinned dual",
     "pivot_columns": "Echelon: grown pieces against pieces built in full",
+    "error": "cli._Parser: argparse calls it on a usage error",
 }
 
 

@@ -288,13 +288,22 @@ def test_cli_rejects_bad_file_options(tmp_path, argv, options, capsys):
         ["primes", "a3", "--bound", "3"],
         ["der", "a3", "--window", "3"],
         ["betti", "a3", "--bound", "3"],
+        ["verify", "a3", "--theorem", "nope"],
+        ["flats"],
     ],
 )
 def test_cli_refuses_options_the_command_does_not_read(argv, capsys):
+    # usage errors, too, get one error line and exit 1, not argparse's
+    # usage text and exit 2 (the code of a failed verification target)
+    assert cli.main(argv) == 1
+    _one_error_line(capsys)
+
+
+def test_cli_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
-        cli.main(argv)
-    assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+        cli.main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert "--theorem" in capsys.readouterr().out
 
 
 def test_cli_fixtures_show_needs_a_name(capsys):
