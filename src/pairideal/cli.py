@@ -19,14 +19,14 @@ from .groebner import GroebnerError
 from .io import InputError, InputSpec, count_option, spec_for_realization
 from .matroid import MatroidError
 from .pairs import PairsIdeal
-from .primes import PointError, associated_primes, minimal_primes, slice_associated_primes
+from .primes import PointError, prime_lists, slice_associated_primes
 from .resolution import ResolutionError
 from .ring import RingError
 from .scalars import FieldError
 from .workbench import VERIFY_TARGETS, Workbench, full_report
 
 
-def _load_realization(source, args):
+def _load_realization(source):
     if os.path.exists(source):
         spec = InputSpec.from_file(source)
         re = spec.realization()
@@ -47,7 +47,7 @@ def _count_option(args, options, name, default):
 
 
 def _bench(source, args):
-    re, options = _load_realization(source, args)
+    re, options = _load_realization(source)
     window = _count_option(args, options, "window", None)
     bound = _count_option(args, options, "bound", 4)
     drop = getattr(args, "drop_loops", False) or options.get("drop_loops", False)
@@ -161,12 +161,7 @@ def cmd_flats(args):
 def cmd_primes(args):
     bench = _bench(args.source, args)
     pairs = bench.pairs
-    data = {
-        "minimal_primes": [p.labels() for p in minimal_primes(pairs)],
-    }
-    ass = associated_primes(pairs)
-    data["associated_primes"] = [p.labels() for p in ass]
-    data["embedded_primes"] = [p.labels() for p in ass if p.tag == "embedded"]
+    data = prime_lists(pairs)
     if args.slices:
         data["slice_x"] = slice_associated_primes(pairs)
         data["slice_y"] = slice_associated_primes(pairs.swap_roles())
@@ -224,8 +219,8 @@ def cmd_verify(args):
 
 
 def cmd_compare(args):
-    re_a, _ = _load_realization(args.source_a, args)
-    re_b, _ = _load_realization(args.source_b, args)
+    re_a, _ = _load_realization(args.source_a)
+    re_b, _ = _load_realization(args.source_b)
     cert = recipe_check(re_a, re_b)
     data = {
         "certificate": cert,

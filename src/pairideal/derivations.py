@@ -13,7 +13,7 @@ theta(f_j) in (f_j).
 from __future__ import annotations
 
 from .graded import theta_from_syzygy
-from .groebner import ModuleContext, module_syzygies
+from .groebner import ModuleContext, module_syzygies, reduced_basis
 from .linalg import ExactMatrix
 from .matroid import LoopError, MatroidError, Realization
 from .pairs import PairsIdeal
@@ -53,7 +53,8 @@ class DerivationModule:
         tor = {}
         for d in self.generator_degrees:
             tor[(0, d)] = tor.get((0, d), 0) + 1
-        res = schreyer_resolution(R, self.kernel_generators, shifts)
+        ctx = ModuleContext(R, shifts={k: 1 for k in range(n)})
+        res = schreyer_resolution(ctx, reduced_basis(ctx, self.kernel_generators), shifts)
         if not res.verify_complex():
             raise ResolutionError("differentials do not compose to zero")
         for (p, g), v in res.minimal_betti().items():

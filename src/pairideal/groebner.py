@@ -53,8 +53,9 @@ Little-O'Shea, Ideals, Varieties, and Algorithms, ch. 4); and the exact
 associated-prime test for linear primes (`linear_prime_is_associated`),
 which serves both S/I (rank one) and the slice modules E/N.
 
-Other derived operations: reduced bases, normal forms, membership, and
-Krull dimension from the initial ideal.
+Other derived operations: reduced bases (`reduced_basis`, which also gives
+level 1 of every Schreyer complex), normal forms, membership, and Krull
+dimension from the initial ideal.
 """
 
 from __future__ import annotations
@@ -411,6 +412,12 @@ def interreduce(ctx: ModuleContext, basis):
     return out
 
 
+def reduced_basis(ctx: ModuleContext, inputs):
+    """The reduced Groebner basis (GBElements) of the module the raw inputs
+    generate: one untracked run, interreduced."""
+    return interreduce(ctx, buchberger(ctx, inputs, track=False)[0])
+
+
 def linear_coords(form):
     """{variable index: coefficient} of a linear form."""
     return {e.index(1): c for e, c in form.terms.items()}
@@ -467,13 +474,13 @@ def colon_module(ctx: ModuleContext, basis, rank, elems, copies=1):
     return out
 
 
-def linear_prime_is_associated(ctx: ModuleContext, basis, rank, forms, prime):
+def linear_prime_is_associated(ctx: ModuleContext, basis, rank, forms):
     """Whether the linear prime P = (forms) is associated to E/N.
 
     E is free of rank `rank` over ctx.ring, `basis` a reduced Groebner basis
-    of N (S/I is the rank-one case), `prime` the Ideal of P.  Exact
-    criterion: P is associated iff the annihilator of some generator w of
-    (N : P) modulo N lies in P.  (N : P) is the colon of the vectors
+    of N (S/I is the rank-one case).  Exact criterion: P is associated iff
+    the annihilator of some generator w of (N : P) modulo N lies in P, the
+    Ideal of the forms.  (N : P) is the colon of the vectors
     (l_1 e_b, ..., l_c e_b) by c copies of N; its generators are taken
     modulo N, smallest first, and each annihilator is tested generator by
     generator.  Returns (verdict, w) with the successful w as a raw vector.
@@ -490,6 +497,7 @@ def linear_prime_is_associated(ctx: ModuleContext, basis, rank, forms, prime):
         if w:
             cands.setdefault(frozenset(w.items()), w)
     ring = ctx.ring
+    prime = Ideal(ring, forms)
     for w in sorted(cands.values(), key=lambda w: (max(sum(e) for _, e in w), len(w))):
         ann = colon_module(ctx, raws, rank, [w])
         if all(prime.member(raw_to_poly(ring, a)) for a in ann):
@@ -533,8 +541,7 @@ class Ideal:
         gens = [g for g in self.gens if not g.is_zero()]
         if all(sum(e) == 1 for g in gens for e in g.terms):
             return ctx, _linear_basis(ctx, gens)
-        basis, _ = buchberger(ctx, [poly_to_raw(g) for g in gens], track=False)
-        return ctx, interreduce(ctx, basis)
+        return ctx, reduced_basis(ctx, [poly_to_raw(g) for g in gens])
 
     def normal_form(self, p: Poly) -> Poly:
         """Canonical normal form (primitive, positive lead over QQ)."""
@@ -654,5 +661,5 @@ def is_associated(I: Ideal, prime_gens):
     if prime is None:
         return (True, None)  # the zero prime, and I is zero
     ctx, gb = I._gb_elements()
-    verdict, w = linear_prime_is_associated(ctx, gb, 1, prime.gens, prime)
+    verdict, w = linear_prime_is_associated(ctx, gb, 1, prime.gens)
     return (verdict, raw_to_poly(I.ring, w) if verdict else None)

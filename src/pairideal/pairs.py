@@ -21,7 +21,7 @@ from __future__ import annotations
 from .groebner import Ideal
 from .matroid import ColoopError, LoopError, MatroidError, Realization, labels
 from .memo import memo
-from .resolution import SchreyerResolution, schreyer_quotient_complex
+from .resolution import SchreyerResolution, schreyer_resolution
 from .ring import _unit, pair_ring, x_ring
 from .spans import to_ints
 
@@ -141,8 +141,9 @@ class PairsIdeal:
 
     @memo
     def quotient_complex(self) -> SchreyerResolution:
-        """The Schreyer complex of S/I."""
-        return schreyer_quotient_complex(self.ring, [g for _, g in self.nonzero_generators()])
+        """The Schreyer complex of S/I, from the basis of `ideal_object`."""
+        ctx, basis = self.ideal_object()._gb_elements()
+        return schreyer_resolution(ctx, basis, [(0,) * self.ring.ngrades])
 
     @memo
     def quotient_betti(self):

@@ -20,16 +20,17 @@ and of the slices E/N decide each one by two rules, in this order:
   are those of the scalar parts, which rule out exactly c > pdim M, and no
   point has smaller ranks.
 
-F is the exact Schreyer complex, with no scan window: for S/I the one
-memoized on the ideal, `PairsIdeal.quotient_complex`, for the slices
-`schreyer_resolution` on the `slice_columns()` presentation.  Only a candidate that neither rule rules
-out gets the colon test, `groebner.linear_prime_is_associated` on top of
-the one tracked-colon primitive `groebner.colon_module`: for S/I as its
+F is the exact Schreyer complex, with no scan window, started from the
+reduced Groebner basis that the colon test holds: for S/I the one memoized
+on the ideal, `PairsIdeal.quotient_complex`, for the slices the complex of
+the `slice_columns()` presentation.  Only a candidate that neither rule
+rules out gets the colon test, `groebner.linear_prime_is_associated` on top
+of the one tracked-colon primitive `groebner.colon_module`: for S/I as its
 rank-one case (`is_associated`), for the degree-one slices as its rank-m
 case (`module_prime_is_associated`).  It decides the candidate, and an
-associated prime of S/I keeps its colon witness.  Absence of an embedded
-prime is only ever asserted by these rules or that test; degreewise scans
-may only report presence.
+associated prime of S/I keeps its colon witness; both scans are one loop,
+`_scan`.  Absence of an embedded prime is only ever asserted by these rules
+or that test; degreewise scans may only report presence.
 """
 
 from __future__ import annotations
@@ -41,12 +42,11 @@ from .groebner import (
     GroebnerError,
     Ideal,
     ModuleContext,
-    buchberger,
-    interreduce,
     is_associated,
     linear_coords,
     linear_prime_is_associated,
     linear_span,
+    reduced_basis,
 )
 from .matroid import MatroidError, biflats
 from .pairs import PairsIdeal
@@ -259,7 +259,21 @@ def ranks_rule_out(res, codim, forms) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# associated primes of the quotient
+# the scans
+
+
+def _scan(res, candidates, colon, progress):
+    """The candidates (candidate, echelon forms of its prime) that neither
+    `ranks_rule_out` on the complex `res` nor `colon(candidate, forms)`
+    rules out; `progress(candidate, verdict)` fires once per candidate."""
+    out = []
+    for cand, forms in candidates:
+        verdict = not ranks_rule_out(res, len(forms), forms) and colon(cand, forms)
+        if progress is not None:
+            progress(cand, verdict)
+        if verdict:
+            out.append(cand)
+    return out
 
 
 def associated_primes(pairs: PairsIdeal, progress=None):
@@ -269,41 +283,33 @@ def associated_primes(pairs: PairsIdeal, progress=None):
     checked to contain the ideal by its factors, then ruled out when the
     ranks of the Schreyer complex at one point of V(P) add up to b_c
     (`ranks_rule_out`), which holds with no evaluation when codim P exceeds
-    the complex's length.  The colon test runs
-    only on the candidates left, and decides them.  Minimal primes are
-    recognized combinatorially and re-certified like every other
+    the complex's length.  The colon test runs only on the candidates left
+    and decides them; each associated one keeps its witness.  Minimal
+    primes are recognized combinatorially and re-certified like every other
     candidate.  `progress(candidate, verdict)` fires once per candidate.
     """
     ideal = pairs.ideal_object()
+    full = frozenset(range(pairs.n))
     if ideal.is_zero_ideal():
-        full = frozenset(range(pairs.n))
-        p = LinearPrime(pairs, frozenset(), full, tag="minimal")
-        return [p]
-    res = pairs.quotient_complex()
+        return [LinearPrime(pairs, frozenset(), full, tag="minimal")]
     M = pairs.matroid
-    minimal_keys = {
-        (F, frozenset(range(pairs.n)) - F) for F in M.cyclic_flats()
-    }
-    out = []
-    for F, G in biflats(M):
-        cand = LinearPrime(pairs, F, G)
-        cand.check_contains_ideal()
-        if ranks_rule_out(res, cand.codim, cand.forms):
-            verdict = False
-        else:
-            verdict, witness = is_associated(ideal, cand.forms)
-        if progress is not None:
-            progress(cand, verdict)
-        if verdict:
-            cand.tag = "minimal" if (F, G) in minimal_keys else "embedded"
-            cand.witness = witness
-            out.append(cand)
+    minimal_keys = {(F, full - F) for F in M.cyclic_flats()}
+
+    def candidates():
+        for F, G in biflats(M):
+            cand = LinearPrime(pairs, F, G)
+            cand.check_contains_ideal()
+            yield cand, cand.forms
+
+    def colon(cand, forms):
+        verdict, cand.witness = is_associated(ideal, forms)
+        return verdict
+
+    out = _scan(pairs.quotient_complex(), candidates(), colon, progress)
+    for p in out:
+        p.tag = "minimal" if (p.I, p.J) in minimal_keys else "embedded"
     out.sort(key=lambda p: p.key())
     return out
-
-
-# ---------------------------------------------------------------------------
-# slice associated primes
 
 
 def slice_associated_primes(pairs: PairsIdeal, progress=None):
@@ -314,38 +320,37 @@ def slice_associated_primes(pairs: PairsIdeal, progress=None):
     slice is this scan on `pairs.swap_roles()`, whose flats are the dual
     flats.  A candidate is ruled out by the ranks of the Schreyer complex
     of E/N at one point of V(P_F) (`ranks_rule_out`, b_0 = rank E); the
-    module colon test decides the rest.  `progress(flat, verdict)` fires once per candidate.
-    Requires no loops or coloops.
+    module colon test decides the rest.  Both start from one reduced basis
+    of N.  `progress(flat, verdict)` fires once per candidate.  Requires no
+    loops or coloops.
     """
     pairs.require_no_coloops("slice associated primes")
     ring, m, cols, _ = pairs.slice_columns()
-    res = schreyer_resolution(ring, cols, [(0,) * ring.ngrades] * m)
     ctx = ModuleContext(ring)
-    # reduced Groebner basis of N, shared by every candidate
-    basis = interreduce(ctx, buchberger(ctx, cols, track=False)[0])
+    basis = reduced_basis(ctx, cols)
+    res = schreyer_resolution(ctx, basis, [(0,) * ring.ngrades] * m)
     M = pairs.matroid
     minimal_cyc = M.minimal_nonempty_cyclic_flats()
-    out = []
-    for F in M.flats():
-        if not any(C <= F for C in minimal_cyc):
-            continue  # associated primes contain a minimal prime (so F is nonempty)
-        # f_i has x-ring variable indices already: they come first in S
-        forms = echelon_forms(ring, [pairs.f[i] for i in sorted(F)])
-        if ranks_rule_out(res, len(forms), forms):
-            verdict = False
-        else:
-            verdict = module_prime_is_associated(ctx, basis, m, forms)
-        if progress is not None:
-            progress(F, verdict)
-        if verdict:
-            out.append(
-                {
-                    "flat": pairs.original_labels(F),
-                    "rank": M.rank_of(F),
-                    "tag": "minimal" if F in minimal_cyc else "embedded",
-                    "is_maximal_ideal": len(forms) == ring.nvars,
-                }
-            )
+    # associated primes contain a minimal prime (so F is nonempty); f_i has
+    # x-ring variable indices already: they come first in S
+    candidates = (
+        (F, echelon_forms(ring, [pairs.f[i] for i in sorted(F)]))
+        for F in M.flats()
+        if any(C <= F for C in minimal_cyc)
+    )
+
+    def colon(F, forms):
+        return module_prime_is_associated(ctx, basis, m, forms)
+
+    out = [
+        {
+            "flat": pairs.original_labels(F),
+            "rank": M.rank_of(F),
+            "tag": "minimal" if F in minimal_cyc else "embedded",
+            "is_maximal_ideal": M.rank_of(F) == ring.nvars,
+        }
+        for F in _scan(res, candidates, colon, progress)
+    ]
     out.sort(key=lambda d: (len(d["flat"]), d["flat"]))
     return out
 
@@ -356,10 +361,17 @@ def module_prime_is_associated(ctx, basis, rank, prime_forms) -> bool:
     E is free of rank `rank`, `basis` a reduced Groebner basis of N: the
     rank-`rank` case of linear_prime_is_associated.
     """
-    if not prime_forms:
-        return False
-    prime = Ideal(ctx.ring, prime_forms)
-    return linear_prime_is_associated(ctx, basis, rank, prime_forms, prime)[0]
+    return bool(prime_forms) and linear_prime_is_associated(ctx, basis, rank, prime_forms)[0]
+
+
+def prime_lists(pairs: PairsIdeal):
+    """The report lists of S/I: minimal, associated and embedded primes."""
+    ass = associated_primes(pairs)
+    return {
+        "minimal_primes": [p.labels() for p in minimal_primes(pairs)],
+        "associated_primes": [p.labels() for p in ass],
+        "embedded_primes": [p.labels() for p in ass if p.tag == "embedded"],
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,12 @@
 
 `schreyer_resolution` builds an exact, generally non-minimal free complex
 over a submodule N of a shifted free module F0 from induced-order syzygy
-bases (tracked Buchberger: exact, no window).  The minimal Betti numbers of
-F0/N are read gradewise off its scalar parts (La Scala-Stillman, JSC 1998);
-index 0 is F0, and Tor_p(N) = Tor_{p+1}(F0/N) for p >= 1 because F0 is free.
+bases (tracked Buchberger: exact, no window).  It starts from the reduced
+Groebner basis of N that the caller holds: for S/I the basis of
+`PairsIdeal.ideal_object()`, for a slice module the one its colon tests
+use.  The minimal Betti numbers of F0/N are read gradewise off its scalar
+parts (La Scala-Stillman, JSC 1998); index 0 is F0, and Tor_p(N) =
+Tor_{p+1}(F0/N) for p >= 1 because F0 is free.
 Each level's induced order is an int key (`induced_key`): the ambient int
 term key of a term's image, then its chain of positions, so it stays
 additive under monomial shifts as the Buchberger kernel needs.
@@ -18,8 +21,7 @@ from __future__ import annotations
 from math import prod
 from operator import add
 
-from .groebner import WIDTH, ModuleContext, _shifted, buchberger, complement, interreduce
-from .groebner import poly_to_raw
+from .groebner import WIDTH, ModuleContext, _shifted, buchberger, complement
 from .memo import memo
 from .ring import PolyRing
 from .spans import Echelon, Pieces, axpy, to_ints
@@ -44,24 +46,14 @@ def raw_grade(ring: PolyRing, raw, shifts):
 
 
 class ModulePieces(Pieces):
-    """Multigrade pieces of a submodule of a shifted free module.
+    """Multigrade pieces of the submodule that the nonzero `elements`
+    generate in a shifted free module, grown lazily from variable multiples
+    of lower pieces plus the elements sitting in the exact grade."""
 
-    Generators must be registered in weakly increasing total degree; pieces
-    are grown lazily from variable multiples of lower pieces plus the
-    generators sitting in the exact grade.
-    """
-
-    def __init__(self, ring: PolyRing, shifts):
+    def __init__(self, ring: PolyRing, shifts, elements):
         super().__init__(ring.field, [(g, 1, t) for t, g in enumerate(ring.grades)])
-        self.ring = ring
-        self.shifts = shifts
-
-    def register(self, raw, grade=None):
-        g = grade if grade is not None else raw_grade(self.ring, raw, self.shifts)
-        if any(sum(k) > sum(g) for k in self._pieces):
-            raise ResolutionError("generators must be registered in degree order")
-        self.gens.setdefault(g, []).append(raw)
-        self._pieces.pop(g, None)
+        for raw in filter(None, elements):
+            self.gens.setdefault(raw_grade(ring, raw, shifts), []).append(raw)
 
 
 def minimal_generators(ring: PolyRing, elements, shifts):
@@ -70,27 +62,14 @@ def minimal_generators(ring: PolyRing, elements, shifts):
     Elements are processed, and returned, in increasing (total degree,
     grade); one is kept exactly when it is independent of the submodule
     generated by those already kept in its own multigrade (Nakayama
-    degreewise).
+    degreewise).  The pieces hold every element: below a grade, all of them
+    span what the kept ones span.
     """
-    graded = []
-    for raw in elements:
-        if raw:
-            graded.append((raw_grade(ring, raw, shifts), raw))
-    graded.sort(key=lambda t: (sum(t[0]), t[0]))
-    pieces = ModulePieces(ring, shifts)
+    pieces = ModulePieces(ring, shifts, elements)
     kept = []
-    idx = 0
-    while idx < len(graded):
-        grade = graded[idx][0]
-        batch = []
-        while idx < len(graded) and graded[idx][0] == grade:
-            batch.append(graded[idx][1])
-            idx += 1
+    for grade in sorted(pieces.gens, key=lambda g: (sum(g), g)):
         ech = pieces.lower_span(grade)
-        for raw in batch:
-            if ech.insert(dict(raw)):
-                kept.append(raw)
-                pieces.register(raw, grade)
+        kept += [raw for raw in pieces.gens[grade] if ech.insert(dict(raw))]
     return kept
 
 
@@ -249,40 +228,36 @@ def induced_key(base_key, origin, leads, bits):
     return key, origin
 
 
-def schreyer_resolution(ring: PolyRing, inputs, shifts) -> SchreyerResolution:
-    """Exact free complex over the input module via induced-order syzygies.
+def schreyer_resolution(ctx: ModuleContext, basis, shifts) -> SchreyerResolution:
+    """Exact free complex over a submodule N of the free module with grade
+    shifts `shifts`, via induced-order syzygies.
 
-    inputs: raw elements of the ambient free module (grade shifts given).
-    Level 1 is the reduced Groebner basis of the input module; level p+1 is
-    a minimal-lead Groebner basis of the syzygies of level p with respect
-    to the induced order.
+    `basis` is the reduced Groebner basis of N (`groebner.reduced_basis`)
+    computed in `ctx`, whose term key is the order on F0.  Level 1 is that
+    basis; level p+1 is a minimal-lead Groebner basis of the syzygies of
+    level p with respect to the induced order.
     """
-    base_ctx = ModuleContext(ring, shifts={i: sum(s) for i, s in enumerate(shifts)})
-    basis0, _ = buchberger(base_ctx, [dict(r) for r in inputs if r], track=False)
-    red0 = interreduce(base_ctx, basis0)
+    ring = ctx.ring
     levels = []
     level_grades = []
-    cur_elements = [g.raw for g in red0]
-    leads = [g.lead for g in red0]
-    cur_key = base_key = base_ctx.term_key
+    cur_elements = [g.raw for g in basis]
+    leads = [g.lead for g in basis]
+    cur_key = base_key = ctx.term_key
     origin = [(q, ring.zero_exp, 0) for q in range(len(shifts))]
-    cur_shift_grades = list(shifts)
     while cur_elements:
         grades = [
-            raw_grade(ring, raw, cur_shift_grades if not levels else level_grades[-1])
-            for raw in cur_elements
+            raw_grade(ring, raw, level_grades[-1] if levels else shifts) for raw in cur_elements
         ]
         levels.append(cur_elements)
         level_grades.append(grades)
         next_key, origin = induced_key(base_key, origin, leads, WIDTH * len(levels))
-        ctx = ModuleContext(
+        level_ctx = ModuleContext(
             ring,
             shifts={i: sum(g) for i, g in enumerate(grades)},
             key_fn=cur_key,
         )
-        n_in = len(cur_elements)
-        basis, syz = buchberger(ctx, cur_elements, track=True)
-        if len(basis) != n_in:
+        gb, syz = buchberger(level_ctx, cur_elements, track=True)
+        if len(gb) != len(cur_elements):
             raise ResolutionError("induced-order basis grew (syzygy level not a GB)")
         # minimal-lead subset stays a Groebner basis of the syzygy module
         syz = [s for s in syz if s]
@@ -302,11 +277,3 @@ def schreyer_resolution(ring: PolyRing, inputs, shifts) -> SchreyerResolution:
                 leads.append(lt)
         cur_key = next_key
     return SchreyerResolution(ring, list(shifts), levels, level_grades)
-
-
-def schreyer_quotient_complex(ring: PolyRing, ideal_gens) -> SchreyerResolution:
-    """The induced-order complex of ring/(ideal); F_0 is the ring."""
-    raws = [poly_to_raw(g) for g in ideal_gens if not g.is_zero()]
-    return schreyer_resolution(ring, raws, [(0,) * ring.ngrades])
-
-

@@ -73,12 +73,7 @@ class Rationals:
     def div(self, a, b):
         if b == 0:
             raise FieldError("division by zero")
-        return a / b
-
-    def inv(self, a):
-        if a == 0:
-            raise FieldError("inverse of zero")
-        return 1 / Fraction(a)
+        return Fraction(a) / b
 
     def is_zero(self, a):
         return a == 0

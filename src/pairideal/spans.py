@@ -248,7 +248,7 @@ class Pieces:
         self.field = field
         self.variables = variables
         self.gens = {}
-        # not a memo: `ModulePieces.register` scans the grades and drops entries
+        # not a memo: `grow_pieces` fills the pieces of several grades at once
         self._pieces = {}
 
     def multiples(self, grade, gens=()):

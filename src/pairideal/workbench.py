@@ -43,8 +43,8 @@ from .memo import memo
 from .pairs import PairsIdeal
 from .primes import (
     _prime_ideal,
-    associated_primes,
     minimal_primes,
+    prime_lists,
     slice_associated_primes,
     uniform_checks,
     verify_min_primes,
@@ -456,8 +456,5 @@ def full_report(bench: Workbench, include_primes=True, include_betti=True):
             "pdim_certificate": "exact free complex (induced orders)",
         }
     if include_primes:
-        ass = associated_primes(pairs)
-        out["associated_primes"] = [p.labels() for p in ass]
-        out["minimal_primes"] = [p.labels() for p in minimal_primes(pairs)]
-        out["embedded_primes"] = [p.labels() for p in ass if p.tag == "embedded"]
+        out.update(prime_lists(pairs))
     return out

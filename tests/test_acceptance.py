@@ -170,12 +170,7 @@ def test_criterion_6_properties():
     for name in ("u:1:2", "u:2:4", "u:3:5", "a3", "seven", "bracelet9"):
         bench = benches[name]
         ent = bench.resolution_betti(target="quotient").entries
-        sw = bench.pairs.swap_roles()
-        from pairideal.resolution import schreyer_quotient_complex
-
-        ent_sw = schreyer_quotient_complex(
-            sw.ring, [g for _, g in sw.nonzero_generators()]
-        ).minimal_betti()
+        ent_sw = bench.pairs.swap_roles().quotient_complex().minimal_betti()
         assert {(p, (b[1], b[0])): v for (p, b), v in ent_sw.items()} == ent, name
 
     # Koszul and resolution methods agree (full tables at small scale,

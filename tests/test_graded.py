@@ -16,7 +16,7 @@ from pairideal.io import InputSpec
 from pairideal.linalg import ExactMatrix
 from pairideal.matroid import Realization
 from pairideal.pairs import PairsIdeal
-from pairideal.resolution import ModulePieces, schreyer_quotient_complex
+from pairideal.resolution import ModulePieces
 from pairideal.ring import RingError, _compositions, pair_ring
 from pairideal.scalars import QQ, PrimeField
 from pairideal.spans import Echelon, grow
@@ -664,7 +664,7 @@ def test_stored_module_multiples_equal_inserted_ones(monkeypatch):
     # the grades of its generators
     pairs = PairsIdeal(get_fixture("seven"))
     S = pairs.ring
-    cx = schreyer_quotient_complex(S, pairs.generators)
+    cx = pairs.quotient_complex()
     inserts = []
     insert = Echelon.insert
     monkeypatch.setattr(Echelon, "insert", lambda self, vec: inserts.append(1) or insert(self, vec))
@@ -672,11 +672,8 @@ def test_stored_module_multiples_equal_inserted_ones(monkeypatch):
     def grown():
         levels = []
         for p, level in enumerate(cx.levels):
-            M = ModulePieces(S, cx.level_grades[p - 1] if p else [(0, 0)])
-            elements = sorted(zip(level, cx.level_grades[p]), key=lambda t: (sum(t[1]), t[1]))
-            for raw, grade in elements:
-                M.register(raw, grade)
-            for _, grade in elements:
+            M = ModulePieces(S, cx.level_grades[p - 1] if p else [(0, 0)], level)
+            for grade in sorted(cx.level_grades[p], key=lambda g: (sum(g), g)):
                 M.piece(grade)
             levels.append(M)
         return levels, len(inserts)
@@ -788,10 +785,15 @@ def test_mixed_generator_degrees_fall_back_to_all_variables():
             standard = sum(not any(all(map(ge, m, lead)) for lead in leads) for m in mons)
             assert P.dim((i, j)) == len(mons) - standard, (i, j)
 
-    M = ModulePieces(S, [(0, 0), (0, 0)])
-    M.register({(0, (1, 0, 0, 0, 0)): 1, (1, (0, 1, 0, 0, 0)): -1})
-    M.register({(0, (0, 0, 1, 0, 0)): 1})
-    M.register({(1, (0, 0, 0, 2, 0)): 1, (0, (0, 0, 0, 1, 1)): 2})
+    M = ModulePieces(
+        S,
+        [(0, 0), (0, 0)],
+        [
+            {(0, (1, 0, 0, 0, 0)): 1, (1, (0, 1, 0, 0, 0)): -1},
+            {(0, (0, 0, 1, 0, 0)): 1},
+            {(1, (0, 0, 0, 2, 0)): 1, (0, (0, 0, 0, 1, 1)): 2},
+        ],
+    )
     _assert_one_sided_exact(M, 5)
     # and there each side alone spans less
     for pieces in (P, M):

@@ -22,7 +22,6 @@ from pairideal.fixtures import get_fixture
 from pairideal.pairs import PairsIdeal
 from pairideal.matroid import biflats
 from pairideal.primes import LinearPrime
-from pairideal.resolution import schreyer_quotient_complex
 from pairideal.scalars import field_from_descriptor
 
 GOLDEN = Path(__file__).parent / "golden" / "groebner_reduced_bases.json"
@@ -79,9 +78,7 @@ def _a3_associated_primes():
 
 
 def _seven_schreyer_betti():
-    pairs = _pairs("seven")
-    gens = [g for _, g in pairs.nonzero_generators()]
-    schreyer_quotient_complex(pairs.ring, gens).minimal_betti()
+    _pairs("seven").quotient_complex().minimal_betti()
 
 
 @pytest.mark.parametrize(

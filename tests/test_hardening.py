@@ -19,7 +19,6 @@ from pairideal.primes import (
     minimal_primes,
     verify_min_primes,
 )
-from pairideal.resolution import schreyer_quotient_complex
 from pairideal.ring import x_ring
 from pairideal.scalars import QQ, PrimeField
 from pairideal.spans import Echelon, kernel_of_stacked_vectors
@@ -160,8 +159,7 @@ def test_koszul_cap_marks_window(seven):
 def test_schreyer_betti_fractional_inputs():
     # exact complexes over a ring where the pinned generators carry fractions
     pairs = PairsIdeal(Realization("frac", QQ, ExactMatrix(QQ, FRACTIONAL)))
-    gens = [g for _, g in pairs.nonzero_generators()]
-    ent = schreyer_quotient_complex(pairs.ring, gens).minimal_betti()
+    ent = pairs.quotient_complex().minimal_betti()
     assert ent[(0, (0, 0))] == 1
     assert sum(v for (p, _), v in ent.items() if p == 1) == len(
         pairs.nonzero_generators()

@@ -10,7 +10,7 @@ PACKAGE = Path(pairideal.__file__).parent
 
 # (file, name) of the hand-rolled caches kept, each with its reason
 ALLOWED = {
-    ("spans.py", "_pieces"),  # a data structure: ModulePieces.register drops entries
+    ("spans.py", "_pieces"),  # a data structure: grow_pieces fills several grades at once
 }
 
 

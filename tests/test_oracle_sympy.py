@@ -58,7 +58,7 @@ XS = sympy.symbols(f"x0:{NVARS}")
 
 def _monic(field, terms):
     """The term set divided by its degrevlex leading coefficient."""
-    inv = field.inv(terms[max(terms, key=degrevlex)])
+    inv = field.div(field.one, terms[max(terms, key=degrevlex)])
     return frozenset((e, field.mul(c, inv)) for e, c in terms.items())
 
 

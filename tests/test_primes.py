@@ -13,6 +13,7 @@ from pairideal.groebner import (
     interreduce,
     is_associated,
     prime_containing,
+    reduced_basis,
 )
 from pairideal.linalg import ExactMatrix
 from pairideal.matroid import ColoopError, Realization, biflats
@@ -310,17 +311,20 @@ def test_point_off_the_prime_is_refused(a3, monkeypatch):
         ranks_rule_out(res, cand.codim, cand.forms)
 
 
+def _slice_complex(pairs):
+    """The Schreyer complex of the (.,1) slice, from the reduced basis of N."""
+    ring, m, cols, _ = pairs.slice_columns()
+    ctx = ModuleContext(ring)
+    return schreyer_resolution(ctx, reduced_basis(ctx, cols), [(0,) * ring.ngrades] * m)
+
+
 @pytest.mark.parametrize("field", [QQ, PrimeField(32003)])
 def test_rank_at_matches_field_evaluation(field):
     # a rational point off every variety, evaluated entry by entry with field
     # operations, on the slice presentation and on S/I
     rows = [[field.of(v) for v in row] for row in get_fixture("a3").matrix.entries]
     pairs = PairsIdeal(Realization("a3", field, ExactMatrix(field, rows)))
-    ring, m, cols, _ = pairs.slice_columns()
-    for res in (
-        schreyer_resolution(ring, cols, [(0,) * ring.ngrades] * m),
-        pairs.quotient_complex(),
-    ):
+    for res in (_slice_complex(pairs), pairs.quotient_complex()):
         F = res.ring.field
         point = [F.div(F.of(i + 3), F.of(2 * i + 5)) for i in range(res.ring.nvars)]
         for p in range(1, len(res.levels) + 1):
@@ -395,8 +399,8 @@ def test_rank_at_equals_term_by_term_evaluation(name, field):
     # P of codimension c: the biflat primes on the complex of S/I, the flat
     # primes on the complex of the (.,1) slice
     pairs = PairsIdeal(get_fixture(name, field=field))
-    ring, m, cols, _ = pairs.slice_columns()
-    slices = schreyer_resolution(ring, cols, [(0,) * ring.ngrades] * m)
+    ring = pairs.slice_columns()[0]
+    slices = _slice_complex(pairs)
     quotient = pairs.quotient_complex()
     cases = [(quotient, LinearPrime(pairs, F, G).forms) for F, G in biflats(pairs.matroid)]
     cases += [
@@ -432,16 +436,20 @@ def test_primes_seven_slices_tracked_entries(monkeypatch, capsys):
 
 
 def test_primes_seven_slices_buchberger_runs(monkeypatch, capsys):
-    # ideals of linear forms get their bases by linear algebra
-    runs = 0
+    # ideals of linear forms get their bases by linear algebra, and each
+    # module gets one reduced basis, shared by its Schreyer complex and its
+    # colon tests: one untracked run for S/I and one per slice side
+    runs = untracked = 0
 
-    def counted(*args, **kw):
-        nonlocal runs
+    def counted(*args, track=False, **kw):
+        nonlocal runs, untracked
         runs += 1
-        return buchberger(*args, **kw)
+        untracked += not track
+        return buchberger(*args, track=track, **kw)
 
-    for module in (groebner, primes, resolution):
+    for module in (groebner, resolution):
         monkeypatch.setattr(module, "buchberger", counted)
     assert main(["primes", "seven", "--slices"]) == 0
     capsys.readouterr()
     assert 0 < runs <= 60
+    assert untracked == 3

@@ -2,19 +2,19 @@ from math import comb
 
 import pytest
 
-from pairideal.groebner import poly_to_raw
+from pairideal.groebner import ModuleContext, poly_to_raw, reduced_basis
 from pairideal.resolution import (
     ModulePieces,
     ResolutionError,
     SchreyerResolution,
     minimal_generators,
-    schreyer_quotient_complex,
     schreyer_resolution,
 )
 from pairideal.derivations import DerivationModule
 from pairideal.fixtures import get_fixture
+from pairideal.pairs import PairsIdeal
 from pairideal.ring import x_ring
-from pairideal.scalars import QQ
+from pairideal.scalars import QQ, PrimeField
 from pairideal.workbench import Workbench
 
 from test_graded import A3_IDEAL_BETTI
@@ -23,7 +23,8 @@ from test_graded import A3_IDEAL_BETTI
 def test_free_module_input_resolves_in_one_step():
     R = x_ring(QQ, 2)
     gens = [{(0, (1, 0)): 1}, {(1, (0, 1)): 1}]
-    res = schreyer_resolution(R, gens, [(0,), (0,)])
+    ctx = ModuleContext(R)
+    res = schreyer_resolution(ctx, reduced_basis(ctx, gens), [(0,), (0,)])
     assert len(res.levels) == 1  # generators only, no syzygies
     assert res.verify_complex()
     assert res.minimal_betti() == {(0, (0,)): 2, (1, (1,)): 2}
@@ -40,26 +41,21 @@ def test_minimal_generators_drop_redundant():
 
 def test_module_pieces_grow_and_keep_degree_order():
     R = x_ring(QQ, 2)
-    pieces = ModulePieces(R, [(0,)])
-    pieces.register({(0, (1, 0)): 1})
+    pieces = ModulePieces(R, [(0,)], [{(0, (1, 0)): 1}])
     # the degree-2 piece of (x) is spanned by x^2 and x*y
     assert pieces.piece((2,)).dim == 2
     assert pieces.lower_span((1,)).dim == 0
-    with pytest.raises(ResolutionError):
-        pieces.register({(0, (0, 1)): 1})
 
 
 def test_a3_schreyer_agrees(a3):
-    gens = [g for _, g in a3.pairs.nonzero_generators()]
-    ent = schreyer_quotient_complex(a3.pairs.ring, gens).minimal_betti()
+    ent = a3.pairs.quotient_complex().minimal_betti()
     shifted = {(p - 1, g): v for (p, g), v in ent.items() if p >= 1}
     assert shifted == A3_IDEAL_BETTI
 
 
 def test_resolution_hilbert_alternation(a3):
     # alternating free-module Hilbert sums reproduce the quotient dimensions
-    gens = [g for _, g in a3.pairs.nonzero_generators()]
-    ent = schreyer_quotient_complex(a3.pairs.ring, gens).minimal_betti()
+    ent = a3.pairs.quotient_complex().minimal_betti()
     eng = a3.engine
 
     def free_dim(shift, bideg):
@@ -76,10 +72,7 @@ def test_resolution_hilbert_alternation(a3):
 
 
 def test_seven_schreyer_pdim(seven):
-    gens = [g for _, g in seven.pairs.nonzero_generators()]
-    raws = [poly_to_raw(g) for g in gens]
-    res = schreyer_resolution(seven.pairs.ring, raws, [(0, 0)])
-    ent = res.minimal_betti()
+    ent = _quotient_complex(seven).minimal_betti()
     assert max(p for p, _ in ent) == 7
     totals = {}
     for (p, _), v in ent.items():
@@ -94,18 +87,16 @@ def test_der_module_resolution_free_a3(a3):
 
 
 def test_bracelet_resolution_and_transpose(bracelet):
-    gens = [g for _, g in bracelet.pairs.nonzero_generators()]
-    ent = schreyer_quotient_complex(bracelet.pairs.ring, gens).minimal_betti()
+    ent = bracelet.pairs.quotient_complex().minimal_betti()
     assert max(p for p, _ in ent) == 6
-    sw = bracelet.pairs.swap_roles()
-    gens_sw = [g for _, g in sw.nonzero_generators()]
-    ent_sw = schreyer_quotient_complex(sw.ring, gens_sw).minimal_betti()
+    ent_sw = bracelet.pairs.swap_roles().quotient_complex().minimal_betti()
     assert {(p, (g[1], g[0])): v for (p, g), v in ent_sw.items()} == ent
 
 
 def _quotient_complex(bench):
-    gens = bench.pairs.nonzero_generators()
-    return schreyer_resolution(bench.pairs.ring, [poly_to_raw(g) for _, g in gens], [(0, 0)])
+    """A fresh Schreyer complex of S/I, from the ideal's reduced basis."""
+    ctx, basis = bench.pairs.ideal_object()._gb_elements()
+    return schreyer_resolution(ctx, basis, [(0, 0)])
 
 
 @pytest.mark.parametrize("name", ["a3", "seven"])
@@ -113,6 +104,20 @@ def test_schreyer_complex_composes_to_zero(name, request):
     res = _quotient_complex(request.getfixturevalue(name))
     assert len(res.levels) >= 4
     assert res.verify_complex()
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["QQ", "GF32003"])
+@pytest.mark.parametrize(
+    "name", ["a3", "seven", "bracelet9", "fail_A", "fail_PA", "boolean:3", "u:2:4", "u:3:5"]
+)
+def test_quotient_complex_starts_from_the_ideal_basis(name, field):
+    # level 1 of the complex of S/I is the reduced basis of the ideal's
+    # generators (boolean:3 is all coloops: the zero ideal, and no level)
+    pairs = PairsIdeal(get_fixture(name, field=field))
+    ctx = ModuleContext(pairs.ring)
+    basis = reduced_basis(ctx, [poly_to_raw(g) for g in pairs.ideal_object().gens])
+    level1 = [[g.raw for g in basis]] if basis else []
+    assert pairs.quotient_complex().levels[:1] == level1
 
 
 def test_verify_complex_sees_one_altered_coefficient(a3):

@@ -6,12 +6,16 @@ from hypothesis import given, strategies as st
 from pairideal.scalars import QQ, FieldError, PrimeField, field_from_descriptor
 
 
-nonzero_rationals = st.fractions().filter(lambda f: f != 0)
+@given(st.integers(), st.integers().filter(bool))
+def test_rational_division_of_ints_is_exact(a, b):
+    q = QQ.div(a, b)
+    assert isinstance(q, Fraction)
+    assert QQ.mul(q, b) == a
 
 
-@given(nonzero_rationals)
-def test_rational_inverse(a):
-    assert QQ.mul(QQ.of(a), QQ.inv(QQ.of(a))) == 1
+def test_rational_division_by_zero_is_refused():
+    with pytest.raises(FieldError):
+        QQ.div(QQ.one, 0)
 
 
 @given(st.fractions(), st.fractions(), st.fractions())
