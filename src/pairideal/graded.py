@@ -1,12 +1,12 @@
 """Degreewise exact linear algebra on the pair ring.
 
 Everything here is Groebner-free by design, save the generators of the
-symmetric ideal: bidegree pieces of the ideal of pairs (and its powers) and
-of its quotient, bigraded Hilbert functions, Koszul-complex Betti tables,
-syzygy slices, the slices of the critical-set ideal and of its logarithmic
-subideal, and the bounded linear-type comparison.  Each piece is a finite
-exact computation, so these routines double as an independent oracle for
-the Groebner route.
+symmetric ideal and the Schreyer grades that bound the Koszul table: bidegree
+pieces of the ideal of pairs (and its powers) and of its quotient, bigraded
+Hilbert functions, Koszul-complex Betti tables, syzygy slices, the slices of
+the critical-set ideal and of its logarithmic subideal, and the bounded
+linear-type comparison.  Each piece is a finite exact computation, so these
+routines double as an independent oracle for the Groebner route.
 
 The quotient pieces (S/I)_delta, which the Koszul table reads, are
 cokernels of the Koszul relations on the lower quotient pieces, divided by
@@ -459,58 +459,45 @@ class GradedEngine:
         return dim_p - self._koszul_rank(p, bideg) - self._koszul_rank(p + 1, bideg)
 
     def koszul_betti(self, window=None, target="quotient", hard_cap=None) -> BettiTable:
-        """Bigraded Betti numbers via Koszul homology, auto-widened window.
+        """Bigraded Betti numbers of S/I by Koszul homology, with no scan window.
 
-        The scan starts on the triangle i+j <= window (default n+2) and is
-        widened until every homological degree shows a zero margin past its
-        last nonzero entry; each computed entry is exact regardless.
+        The Schreyer complex F of S/I is a free resolution, so Tor_p is zero
+        in each grade where F_p has no generator (Eisenbud, The Geometry of
+        Syzygies, ch. 1).  Homology is computed only at F's grades; at the
+        other bidegrees off the axes of the reported triangle a nonzero
+        Koszul Euler characteristic raises RingError.  The triangle i+j <= T
+        follows the widening rule on the entries E, from `window` (n+2) up to
+        `hard_cap` (2n+2); `certified_window` says E lies in it.
         """
         n = self.pairs.n
+        grades = {g for level in self.pairs.quotient_complex().level_grades for g in level}
+        entries = {(0, (0, 0)): 1}
+        for bideg in grades:
+            for p in range(n + 1):
+                entries[(p, bideg)] = self.koszul_homology_dim(p, bideg)
+
+        def need(T):
+            top = {}
+            for (p, (i, j)), v in entries.items():
+                if v and i + j <= T:
+                    mi, mj = top.get(p, (i, j))
+                    top[p] = max(mi, i), max(mj, j)
+            return max(mi + mj for mi, mj in top.values()) + 2
+
         T = window if window is not None else n + 2
         cap = hard_cap if hard_cap is not None else 2 * n + 2
-        nmax = n  # pdim <= number of variables
-        entries = {}
-        computed = set()
-
-        def compute_region(bound):
-            for i in range(bound + 1):
-                for j in range(bound + 1 - i):
-                    if (i, j) in computed:
-                        continue
-                    computed.add((i, j))
-                    if i == 0 and j == 0:
-                        entries[(0, (0, 0))] = 1
-                        continue
-                    if i == 0 or j == 0:
-                        continue  # quotient Tor vanishes off the origin on the axes
-                    for p in range(nmax + 1):
-                        h = self.koszul_homology_dim(p, (i, j))
-                        if h:
-                            entries[(p, (i, j))] = h
-
-        compute_region(T)
-        certified = True
-        while True:
-            need = 0
-            for p in range(nmax + 1):
-                nz = [b for (q, b) in entries if q == p]
-                if not nz:
-                    continue
-                mi = max(b[0] for b in nz)
-                mj = max(b[1] for b in nz)
-                need = max(need, mi + mj + 2)
-            if need <= T:
-                break
-            if need > cap:
-                certified = False
-                break
-            T = need
-            compute_region(T)
+        while T < (grown := need(T)) <= cap:
+            T = grown
+        for i in range(1, T):
+            for j in range(1, T + 1 - i):
+                chi = sum((-1) ** p * self._chain_basis(p, (i, j))[1] for p in range(n + 1))
+                if chi and (i, j) not in grades:
+                    raise RingError(f"Euler characteristic {chi} at {(i, j)}, off F's grades")
+        shown = {(p, b): v for (p, b), v in entries.items() if sum(b) <= T}
+        certified = all(sum(b) <= T for (_, b), v in entries.items() if v)
         desc = f"i+j<={T} (triangle, auto-widened)"
-        table = BettiTable("quotient", "koszul", entries, desc, certified)
-        if target == "ideal":
-            return table.ideal_view()
-        return table
+        table = BettiTable("quotient", "koszul", shown, desc, certified)
+        return table.ideal_view() if target == "ideal" else table
 
     # -- kernels of products ---------------------------------------------------
     def _product_kernel(self, products, target):

@@ -474,30 +474,29 @@ def colon_module(ctx: ModuleContext, basis, rank, elems, copies=1):
     return out
 
 
-def linear_prime_is_associated(ctx: ModuleContext, basis, rank, forms):
-    """Whether the linear prime P = (forms) is associated to E/N.
+def linear_prime_is_associated(ctx: ModuleContext, basis, rank, prime: Ideal):
+    """Whether the linear prime P, an Ideal of linear forms, is associated to E/N.
 
     E is free of rank `rank` over ctx.ring, `basis` a reduced Groebner basis
     of N (S/I is the rank-one case).  Exact criterion: P is associated iff
-    the annihilator of some generator w of (N : P) modulo N lies in P, the
-    Ideal of the forms.  (N : P) is the colon of the vectors
-    (l_1 e_b, ..., l_c e_b) by c copies of N; its generators are taken
-    modulo N, smallest first, and each annihilator is tested generator by
-    generator.  Returns (verdict, w) with the successful w as a raw vector.
+    the annihilator of some generator w of (N : P) modulo N lies in P.
+    (N : P) is the colon of the vectors (l_1 e_b, ..., l_c e_b) by c copies
+    of N; its generators are taken modulo N, smallest first, and each
+    annihilator is tested generator by generator.  Returns (verdict, w)
+    with the successful w as a raw vector.
     """
-    forms_raw = [poly_to_raw(f) for f in forms]
+    forms_raw = [poly_to_raw(f) for f in prime.gens]
     elems = [
         {(t * rank + b, e): v for t, f in enumerate(forms_raw) for (_z, e), v in f.items()}
         for b in range(rank)
     ]
     raws = [g.raw for g in basis]
     cands = {}
-    for w in colon_module(ctx, raws, rank, elems, copies=len(forms)):
+    for w in colon_module(ctx, raws, rank, elems, copies=len(forms_raw)):
         w = _normal_form(ctx, w, basis)
         if w:
             cands.setdefault(frozenset(w.items()), w)
     ring = ctx.ring
-    prime = Ideal(ring, forms)
     for w in sorted(cands.values(), key=lambda w: (max(sum(e) for _, e in w), len(w))):
         ann = colon_module(ctx, raws, rank, [w])
         if all(prime.member(raw_to_poly(ring, a)) for a in ann):
@@ -661,5 +660,5 @@ def is_associated(I: Ideal, prime_gens):
     if prime is None:
         return (True, None)  # the zero prime, and I is zero
     ctx, gb = I._gb_elements()
-    verdict, w = linear_prime_is_associated(ctx, gb, 1, prime.gens)
+    verdict, w = linear_prime_is_associated(ctx, gb, 1, prime)
     return (verdict, raw_to_poly(I.ring, w) if verdict else None)

@@ -361,7 +361,8 @@ def module_prime_is_associated(ctx, basis, rank, prime_forms) -> bool:
     E is free of rank `rank`, `basis` a reduced Groebner basis of N: the
     rank-`rank` case of linear_prime_is_associated.
     """
-    return bool(prime_forms) and linear_prime_is_associated(ctx, basis, rank, prime_forms)[0]
+    prime = Ideal(ctx.ring, prime_forms)
+    return bool(prime_forms) and linear_prime_is_associated(ctx, basis, rank, prime)[0]
 
 
 def prime_lists(pairs: PairsIdeal):

@@ -173,8 +173,7 @@ def test_criterion_6_properties():
         ent_sw = bench.pairs.swap_roles().quotient_complex().minimal_betti()
         assert {(p, (b[1], b[0])): v for (p, b), v in ent_sw.items()} == ent, name
 
-    # Koszul and resolution methods agree (full tables at small scale,
-    # windowed comparison for the nine-line fixture)
+    # Koszul and resolution methods agree on the full tables
     for name in ("u:1:2", "u:2:4", "u:3:5", "a3", "seven", "fail_A", "boolean:3"):
         bench = benches[name]
         k = bench.koszul_betti(target="quotient")
@@ -182,12 +181,9 @@ def test_criterion_6_properties():
         assert k.entries == r.entries, name
         assert k.certified_window, name
     bb = benches["bracelet9"]
-    kosz = bb.engine.koszul_betti(window=5, hard_cap=5, target="quotient")
-    resol = bb.resolution_betti(target="quotient")
-    window_entries = {
-        key: v for key, v in resol.entries.items() if key[1][0] + key[1][1] <= 5
-    }
-    assert dict(kosz.entries) == window_entries
+    kosz = bb.engine.koszul_betti(target="quotient")
+    assert kosz.entries == bb.resolution_betti(target="quotient").entries
+    assert kosz.certified_window
 
     # the zero-set certificate succeeds on every loopless fixture
     for name, bench in benches.items():

@@ -5,8 +5,8 @@ The `primes` files hold the colon witnesses, which depend on the exact
 Groebner runs behind the associated-prime tests; any change to those runs
 that alters a witness or a verdict shows here.  The `analyze` and `betti`
 files gate the Betti tables, derivation data and reports over QQ and
-GF(32003); the Koszul table of seven, the widest window the Koszul route
-scans among them (i+j <= 12), is gated on both fields, as are both tables
+GF(32003); the Koszul table of seven, the widest window reported among
+them (i+j <= 12), is gated on both fields, as are both tables
 of u:3:5, and the Koszul table of fail_PA over GF(32003).  The `verify`
 files gate all eight verification targets on a3
 over QQ and GF(32003); syzygy-slices, derivation-param, tor-of-der and

@@ -1,5 +1,7 @@
 """Degreewise engine: pieces, Hilbert data, Koszul homology, slices."""
 
+import re
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb, prod
@@ -16,7 +18,7 @@ from pairideal.io import InputSpec
 from pairideal.linalg import ExactMatrix
 from pairideal.matroid import Realization
 from pairideal.pairs import PairsIdeal
-from pairideal.resolution import ModulePieces
+from pairideal.resolution import ModulePieces, SchreyerResolution
 from pairideal.ring import RingError, _compositions, pair_ring
 from pairideal.scalars import QQ, PrimeField
 from pairideal.spans import Echelon, grow
@@ -179,6 +181,99 @@ def test_koszul_euler_characteristic(a3):
         assert chi_tor == chi_chain
 
 
+def _widening_scan(eng, window=None, hard_cap=None):
+    """The Koszul table by the triangle scan that widens until every
+    homological degree shows a zero margin past its last entry, every
+    bidegree of the triangle computed: the oracle of `koszul_betti`."""
+    n = eng.pairs.n
+    T = window if window is not None else n + 2
+    cap = hard_cap if hard_cap is not None else 2 * n + 2
+    entries, computed = {(0, (0, 0)): 1}, set()
+    while True:
+        for i in range(1, T + 1):
+            for j in range(1, T + 1 - i):
+                if (i, j) not in computed:  # Tor of S/I vanishes on the axes off the origin
+                    computed.add((i, j))
+                    for p in range(n + 1):
+                        entries[(p, (i, j))] = eng.koszul_homology_dim(p, (i, j))
+        need = 0
+        for p in range(n + 1):
+            nz = [b for (q, b), v in entries.items() if q == p and v]
+            if nz:
+                need = max(need, max(i for i, _ in nz) + max(j for _, j in nz) + 2)
+        if need <= T or need > cap:
+            desc = f"i+j<={T} (triangle, auto-widened)"
+            return graded.BettiTable("quotient", "koszul", entries, desc, need <= T)
+        T = need
+
+
+KOSZUL_ORACLE = ["a3", "seven", "u:3:5", "fail_A", "fail_PA", "boolean:3"]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["QQ", "GF32003"])
+@pytest.mark.parametrize("name", KOSZUL_ORACLE)
+def test_koszul_table_equals_widening_scan(name, field):
+    # the Schreyer grades and the Euler characteristic elsewhere give the
+    # table, window and flag of the scan that computes every bidegree
+    pairs = PairsIdeal(get_fixture(name, field))
+    eng, oracle = GradedEngine(pairs), GradedEngine(pairs)
+    for kw in ({}, {"window": 3, "hard_cap": 3}):
+        got, want = eng.koszul_betti(**kw), _widening_scan(oracle, **kw)
+        assert got.entries == want.entries, kw
+        assert got.window_description == want.window_description, kw
+        assert got.certified_window == want.certified_window, kw
+
+
+# Schreyer generators whose grade no other generator of the complex shares
+LONE_GENERATORS = {"a3": 2, "fail_A": 1, "fail_PA": 1, "u:3:5": 1, "seven": 1}
+
+
+@pytest.mark.parametrize("name", sorted(LONE_GENERATORS))
+def test_koszul_table_refuses_a_complex_with_a_dropped_generator(name, monkeypatch):
+    # a lone generator is minimal, so Tor is nonzero at its grade and at one
+    # p only: dropped, the Euler characteristic there is nonzero and must
+    # raise, never give a smaller table; any other drop keeps the grades
+    # and so the table.  One engine serves every drop: its Koszul ranks are
+    # exact whichever complex is read, so only the scan and the check rerun
+    pairs = PairsIdeal(get_fixture(name))
+    eng, cx = GradedEngine(pairs), pairs.quotient_complex()
+    full = eng.koszul_betti()
+    count = Counter(g for level in cx.level_grades for g in level)
+    lone = 0
+    for p, level in enumerate(cx.level_grades):
+        for t, grade in enumerate(level):
+            levels, grades = [list(lv) for lv in cx.levels], [list(lv) for lv in cx.level_grades]
+            del levels[p][t], grades[p][t]
+            planted = SchreyerResolution(cx.ring, cx.ambient_shifts, levels, grades)
+            monkeypatch.setattr(pairs, "quotient_complex", lambda planted=planted: planted)
+            if count[grade] == 1:
+                lone += 1
+                with pytest.raises(RingError, match=re.escape(f"at {grade}, off")):
+                    eng.koszul_betti()
+                continue
+            table = eng.koszul_betti()
+            assert table.entries == full.entries, (p, t)
+            assert (table.window_description, table.certified_window) == (
+                full.window_description,
+                full.certified_window,
+            )
+    assert lone == LONE_GENERATORS[name]
+
+
+def test_koszul_table_of_seven_reads_homology_only_at_schreyer_grades(monkeypatch):
+    # 28 of the 66 bidegrees of the triangle i+j <= 12 carry a generator of
+    # the Schreyer complex; the Euler characteristic covers the other 38
+    pairs = PairsIdeal(get_fixture("seven"))
+    eng, visited = GradedEngine(pairs), set()
+    homology = eng.koszul_homology_dim
+    monkeypatch.setattr(
+        eng, "koszul_homology_dim", lambda p, bideg: visited.add(bideg) or homology(p, bideg)
+    )
+    assert eng.koszul_betti().window_description == "i+j<=12 (triangle, auto-widened)"
+    assert visited == {g for level in pairs.quotient_complex().level_grades for g in level}
+    assert len(visited) == 28
+
+
 # (fixture, i+j bound): the default Koszul window n + 2, seven's cut to 7
 KOSZUL_WINDOWS = [("a3", 8), ("u:3:5", 7), ("fail_A", 7), ("seven", 7)]
 
@@ -247,6 +342,7 @@ def test_bounded_koszul_ranks_equal_full_elimination(name, window, field):
 def test_koszul_table_builds_few_columns(monkeypatch):
     # eliminating every boundary column, the Koszul table of seven made
     # 84,723 inserts; the rank bounds and the lead certificate leave 37,043
+    # over the triangle i+j <= 12, and 6,626 at the Schreyer grades alone
     eng = GradedEngine(PairsIdeal(get_fixture("seven")))
     depth, calls = [0], []
     rank, insert = GradedEngine._koszul_rank, Echelon.insert
@@ -263,7 +359,7 @@ def test_koszul_table_builds_few_columns(monkeypatch):
         Echelon, "insert", lambda self, vec: (depth[0] and calls.append(1)) or insert(self, vec)
     )
     assert sum(v for (p, _), v in eng.koszul_betti().entries.items() if p == 7) == 1
-    assert len(calls) <= 45_000
+    assert len(calls) <= 8_000
 
 
 def test_koszul_rank_refuses_more_leads_than_its_bound(monkeypatch):

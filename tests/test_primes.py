@@ -453,3 +453,13 @@ def test_primes_seven_slices_buchberger_runs(monkeypatch, capsys):
     capsys.readouterr()
     assert 0 < runs <= 60
     assert untracked == 3
+
+
+def test_primes_builds_each_prime_basis_once(monkeypatch, capsys):
+    # the colon test of each candidate reads the reduced basis of P from the
+    # Ideal that `prime_containing` checked: one linear basis per candidate
+    calls = []
+    basis = groebner._linear_basis
+    monkeypatch.setattr(groebner, "_linear_basis", lambda *a: calls.append(1) or basis(*a))
+    assert main(["primes", "a3"]) == 0
+    assert len(calls) == 6
