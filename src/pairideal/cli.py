@@ -54,13 +54,11 @@ def _bench(source, args):
     return Workbench(re, drop_loops=drop, window=window, bound=bound)
 
 
-def _emit(args, data, text_renderer=None):
+def _emit(args, data, text_renderer):
     if getattr(args, "json", False):
         print(json.dumps(data, indent=2, sort_keys=True, default=str))
-    elif text_renderer is not None:
-        text_renderer(data)
     else:
-        print(json.dumps(data, indent=2, sort_keys=True, default=str))
+        text_renderer(data)
 
 
 def cmd_fixtures(args):

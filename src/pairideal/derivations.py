@@ -4,8 +4,10 @@ comparison.
 The module of logarithmic derivations D is computed as the y-degree-one
 syzygy module of the pair generators over the x-subring (certified via
 tracked Groebner syzygies), then minimalized.  Its Tor comes from the
-Schreyer complex over F/D, F the free module of c-vectors: Tor_0(D) is read
-from the minimal generators, and Tor_p(D) = Tor_{p+1}(F/D) for p >= 1.
+Schreyer complex of the slice E/N (`PairsIdeal.slice_complex`): D is the
+syzygy module of the columns that present N, so N = F/D for F the free
+module of c-vectors, and E is free; Tor_0(D) is read from the minimal
+generators, and Tor_p(D) = Tor_{p+2}(E/N) for p >= 1.
 Every emitted generator is re-verified against the defining identity
 theta(f_j) in (f_j).
 """
@@ -13,12 +15,11 @@ theta(f_j) in (f_j).
 from __future__ import annotations
 
 from .graded import theta_from_syzygy
-from .groebner import ModuleContext, module_syzygies, reduced_basis
 from .linalg import ExactMatrix
 from .matroid import LoopError, MatroidError, Realization
 from .pairs import PairsIdeal
 from .ring import Poly, RingError
-from .resolution import ResolutionError, minimal_generators, raw_grade, schreyer_resolution
+from .resolution import minimal_generators, raw_grade
 
 
 class DerivationModule:
@@ -34,32 +35,23 @@ class DerivationModule:
 
     def _build(self):
         pairs = self.pairs
-        n, s = pairs.n, pairs.s
-        # the presentation: f_k times the y-coordinates of g_k
-        R, _, cols, scales = pairs.slice_columns()
-        self.ring = R
-        ctx = ModuleContext(R, shifts={u: 0 for u in range(max(s, 1))})
-        syz = [
-            {(k, e): v * scales[k] for (k, e), v in sz.items()}
-            for sz in module_syzygies(ctx, cols)
-        ]
-        shifts = [(1,)] * n  # a c-vector of x-degree d-1 sits in degree d
+        s = pairs.s
+        # the relations of the presentation: f_k times the y-coordinates of g_k
+        ctx, _, syz, res = pairs.slice_complex()
+        R = self.ring = ctx.ring
+        shifts = [(1,)] * pairs.n  # a c-vector of x-degree d-1 sits in degree d
         self.kernel_generators = minimal_generators(R, syz, shifts)
         self.generator_degrees = [
             raw_grade(R, rawv, shifts)[0] - 1 for rawv in self.kernel_generators
         ]
         # the generators have constant entries (the Euler derivation), so
-        # Tor_0(D) is read from their grades, not from Tor_1(F/D)
+        # Tor_0(D) is read from their grades, not from Tor_2(E/N)
         tor = {}
         for d in self.generator_degrees:
             tor[(0, d)] = tor.get((0, d), 0) + 1
-        ctx = ModuleContext(R, shifts={k: 1 for k in range(n)})
-        res = schreyer_resolution(ctx, reduced_basis(ctx, self.kernel_generators), shifts)
-        if not res.verify_complex():
-            raise ResolutionError("differentials do not compose to zero")
         for (p, g), v in res.minimal_betti().items():
-            if p >= 2:
-                tor[(p - 1, g[0] - 1)] = v
+            if p >= 3:
+                tor[(p - 2, g[0] - 1)] = v
         self._tor = tor
         self.pdim = max(p for p, _ in tor)
         self.free = self.pdim == 0

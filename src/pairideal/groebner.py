@@ -87,17 +87,17 @@ TRACE_EVERY = 1000
 # raw element helpers
 
 
-def poly_to_raw(p: Poly, pos=0):
-    """Poly -> {(pos, exp): int coeff} through `to_ints`; primitive over QQ."""
+def poly_to_raw(p: Poly):
+    """Poly -> {(0, exp): int coeff} through `to_ints`; primitive over QQ."""
     char = p.ring.field.char
     ints, _ = to_ints(p.terms, char)
-    raw = {(pos, e): v for e, v in ints.items()}
+    raw = {(0, e): v for e, v in ints.items()}
     return raw if char else strip(raw)
 
 
-def raw_to_poly(ring: PolyRing, raw, pos=0):
+def raw_to_poly(ring: PolyRing, raw):
     F = ring.field
-    terms = [(e, F.of(c)) for (q, e), c in raw.items() if q == pos]
+    terms = [(e, F.of(c)) for (q, e), c in raw.items() if q == 0]
     return ring.from_terms(terms)
 
 

@@ -138,9 +138,9 @@ class InputSpec:
         return Realization(self.name, field, matrix)
 
 
-def spec_for_realization(re: Realization, options=None) -> InputSpec:
+def spec_for_realization(re: Realization) -> InputSpec:
     rows = [[_scalar_json(re.field, e) for e in row] for row in re.matrix.entries]
-    return InputSpec(re.name, field_descriptor(re.field), rows, options)
+    return InputSpec(re.name, field_descriptor(re.field), rows)
 
 
 def _scalar_json(field, value):

@@ -13,15 +13,18 @@ the ground-set permutation is recorded and inverted in reports.
 
 The objects derived from the whole ideal are memoized on it: the `Ideal`
 of S/I with its Groebner basis, the Schreyer complex of S/I and its
-minimal Betti entries, and the pairs ideal of the dual realization.
+minimal Betti entries, the slice E/N with its reduced basis, column
+syzygies and Schreyer complex, and the pairs ideal of the dual realization.
+The column syzygies are the logarithmic derivations D, and N = F/D with E
+and F free, so Tor_p(D) = Tor_(p+2)(E/N) for p >= 1.
 """
 
 from __future__ import annotations
 
-from .groebner import Ideal
+from .groebner import Ideal, ModuleContext, buchberger, interreduce
 from .matroid import ColoopError, LoopError, MatroidError, Realization, labels
 from .memo import memo
-from .resolution import SchreyerResolution, schreyer_resolution
+from .resolution import ResolutionError, SchreyerResolution, schreyer_resolution
 from .ring import _unit, pair_ring, x_ring
 from .spans import to_ints
 
@@ -177,6 +180,22 @@ class PairsIdeal:
             cols.append(col)
             scales.append(lam)
         return x_ring(F, r), self.s, cols, scales
+
+    @memo
+    def slice_complex(self):
+        """The slice E/N from one tracked run on `slice_columns()`: (context,
+        reduced basis of N, syzygies of the slices of the f_k g_k, verified
+        Schreyer complex of E/N).  The syzygies generate D, as raw vectors
+        {(k, exponent): coeff} over the column indices k."""
+        ring, m, cols, scales = self.slice_columns()
+        ctx = ModuleContext(ring)
+        gb, syz = buchberger(ctx, cols, track=True)
+        basis = interreduce(ctx, gb)
+        res = schreyer_resolution(ctx, basis, [(0,) * ring.ngrades] * m)
+        if not res.verify_complex():
+            raise ResolutionError("differentials do not compose to zero")
+        syz = [{(k, e): v * scales[k] for (k, e), v in sz.items()} for sz in syz]
+        return ctx, basis, syz, res
 
     # -- duality ----------------------------------------------------------------------
     def require_no_coloops(self, context: str):

@@ -22,12 +22,14 @@ and of the slices E/N decide each one by two rules, in this order:
 
 F is the exact Schreyer complex, with no scan window, started from the
 reduced Groebner basis that the colon test holds: for S/I the one memoized
-on the ideal, `PairsIdeal.quotient_complex`, for the slices the complex of
-the `slice_columns()` presentation.  Only a candidate that neither rule
-rules out gets the colon test, `groebner.linear_prime_is_associated` on top
-of the one tracked-colon primitive `groebner.colon_module`: for S/I as its
-rank-one case (`is_associated`), for the degree-one slices as its rank-m
-case (`module_prime_is_associated`).  It decides the candidate, and an
+on the ideal, `PairsIdeal.quotient_complex`, for the slices the one
+memoized with the slice, `PairsIdeal.slice_complex`, which also gives the
+derivation module D its Tor: Tor_p(D) = Tor_(p+2)(E/N) for p >= 1.  Only
+a candidate that neither rule rules out gets the colon test,
+`groebner.linear_prime_is_associated` on top of the one tracked-colon
+primitive `groebner.colon_module`: for S/I as its rank-one case
+(`is_associated`), for the degree-one slices as its rank-m case
+(`module_prime_is_associated`).  It decides the candidate, and an
 associated prime of S/I keeps its colon witness; both scans are one loop,
 `_scan`.  Absence of an embedded prime is only ever asserted by these rules
 or that test; degreewise scans may only report presence.
@@ -41,16 +43,13 @@ from .graded import GradedEngine
 from .groebner import (
     GroebnerError,
     Ideal,
-    ModuleContext,
     is_associated,
     linear_coords,
     linear_prime_is_associated,
     linear_span,
-    reduced_basis,
 )
 from .matroid import MatroidError, biflats
 from .pairs import PairsIdeal
-from .resolution import schreyer_resolution
 from .ring import _unit
 
 
@@ -198,15 +197,13 @@ def _prime_ideal(p: LinearPrime) -> Ideal:
     return Ideal(ring, p.forms or [ring.zero()])
 
 
-def _power_membership(ideal: Ideal, h, max_power=8):
-    """Smallest k <= max_power with h^k in the ideal, else None."""
+def _power_membership(ideal: Ideal, h):
+    """Smallest k <= 8 with h^k in the ideal, else None."""
     power = h
-    k = 1
-    while k <= max_power:
+    for k in range(1, 9):
         if ideal.member(power):
             return k
         power = power * h
-        k += 1
     return None
 
 
@@ -320,15 +317,13 @@ def slice_associated_primes(pairs: PairsIdeal, progress=None):
     slice is this scan on `pairs.swap_roles()`, whose flats are the dual
     flats.  A candidate is ruled out by the ranks of the Schreyer complex
     of E/N at one point of V(P_F) (`ranks_rule_out`, b_0 = rank E); the
-    module colon test decides the rest.  Both start from one reduced basis
-    of N.  `progress(flat, verdict)` fires once per candidate.  Requires no
-    loops or coloops.
+    module colon test decides the rest.  Both read the reduced basis of N
+    in `pairs.slice_complex()`.  `progress(flat, verdict)` fires once per
+    candidate.  Requires no loops or coloops.
     """
     pairs.require_no_coloops("slice associated primes")
-    ring, m, cols, _ = pairs.slice_columns()
-    ctx = ModuleContext(ring)
-    basis = reduced_basis(ctx, cols)
-    res = schreyer_resolution(ctx, basis, [(0,) * ring.ngrades] * m)
+    ctx, basis, _, res = pairs.slice_complex()
+    ring, m = ctx.ring, res.free_rank(0)
     M = pairs.matroid
     minimal_cyc = M.minimal_nonempty_cyclic_flats()
     # associated primes contain a minimal prime (so F is nonempty); f_i has
@@ -389,32 +384,25 @@ def uniform_checks(engine: GradedEngine):
     tuple (informative for non-uniform inputs, an error for uniform ones).
     """
     pairs = engine.pairs
-    M = pairs.matroid
     r, n = pairs.r, pairs.n
-    report = {"uniform": M.is_uniform(), "products_checked": 0, "failures": []}
-    if report["uniform"]:
-        for combo in combinations_with_replacement(range(n), r):
-            prod = pairs.ring.one()
-            for i in combo:
-                prod = prod * pairs.g[i]
-            for a in range(n):
-                elem = prod * pairs.f[a]
-                report["products_checked"] += 1
-                if not elem.is_zero() and not engine.member(elem):
-                    report["failures"].append(
-                        {
-                            "tuple": [pairs.to_original(i) for i in combo],
-                            "form": pairs.to_original(a),
-                        }
-                    )
-    basis = sorted(range(r))  # the pinned leading basis
+    uniform = pairs.matroid.is_uniform()
+    report = {"uniform": uniform, "products_checked": 0, "failures": []}
+    basis = tuple(range(r))  # the pinned leading basis, one of the uniform tuples
     basis_failures = []
-    prod = pairs.ring.one()
-    for i in basis:
-        prod = prod * pairs.g[i]
-    for a in range(n):
-        elem = prod * pairs.f[a]
-        if not elem.is_zero() and not engine.member(elem):
-            basis_failures.append(pairs.to_original(a))
+    for combo in combinations_with_replacement(range(n), r) if uniform else [basis]:
+        prod = pairs.ring.one()
+        for i in combo:
+            prod = prod * pairs.g[i]
+        for a in range(n):
+            elem = prod * pairs.f[a]
+            report["products_checked"] += uniform
+            if elem.is_zero() or engine.member(elem):
+                continue
+            if uniform:
+                report["failures"].append(
+                    {"tuple": [pairs.to_original(i) for i in combo], "form": pairs.to_original(a)}
+                )
+            if combo == basis:
+                basis_failures.append(pairs.to_original(a))
     report["basis_product_failures"] = basis_failures
     return report

@@ -384,16 +384,13 @@ class Workbench:
                     f"linear part exceeds the relation ideal at {rec} (bug)"
                 )
         strict = None
-        for i in range(0, self.window):
-            for j in (2,):
-                ix = eng.ix_dim(i, j)
-                il = eng.ilog_slice(dm.c_vectors, i, j).dim
-                if il > ix:
-                    return self._fail(f"logarithmic slice exceeds relation slice at ({i};{j})")
-                if il < ix:
-                    strict = (i, j)
-                    break
-            if strict:
+        for i in range(self.window):
+            ix = eng.ix_dim(i, 2)
+            il = eng.ilog_slice(dm.c_vectors, i, 2).dim
+            if il > ix:
+                return self._fail(f"logarithmic slice exceeds relation slice at ({i};2)")
+            if il < ix:
+                strict = (i, 2)
                 break
         # the record (i,0;j) of a strict slice must fail, when the bound
         # reaches it; past the bound no record can show it

@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 
 from pairideal import groebner, primes, resolution
+from pairideal import pairs as pairs_module
 from pairideal.cli import main
 from pairideal.fixtures import get_fixture
 from pairideal.groebner import (
@@ -438,21 +439,28 @@ def test_primes_seven_slices_tracked_entries(monkeypatch, capsys):
 def test_primes_seven_slices_buchberger_runs(monkeypatch, capsys):
     # ideals of linear forms get their bases by linear algebra, and each
     # module gets one reduced basis, shared by its Schreyer complex and its
-    # colon tests: one untracked run for S/I and one per slice side
+    # colon tests: one untracked run for S/I, and per slice side one tracked
+    # run on its columns (`PairsIdeal.slice_complex`)
     runs = untracked = 0
+    tracked = []
 
-    def counted(*args, track=False, **kw):
+    def counted(ctx, inputs, track=False, **kw):
         nonlocal runs, untracked
         runs += 1
         untracked += not track
-        return buchberger(*args, track=track, **kw)
+        if track:
+            tracked.append(inputs)
+        return buchberger(ctx, inputs, track=track, **kw)
 
-    for module in (groebner, resolution):
+    for module in (groebner, pairs_module, resolution):
         monkeypatch.setattr(module, "buchberger", counted)
     assert main(["primes", "seven", "--slices"]) == 0
     capsys.readouterr()
     assert 0 < runs <= 60
-    assert untracked == 3
+    assert untracked == 1
+    seven = PairsIdeal(get_fixture("seven"))
+    for side in (seven, seven.swap_roles()):
+        assert sum(inputs == side.slice_columns()[2] for inputs in tracked) == 1
 
 
 def test_primes_builds_each_prime_basis_once(monkeypatch, capsys):

@@ -1,18 +1,33 @@
 from math import comb
+from pathlib import Path
 
 import pytest
 
-from pairideal.groebner import ModuleContext, poly_to_raw, reduced_basis
+from pairideal import groebner, resolution
+from pairideal import pairs as pairs_module
+from pairideal.cli import main
+from pairideal.groebner import (
+    ModuleContext,
+    buchberger,
+    module_syzygies,
+    poly_to_raw,
+    reduced_basis,
+)
+from pairideal.io import InputSpec
+from pairideal.linalg import ExactMatrix
+from pairideal.matroid import Realization
 from pairideal.resolution import (
     ModulePieces,
     ResolutionError,
     SchreyerResolution,
     minimal_generators,
+    raw_grade,
     schreyer_resolution,
 )
 from pairideal.derivations import DerivationModule
 from pairideal.fixtures import get_fixture
 from pairideal.pairs import PairsIdeal
+from pairideal.primes import slice_associated_primes
 from pairideal.ring import x_ring
 from pairideal.scalars import QQ, PrimeField
 from pairideal.workbench import Workbench
@@ -128,10 +143,104 @@ def test_verify_complex_sees_one_altered_coefficient(a3):
     assert not res.verify_complex()
 
 
-def test_derivation_module_refuses_a_broken_complex(a3, monkeypatch):
+def test_derivation_module_refuses_a_broken_complex(monkeypatch):
+    # the slice complex is memoized on its PairsIdeal: a fresh one builds it
     monkeypatch.setattr(SchreyerResolution, "verify_complex", lambda self: False)
     with pytest.raises(ResolutionError):
-        DerivationModule(a3.pairs)
+        DerivationModule(PairsIdeal(get_fixture("a3")))
+
+
+def test_slice_primes_refuse_a_broken_complex(monkeypatch):
+    monkeypatch.setattr(SchreyerResolution, "verify_complex", lambda self: False)
+    with pytest.raises(ResolutionError):
+        slice_associated_primes(PairsIdeal(get_fixture("a3")))
+
+
+def test_slice_complex_is_built_once():
+    pairs = PairsIdeal(get_fixture("seven"))
+    assert pairs.slice_complex() is pairs.slice_complex()
+
+
+def test_verify_seven_buchberger_runs(monkeypatch, capsys):
+    # the derivation module and the slice scans read one slice complex per
+    # side, where the derivation module once made three runs of its own
+    runs = 0
+
+    def counted(*args, **kw):
+        nonlocal runs
+        runs += 1
+        return buchberger(*args, **kw)
+
+    for module in (groebner, pairs_module, resolution):
+        monkeypatch.setattr(module, "buchberger", counted)
+    assert main(["verify", "seven"]) == 0
+    capsys.readouterr()
+    assert 0 < runs <= 24
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["QQ", "GF32003"])
+@pytest.mark.parametrize("name", ["a3", "seven", "fail_A", "boolean:3", "u:3:5"])
+def test_slice_complex_starts_from_the_reduced_basis_of_the_columns(name, field):
+    # a reduced basis is unique: the tracked run's, interreduced, is the
+    # untracked one's (boolean:3 is all coloops: zero columns, no level)
+    pairs = PairsIdeal(get_fixture(name, field=field))
+    ring, m, cols, _ = pairs.slice_columns()
+    ctx, basis, _, res = pairs.slice_complex()
+    assert [g.raw for g in basis] == [g.raw for g in reduced_basis(ModuleContext(ring), cols)]
+    assert res.levels[:1] == ([[g.raw for g in basis]] if basis else [])
+    assert res.free_rank(0) == m
+
+
+def _tor_from_f_mod_d(pairs):
+    """Tor of D by a second route: a tracked run for D, then the Schreyer
+    complex of F/D, F free on the columns; Tor_0(D) from the minimal
+    generators and Tor_p(D) = Tor_(p+1)(F/D) for p >= 1."""
+    R, _, cols, scales = pairs.slice_columns()
+    syz = [
+        {(k, e): v * scales[k] for (k, e), v in sz.items()}
+        for sz in module_syzygies(ModuleContext(R), cols)
+    ]
+    shifts = [(1,)] * pairs.n
+    gens = minimal_generators(R, syz, shifts)
+    tor = {}
+    for raw in gens:
+        d = raw_grade(R, raw, shifts)[0] - 1
+        tor[(0, d)] = tor.get((0, d), 0) + 1
+    ctx = ModuleContext(R, shifts={k: 1 for k in range(pairs.n)})
+    res = schreyer_resolution(ctx, reduced_basis(ctx, gens), shifts)
+    assert res.verify_complex()
+    for (p, g), v in res.minimal_betti().items():
+        if p >= 2:
+            tor[(p - 1, g[0] - 1)] = v
+    return tor
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["QQ", "GF32003"])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "a3",
+        "seven",
+        "bracelet9",
+        "u:3:5",
+        "u:4:6",
+        "u:5:7",
+        "fail_A",
+        "fail_PA",
+        "boolean:3",
+        "seven_loop",
+    ],
+)
+def test_derivation_tor_equals_the_f_mod_d_route(name, field):
+    # Tor_p(D) read off E/N at p + 2 equals Tor_(p+1)(F/D)
+    if name == "seven_loop":
+        spec = InputSpec.from_file(Path(__file__).parent / "golden" / "seven_loop.json")
+        pairs = PairsIdeal(
+            Realization(name, field, ExactMatrix(field, spec.matrix_rows)), drop_loops=True
+        )
+    else:
+        pairs = PairsIdeal(get_fixture(name, field=field))
+    assert DerivationModule(pairs).tor_dims() == _tor_from_f_mod_d(pairs)
 
 
 @pytest.mark.parametrize(
@@ -142,7 +251,7 @@ def test_derivation_module_refuses_a_broken_complex(a3, monkeypatch):
     ],
 )
 def test_derivation_tor_beyond_pdim_one(name, pdim, tor):
-    # Tor_p(D) = Tor_{p+1}(F/D) for p >= 1; Tor_0 from the generator grades
+    # Tor_p(D) = Tor_{p+2}(E/N) for p >= 1; Tor_0 from the generator grades
     bench = Workbench(get_fixture(name))
     dm = bench.derivations
     assert dm.pdim == pdim
