@@ -17,6 +17,17 @@ Kehrein-Kreuzer-Robbiano 2005), degree by degree.  No ideal piece is
 eliminated to get S/I, and the pieces give the ranks of the first two
 Koszul differentials.
 
+Two commutation identities leave out rows and columns that others span,
+before they are built (Janet's multiplicative variables; Gerdt-Blinkov,
+Involutive bases of polynomial ideals, 1998).  With q labelled x_w q', the
+relation R_kl(q) = x_k (x_l q) - x_l (x_k q), k < l < w, is R_kw(x_l q') -
+R_lw(x_k q'), as the maps commute: where x_w labels the piece too, it is
+left out, by induction on l descending.  With t labelled x_w t', w > max
+J, the column e_J (x) t of d_p is a sum of -+ the columns e_(J+w-j) (x)
+x_j t', j in J, as d_p d_(p+1)(e_(J+w) (x) t') = 0: it is left out where
+its lead is taken, by induction on max J descending.  The ideal pieces
+drop multiples the same way (`spans.multiples`).
+
 Every piece that is the span of the variable multiples of lower pieces is
 grown from `spans.multiples`: the pieces of the ideal, of its powers and
 of the symmetric ideal in S[a] (`IdealPieces`), and the lower spans that
@@ -255,7 +266,9 @@ class GradedEngine:
         the Koszul complex of S is exact in positive degree.  Only the
         x-variables label when every generator strictly below has x-degree
         < bideg[0]: each monomial of S_(bideg - g) then has an x-factor,
-        and S is free over R.  The basis is the non-pivot columns.
+        and S is free over R.  The basis is the non-pivot columns.  The
+        pairs run by descending l, so a row that the rows of a larger index
+        span (module docstring) would eliminate to zero; it is left out.
         """
         ech = Echelon(self.field)
         if not any(bideg):
@@ -269,15 +282,19 @@ class GradedEngine:
             if min(lower) >= 0 and (g[0] or not xside):
                 offsets[k] = len(labels)
                 labels += [(k, t) for t in range(self.quotient_piece_dim(lower))]
-        for k, l in combinations(offsets, 2):
+        for l, k in combinations(reversed(offsets), 2):
             lower = tuple(map(sub, bideg, map(add, grades[k], grades[l])))
             if min(lower) < 0:
                 continue
             # x_k (x_l q) - x_l (x_k q), cleared of the two denominators
-            for (wl, lam_l), (wk, lam_k) in zip(self.mult_map(lower, l), self.mult_map(lower, k)):
+            maps = self.mult_map(lower, l), self.mult_map(lower, k), self._label_variables(lower)
+            for (wl, lam_l), (wk, lam_k), w in zip(*maps):
+                if w > l and w in offsets:
+                    continue
                 row = {offsets[k] + c: lam_k * v for c, v in wl.items()}
                 row.update((offsets[l] + c, -lam_l * v) for c, v in wk.items())
-                ech.insert(row)
+                if row:
+                    ech.insert(row)
         grew = 0
         for g in self.pairs.generators:
             if g and g.grade() == bideg:
@@ -286,6 +303,11 @@ class GradedEngine:
         return QuotientPiece(
             ech, offsets, [labels[c] for c in basis], {c: t for t, c in enumerate(basis)}, grew
         )
+
+    def _label_variables(self, bideg):
+        """The labelling variable of each basis element of the quotient
+        piece at bideg, -1 for the 1 at the origin."""
+        return [label[0] if label else -1 for label in self.quotient_piece(bideg).labels]
 
     def quotient_piece_dim(self, bideg) -> int:
         return len(self.quotient_piece(bideg).labels)
@@ -372,9 +394,11 @@ class GradedEngine:
 
     def _boundary_faces(self, p, bideg):
         """The source blocks of d_p : C_p -> C_{p-1} in this bidegree, as
-        (faces, leads): a face is (sign, target offset, mult_map, its
-        `_mult_leads`), and leads[m] the lead of column m, None if it is
-        zero, read off with no column or part list made.
+        (faces, leads, spanned): a face is (sign, target offset, mult_map,
+        its `_mult_leads`), leads[m] the lead of column m, None if it is
+        zero, read off with no column or part list made, and spanned[m]
+        whether the columns of a larger max J span column m (module
+        docstring).
 
         The faces of a source block land in distinct target blocks, so a
         column is the union of its signed faces, over a common scale, and
@@ -392,17 +416,18 @@ class GradedEngine:
             leads = [None] * qdim
             for _, off, _, ls in sorted(faces, key=lambda face: -face[1]):
                 leads = [x if y is None else off + y for y, x in zip(ls, leads)]
-            blocks.append((faces, leads))
+            top = max(T + U)
+            blocks.append((faces, leads, [w > top for w in self._label_variables(src)]))
         return blocks
 
     @staticmethod
     def _boundary_columns(blocks):
-        """The nonzero columns of `_boundary_faces` blocks as (lead, parts),
-        unbuilt: a part is (sign, offset, mult_map column) of a nonzero
-        face, and `_boundary_column` builds the dict."""
+        """The nonzero columns of `_boundary_faces` blocks as (lead, parts,
+        spanned), unbuilt: a part is (sign, offset, mult_map column) of a
+        nonzero face, and `_boundary_column` builds the dict."""
         return [
-            (lead, [(sign, off, maps[m]) for sign, off, maps, ls in faces if ls[m] is not None])
-            for faces, leads in blocks
+            (lead, [(sign, off, maps[m]) for sign, off, maps, ls in faces if ls[m] is not None], spanned[m])
+            for faces, leads, spanned in blocks
             for m, lead in enumerate(leads)
             if lead is not None
         ]
@@ -431,7 +456,9 @@ class GradedEngine:
         than u raises RingError.  Only where the two differ are columns
         built, by `spans.fill` up to u, sparsest first and later source
         blocks first among equals (80 % fewer entries updated on a3 and
-        bracelet9, 20 % on seven, than in chain basis order)."""
+        bracelet9, 20 % on seven, than in chain basis order); a column that
+        those of a larger max J span (`_boundary_faces`) is left out where
+        its lead is taken.  The leads count every column."""
         if p in (1, 2) and any(bideg):
             onto = self.quotient_piece_dim(bideg)
             if p == 1:
@@ -442,15 +469,16 @@ class GradedEngine:
         if not bound:
             return 0
         blocks = self._boundary_faces(p, bideg)
-        leads = len(set().union(*(leads for _, leads in blocks)) - {None})
+        leads = len(set().union(*(leads for _, leads, _ in blocks)) - {None})
         if leads > bound:
             raise RingError(f"d_{p - 1} d_{p} != 0 at {bideg}: {leads} leads > bound {bound}")
         if leads == bound:
             return bound
         cols = self._boundary_columns(blocks)
         cols = sorted(reversed(cols), key=lambda col: sum(len(w) for *_, (w, _) in col[1]))
-        build = self._boundary_column
-        return fill([(Echelon(self.field), ((lead, build, parts, False) for lead, parts in cols))], bound)
+        build, taken = self._boundary_column, lambda lead: True
+        cols = ((lead, build, parts, False, spanned and taken) for lead, parts, spanned in cols)
+        return fill([(Echelon(self.field), cols)], bound)
 
     def koszul_homology_dim(self, p, bideg):
         _, dim_p = self._chain_basis(p, bideg)

@@ -22,12 +22,14 @@ adds them, those with a new lead first, and stops at a dimension bound
 when the caller has one.  A multiple of a kept piece's row with a new lead
 is stored as it is: re-indexing a row by a monomial gives a row (primitive
 with a positive pivot, or pivot 1) led by the image of its lead; every
-other candidate is inserted.  `fill` also fills spans against one bound on
-their sum (`grow_pieces`, the two sides of linear type), and is the Koszul
-boundary ranks' loop.  `Pieces` memoizes the pieces of a submodule grown
-that way, from one side where the generators' grades allow it
-(`Pieces.multiples`); `graded.IdealPieces` and `resolution.ModulePieces`
-are its two kinds.
+other candidate is inserted, unless an involutive test shows that those
+before it span it (`_spanned`; Janet's multiplicative variables,
+Gerdt-Blinkov, Involutive bases of polynomial ideals, 1998).  `fill` also
+fills spans against one bound on their sum (`grow_pieces`, the two sides
+of linear type), and is the Koszul boundary ranks' loop.  `Pieces`
+memoizes the pieces of a submodule grown that way, from one side where
+the generators' grades allow it (`Pieces.multiples`); `graded.IdealPieces`
+and `resolution.ModulePieces` are its two kinds.
 
 The coefficient kernel is three primitives, used here and by `groebner`:
 
@@ -123,12 +125,12 @@ def axpy(dst, items, beta, p):
                 dst.pop(k, None)
 
 
-def _bump(key, slot, i):
-    """key with exponent i of its slot `slot` (0 or 1) raised by one, for
+def _bump(key, slot, i, by):
+    """key with exponent i of its slot `slot` (0 or 1) raised by `by`, for
     keys that are pairs with an exponent tuple in that slot: the key of a
     variable multiple (key order is a monomial order, so it is kept)."""
     e = key[slot]
-    e = (*e[:i], e[i] + 1, *e[i + 1 :])
+    e = (*e[:i], e[i] + by, *e[i + 1 :])
     return (key[0], e) if slot else (e, key[1])
 
 
@@ -151,27 +153,67 @@ def multiples(grade, variables, lower, columns=None, gens=()):
 
     Columns follow a monomial order, so the lead of a multiple is the
     multiple of the row's lead (an echelon row's pivot key), known before
-    the multiple is built; the multiples of an echelon's rows are rows.
+    the multiple is built; the multiples of an echelon's rows are rows,
+    and come in descending pivot order with the test of `_spanned`.
     """
-    sources = []  # (rows, lead of a key, multiple, are the rows echelon rows)
+    sources = []  # (rows, lead of a key, multiple, are the rows echelon rows, spanned)
+    before = []  # (shift, slot, i) of the echelon sources so far
     for shift, slot, i in variables:
         prev = tuple(map(sub, grade, shift))
         if min(prev) < 0 or not (rows := lower(prev)):
             continue
         if columns is None:
-            lead = lambda key, slot=slot, i=i: _bump(key, slot, i)
+            lead = lambda key, slot=slot, i=i: _bump(key, slot, i, 1)
             build = lambda row, lead=lead: {lead(k): v for k, v in row.items()}
         else:
             to = columns(grade)[1]
             col = [to[e[:i] + (e[i] + 1,) + e[i + 1 :]] for e in columns(prev)[0]]
             lead, build = col.__getitem__, lambda row, col=col: {col[c]: v for c, v in row.items()}
-        sources.append((rows, lead, build, isinstance(rows, dict)))
-    sources.append((gens, lambda key: key, dict, False))
+        spanned = None
+        if is_row := isinstance(rows, dict):
+            rows = sorted(rows.items(), reverse=True)
+            spanned = _spanned(grade, prev, slot, i, before, lower, columns)
+            before.append((shift, slot, i))
+        sources.append((rows, lead, build, is_row, spanned))
+    sources.append((gens, lambda key: key, dict, False, None))
     return (
-        (lead(key), build, row, is_row)
-        for rows, lead, build, is_row in sources
-        for key, row in (rows.items() if is_row else zip(map(min, rows), rows))
+        (lead(key), build, row, is_row, spanned)
+        for rows, lead, build, is_row, spanned in sources
+        for key, row in (rows if is_row else zip(map(min, rows), rows))
     )
+
+
+def _spanned(grade, prev, slot, i, before, lower, columns):
+    """The test, on its lead, that the candidates before x_t v span it, v
+    the row of the whole piece P(prev) with pivot L and x_t the variable
+    (slot, i); None if no variable before x_t can pass.  It passes when
+    some x_u before x_t divides L and L / x_u is a pivot of P(prev - deg
+    x_u), of row w: v - c x_u w is a sum of rows with larger pivots, and
+    x_t x_u w = x_u (x_t w) an x_u-multiple of P(grade - deg x_u); by
+    induction on (variable, pivot descending) x_t v eliminates to zero.
+    lower answers for whole pieces only, falsy otherwise."""
+    checks = []  # (slot, variable, rows of P(prev - deg x_u), its column index)
+    for shift, uslot, u in before:
+        below = tuple(map(sub, prev, shift))
+        if min(below) >= 0 and (rows := lower(below)):
+            checks.append((uslot, u, rows, columns(below)[1] if columns else None))
+    if not checks:
+        return None
+    if columns is None:
+
+        def spanned(lead):
+            key = _bump(lead, slot, i, -1)
+            return any(key[s][u] and _bump(key, s, u, -1) in rows for s, u, rows, _ in checks)
+
+        return spanned
+    mons = columns(grade)[0]
+
+    def spanned(lead):
+        e = mons[lead]
+        e = (*e[:i], e[i] - 1, *e[i + 1 :])
+        return any(e[u] and idx[(*e[:u], e[u] - 1, *e[u + 1 :])] in rows for _, u, rows, idx in checks)
+
+    return spanned
 
 
 def grow(field, *args):
@@ -183,20 +225,23 @@ def grow(field, *args):
 
 def fill(sides, bound=None):
     """For each (ech, candidates) in sides, add build(arg) to ech for each
-    (lead, build, arg, is_row) in candidates, lead being the smallest
-    column of build(arg), which is built only when it goes in: first each
-    candidate whose lead is not yet a pivot, with no elimination (stored as
-    it is if `is_row` says it is a row already), then the rest, the sides in
-    turn, until the dimensions sum to `bound`, which the caller certifies
-    to bound the sum of the whole spans; each span is then whole (with no
-    bound, all go in).  Returns the sum; it exceeds `bound` only if the
-    first pass did, disproving it."""
+    (lead, build, arg, is_row, spanned) in candidates, lead being the
+    smallest column of build(arg), which is built only when it goes in:
+    first each candidate whose lead is not yet a pivot, with no elimination
+    (stored as it is if `is_row` says it is a row already), then the rest,
+    the sides in turn, until the dimensions sum to `bound`, which the
+    caller certifies to bound the sum of the whole spans; each span is then
+    whole (with no bound, all go in).  A candidate whose lead is a pivot
+    already is left out when `spanned`, None or a test on its lead, says
+    the candidates before it span it.  Returns the sum; it exceeds `bound`
+    only if the first pass did, disproving it."""
     later = []
     for ech, candidates in sides:
         later.append([])
-        for lead, build, arg, is_row in candidates:
+        for lead, build, arg, is_row, spanned in candidates:
             if lead in ech.rows:
-                later[-1].append((ech, build, arg))
+                if not (spanned and spanned(lead)):
+                    later[-1].append((ech, build, arg))
             elif is_row:
                 ech.rows[lead] = build(arg)
             else:
@@ -269,7 +314,11 @@ class Pieces:
             if all(g[k] < top for g in below):
                 variables = [v for v in variables if v[0][k] > 0]
                 break
-        return multiples(grade, variables, lambda g: self.piece(g).rows, self.columns, gens)
+        for shift, _, _ in variables:  # grown first: `multiples` reads kept pieces
+            if min(prev := tuple(map(sub, grade, shift))) >= 0:
+                self.piece(prev)
+        kept = lambda g: g in self._pieces and self._pieces[g].rows
+        return multiples(grade, variables, kept, self.columns, gens)
 
     def lower_span(self, grade) -> Echelon:
         """The span of the generators strictly below `grade`, times S."""
